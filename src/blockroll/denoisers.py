@@ -1,7 +1,13 @@
 """Pluggable block denoisers at toy scale.
 
-A denoiser maps (noisy block, timestep, expanded conditioning context) to
-an estimate of the clean block. Three implementations:
+A denoiser maps (noisy block, timestep, conditioning context) to an
+estimate of the clean block, in two calls. Each step the engine expands
+its schedule into one `Context`: an (n, frame_dim) float64 array of latent
+frames and their (n,) frame positions, ascending. `condition(context,
+block_size)` runs once per step and returns a state holding that Context
+plus everything derived from it alone; `estimate(noisy, t, state, rng)`
+runs once per denoising level. The state lives for one step. Three
+implementations:
 
 * AnalyticGaussianDenoiser — closed-form oracle for a synthetic AR(1)
   data model; lets the sampler be checked against an exact stationary law.
@@ -17,41 +23,78 @@ an estimate of the clean block. Three implementations:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
-from .rope import RotaryConfig, rotate
+from .rope import RotaryConfig, apply_rotation, rotate, rotation
 from .sampler import NoiseSource, sigma
 
 
 @dataclass(frozen=True, eq=False)
-class ContextFrame:
-    """One conditioning token: a latent frame, its content identity, and
-    the frame position it is embedded at."""
+class Context:
+    """One step's conditioning: row j of `values` (n, frame_dim) is the
+    latent frame embedded at frame position `positions[j]`. Positions are
+    strictly ascending, so the last row is the most recent frame."""
 
-    content_frame: int
-    position: int
-    value: np.ndarray
+    values: np.ndarray
+    positions: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=np.float64)
+        positions = np.asarray(self.positions, dtype=np.int64)
+        if values.ndim != 2 or positions.shape != values.shape[:1]:
+            raise ValueError(
+                f"context needs values (n, frame_dim) and positions (n,), got "
+                f"{values.shape} and {positions.shape}"
+            )
+        if not (positions[1:] > positions[:-1]).all():
+            raise ValueError("context positions must be strictly ascending")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "positions", positions)
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+
+@dataclass(frozen=True, eq=False)
+class Conditioned:
+    """What a denoiser derives from one step's Context before its first
+    estimate. It is valid for that step only; len() is the number of
+    context frames."""
+
+    context: Context
+
+    def __len__(self) -> int:
+        return len(self.context)
 
 
 class DenoiserInterface(Protocol):
     """Contract consumed by sampler.sample_block.
 
-    estimate() returns the intermediate clean prediction for `noisy` at
-    timestep `t` given the expanded context. Output shape equals input
-    shape. Implementations needing randomness draw from `rng`, so results
-    are deterministic under a fixed seed.
+    condition() runs once per step and does every piece of work that
+    depends only on the step's context, not on the noise level or the
+    noisy block. estimate() runs once per denoising level and returns the
+    intermediate clean prediction for `noisy` (block_size, frame_dim) at
+    timestep `t` from that state. Implementations needing randomness draw
+    from `rng`, so results are deterministic under a fixed seed.
     """
 
-    def estimate(self, noisy: np.ndarray, t: float,
-                 context: Sequence[ContextFrame],
+    def condition(self, context: Context, block_size: int) -> Conditioned: ...
+
+    def estimate(self, noisy: np.ndarray, t: float, state: Conditioned,
                  rng: NoiseSource | None = None) -> np.ndarray: ...
 
 
-def _most_recent(context: Sequence[ContextFrame]) -> ContextFrame:
-    return max(context, key=lambda f: f.position)
+@dataclass(frozen=True, eq=False)
+class GaussianPrior(Conditioned):
+    """Prior mean (block_size, frame_dim) and variance (block_size, 1) of
+    the next block's frames."""
+
+    mu: np.ndarray
+    tau2: np.ndarray
 
 
 class AnalyticGaussianDenoiser:
@@ -65,24 +108,25 @@ class AnalyticGaussianDenoiser:
     the clean frame given the noisy observation at level sigma(t).
     """
 
-    def __init__(self, rho: float, conditioning: np.ndarray | None = None):
+    def __init__(self, rho: float):
         if not -1.0 < rho < 1.0:
             raise ValueError(f"rho must lie in (-1, 1) (got {rho})")
         self.rho = rho
-        self.conditioning = conditioning  # reserved slot, no semantics yet
 
-    def posterior(self, noisy: np.ndarray, t: float,
-                  context: Sequence[ContextFrame]) -> tuple[np.ndarray, np.ndarray]:
-        noisy = np.asarray(noisy, dtype=np.float64)
-        block_size = noisy.shape[0]
-        if context:
-            z_prev = np.asarray(_most_recent(context).value, dtype=np.float64)
+    def condition(self, context: Context, block_size: int) -> GaussianPrior:
+        if len(context):
             gaps = np.arange(1, block_size + 1, dtype=np.float64)[:, None]
-            mu = self.rho ** gaps * z_prev[None, :]
+            mu = self.rho ** gaps * context.values[-1][None, :]
             tau2 = 1.0 - self.rho ** (2.0 * gaps)
         else:
-            mu = np.zeros_like(noisy)
+            mu = np.zeros((block_size, context.values.shape[1]))
             tau2 = np.ones((block_size, 1))
+        return GaussianPrior(context, mu, tau2)
+
+    def posterior(self, noisy: np.ndarray, t: float,
+                  state: GaussianPrior) -> tuple[np.ndarray, np.ndarray]:
+        noisy = np.asarray(noisy, dtype=np.float64)
+        mu, tau2 = state.mu, state.tau2
         s = sigma(t)
         if s == 0.0:
             return noisy.copy(), np.zeros_like(noisy)
@@ -93,12 +137,11 @@ class AnalyticGaussianDenoiser:
         return mean, var
 
     def posterior_mean(self, noisy: np.ndarray, t: float,
-                       context: Sequence[ContextFrame]) -> np.ndarray:
+                       state: GaussianPrior) -> np.ndarray:
         """Deterministic MMSE estimate (exact posterior mean)."""
-        return self.posterior(noisy, t, context)[0]
+        return self.posterior(noisy, t, state)[0]
 
-    def estimate(self, noisy: np.ndarray, t: float,
-                 context: Sequence[ContextFrame],
+    def estimate(self, noisy: np.ndarray, t: float, state: GaussianPrior,
                  rng: NoiseSource | None = None) -> np.ndarray:
         """Posterior draw when rng is supplied, posterior mean otherwise.
 
@@ -108,10 +151,17 @@ class AnalyticGaussianDenoiser:
         long rollouts reproduce the stationary statistics. The bare
         posterior mean would systematically under-disperse.
         """
-        mean, var = self.posterior(noisy, t, context)
+        mean, var = self.posterior(noisy, t, state)
         if rng is None:
             return mean
         return mean + np.sqrt(var) * rng.standard_normal(mean.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class ContextMean(Conditioned):
+    """Mean context frame (frame_dim,), None for an empty context."""
+
+    mean: np.ndarray | None
 
 
 class ContextMeanDenoiser:
@@ -124,7 +174,7 @@ class ContextMeanDenoiser:
     """
 
     def __init__(self, anchor_weight: float = 1.0, innovation_scale: float = 0.0,
-                 bias: float = 0.0, conditioning: np.ndarray | None = None):
+                 bias: float = 0.0):
         if not 0.0 <= anchor_weight <= 1.0:
             raise ValueError(f"anchor_weight must lie in [0, 1] (got {anchor_weight})")
         if innovation_scale < 0.0:
@@ -132,16 +182,16 @@ class ContextMeanDenoiser:
         self.anchor_weight = anchor_weight
         self.innovation_scale = innovation_scale
         self.bias = bias
-        self.conditioning = conditioning  # reserved slot, no semantics yet
 
-    def estimate(self, noisy: np.ndarray, t: float,
-                 context: Sequence[ContextFrame],
+    def condition(self, context: Context, block_size: int) -> ContextMean:
+        return ContextMean(context, context.values.mean(axis=0) if len(context) else None)
+
+    def estimate(self, noisy: np.ndarray, t: float, state: ContextMean,
                  rng: NoiseSource | None = None) -> np.ndarray:
         sigma(t)  # range check only
         noisy = np.asarray(noisy, dtype=np.float64)
-        if context:
-            ctx_mean = np.mean([f.value for f in context], axis=0)
-            est = self.anchor_weight * ctx_mean + (1.0 - self.anchor_weight) * noisy
+        if state.mean is not None:
+            est = self.anchor_weight * state.mean + (1.0 - self.anchor_weight) * noisy
         else:
             est = noisy.copy()
         est = est + self.bias
@@ -158,6 +208,17 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+@dataclass(frozen=True, eq=False)
+class KVCache(Conditioned):
+    """Per layer, the rotated context keys (head_count, head_dim, n) and the
+    context values (head_count, n, head_dim); and the rotation of the
+    current block's positions (block_size, 1, 1, head_dim/2)."""
+
+    keys: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
+    rot: np.ndarray
+
+
 class TinyAttentionDenoiser:
     """Fixed random-weight attention stack over latent-frame tokens.
 
@@ -169,14 +230,15 @@ class TinyAttentionDenoiser:
     translation of all positions. The current block's positions are the
     block_size positions immediately after the highest context position
     (starting at 0 when the context is empty). Context token
-    representations are fixed input embeddings across layers, mirroring a
-    cache of precomputed keys/values.
+    representations are fixed input embeddings across layers, so their
+    keys and values depend on the context alone: condition() computes them
+    once per step as a K/V cache, and each estimate() projects and rotates
+    only the block_size current rows.
     """
 
     def __init__(self, frame_dim: int, model_dim: int = 32, head_count: int = 4,
                  layer_count: int = 2, weight_seed: int = 0,
-                 rope_base: float = 10000.0,
-                 conditioning: np.ndarray | None = None):
+                 rope_base: float = 10000.0):
         if frame_dim < 1 or model_dim < 1 or head_count < 1 or layer_count < 1:
             raise ValueError("frame_dim, model_dim, head_count, layer_count must be >= 1")
         if model_dim % head_count != 0:
@@ -193,60 +255,56 @@ class TinyAttentionDenoiser:
         self.layer_count = layer_count
         self.weight_seed = weight_seed
         self.rotary = RotaryConfig(dim=head_dim, base=rope_base)
-        self.conditioning = conditioning  # reserved slot, no semantics yet
 
         gen = np.random.default_rng(weight_seed & 0xFFFF_FFFF_FFFF_FFFF)
         self.w_in = gen.standard_normal((frame_dim, model_dim)) / np.sqrt(frame_dim)
         self.t_embed = gen.standard_normal(model_dim) / np.sqrt(model_dim)
-        self.layers = [
-            {
-                name: gen.standard_normal((model_dim, model_dim)) / np.sqrt(model_dim)
-                for name in ("w_q", "w_k", "w_v", "w_o")
-            }
-            for _ in range(layer_count)
-        ]
+        self.layers = []  # per layer: fused (w_q | w_k | w_v) and w_o
+        for _ in range(layer_count):
+            w_q, w_k, w_v, w_o = (
+                gen.standard_normal((model_dim, model_dim)) / np.sqrt(model_dim)
+                for _ in range(4)
+            )
+            self.layers.append((np.concatenate([w_q, w_k, w_v], axis=1), w_o))
         self.w_out = gen.standard_normal((model_dim, frame_dim)) / np.sqrt(model_dim)
 
-    def _split_heads(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(x.shape[0], self.head_count, self.head_dim)
+    def condition(self, context: Context, block_size: int) -> KVCache:
+        width = context.values.shape[1]
+        if width != self.frame_dim:
+            raise ValueError(
+                f"context frame width {width} does not match frame_dim {self.frame_dim}"
+            )
+        n = len(context)
+        h_ctx = context.values @ self.w_in
+        kv = np.stack([h_ctx @ w_qkv[:, self.model_dim:] for w_qkv, _ in self.layers])
+        kv = kv.reshape(self.layer_count, n, 2, self.head_count, self.head_dim)
+        keys = rotate(self.rotary, kv[:, :, 0], context.positions[:, None])
+        start = context.positions[-1] + 1 if n else 0
+        return KVCache(
+            context,
+            keys=tuple(keys.transpose(0, 2, 3, 1)),
+            values=tuple(kv[:, :, 1].transpose(0, 2, 1, 3)),
+            rot=rotation(self.rotary, start + np.arange(block_size)[:, None, None]),
+        )
 
-    def estimate(self, noisy: np.ndarray, t: float,
-                 context: Sequence[ContextFrame],
+    def estimate(self, noisy: np.ndarray, t: float, state: KVCache,
                  rng: NoiseSource | None = None) -> np.ndarray:
         noisy = np.asarray(noisy, dtype=np.float64)
-        if noisy.ndim != 2 or noisy.shape[1] != self.frame_dim:
+        block_size = len(state.rot)
+        if noisy.shape != (block_size, self.frame_dim):
             raise ValueError(
-                f"noisy block must have shape (block_size, {self.frame_dim}), "
+                f"noisy block must have shape ({block_size}, {self.frame_dim}), "
                 f"got {noisy.shape}"
             )
-        block_size = noisy.shape[0]
-        if context:
-            ctx_vals = np.stack([np.asarray(f.value, dtype=np.float64) for f in context])
-            if ctx_vals.shape[1] != self.frame_dim:
-                raise ValueError(
-                    f"context frame width {ctx_vals.shape[1]} does not match "
-                    f"frame_dim {self.frame_dim}"
-                )
-            ctx_pos = np.array([f.position for f in context], dtype=np.float64)
-            cur_start = ctx_pos.max() + 1.0
-        else:
-            ctx_vals = np.zeros((0, self.frame_dim))
-            ctx_pos = np.zeros(0)
-            cur_start = 0.0
-        cur_pos = cur_start + np.arange(block_size, dtype=np.float64)
-        all_pos = np.concatenate([ctx_pos, cur_pos])
-
+        scale = math.sqrt(self.head_dim)
         h_cur = noisy @ self.w_in + sigma(t) * self.t_embed
-        h_ctx = ctx_vals @ self.w_in
-        for layer in self.layers:
-            kv_src = np.concatenate([h_ctx, h_cur], axis=0)
-            q = rotate(self.rotary, self._split_heads(h_cur @ layer["w_q"]),
-                       cur_pos[:, None])
-            k = rotate(self.rotary, self._split_heads(kv_src @ layer["w_k"]),
-                       all_pos[:, None])
-            v = self._split_heads(kv_src @ layer["w_v"])
-            scores = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(self.head_dim)
-            attn = _softmax(scores)
-            mixed = np.einsum("hqk,khd->qhd", attn, v)
-            h_cur = h_cur + mixed.reshape(block_size, self.model_dim) @ layer["w_o"]
+        for (w_qkv, w_o), k_ctx, v_ctx in zip(self.layers, state.keys, state.values):
+            qkv = (h_cur @ w_qkv).reshape(block_size, 3, self.head_count, self.head_dim)
+            qk = apply_rotation(qkv[:, :2], state.rot)
+            # heads first: q (h, q, d), k (h, d, ctx+q), v (h, ctx+q, d)
+            k = np.concatenate([k_ctx, qk[:, 1].transpose(1, 2, 0)], axis=2)
+            v = np.concatenate([v_ctx, qkv[:, 2].transpose(1, 0, 2)], axis=1)
+            attn = _softmax(qk[:, 0].transpose(1, 0, 2) @ k / scale)
+            mixed = (attn @ v).transpose(1, 0, 2)
+            h_cur = h_cur + mixed.reshape(block_size, self.model_dim) @ w_o
         return h_cur @ self.w_out

@@ -1,11 +1,11 @@
 """Blockwise autoregressive rollout engine.
 
-Each step builds the policy's conditioning schedule, expands it into
-positioned latent frames backed by stored block data, samples the next
-block through the few-step denoising loop, appends it to the bounded
-history, and emits a replayable trace record. Noise for step i is drawn
-from a per-step stream derived from (seed, i), so traces depend only on
-the config and seed.
+Each step builds the policy's conditioning schedule, expands it into one
+Context of positioned latent frames gathered from stored block data,
+samples the next block through the few-step denoising loop, appends it to
+the bounded history, and emits a replayable trace record. Noise for step
+i is drawn from a per-step stream derived from (seed, i), so traces
+depend only on the config and seed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoisers import ContextFrame, DenoiserInterface
+from .denoisers import Context, DenoiserInterface
 from .sampler import NoiseSource, TimestepSchedule, sample_block
 from .schedule import Policy, PolicyConfig, Schedule, frame_expand, schedule_for
 
@@ -104,21 +104,27 @@ class Rollout:
         self.step_index = 0
         self.records: list[TraceRecord] = []
 
-    def _expand(self, schedule: Schedule) -> list[ContextFrame]:
+    def _expand(self, schedule: Schedule) -> Context:
+        """Gather the schedule's frames, in frame_expand's order and at its
+        positions, with one concatenate and one row index."""
         block_size = self.cfg.policy.block_size
-        frames: list[ContextFrame] = []
-        for slot in schedule.slots:
+        if not schedule.slots:
+            return Context(np.zeros((0, self.cfg.frame_dim)), np.zeros(0, np.int64))
+        blocks, rows, positions = [], [], []
+        for rank, slot in enumerate(schedule.slots):
             try:
-                block = self.store.get(slot.content_id)
+                blocks.append(self.store.get(slot.content_id))
             except KeyError:
                 raise InternalInvariantError(
                     f"schedule for step {schedule.step} references block "
                     f"{slot.content_id}, which is absent from the history store"
                 ) from None
+            # frame content_frame sits at this row of the concatenated blocks
+            first_row = block_size * (rank - slot.content_id)
             for content_frame, position in frame_expand(slot, block_size):
-                offset = content_frame - block_size * slot.content_id
-                frames.append(ContextFrame(content_frame, position, block[offset]))
-        return frames
+                rows.append(first_row + content_frame)
+                positions.append(position)
+        return Context(np.concatenate(blocks)[rows], np.array(positions))
 
     def step(self) -> np.ndarray:
         """Generate the next block and append its trace record."""

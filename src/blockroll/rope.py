@@ -36,22 +36,24 @@ def rotate(cfg: RotaryConfig, v: np.ndarray, m) -> np.ndarray:
     m may be a scalar or an array broadcastable against v's leading
     dimensions (one position per row). Norm-preserving.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = np.ascontiguousarray(v, dtype=np.float64)
     if v.shape[-1] != cfg.dim:
         raise ValueError(
             f"vector width {v.shape[-1]} does not match rotary dim {cfg.dim}"
         )
+    return apply_rotation(v, rotation(cfg, m))
+
+
+def rotation(cfg: RotaryConfig, m) -> np.ndarray:
+    """Unit complex numbers exp(i * angle) of the pair angles at position m,
+    shaped m.shape + (dim/2,)."""
     angles = np.asarray(m, dtype=np.float64)[..., None] * pair_frequencies(cfg)
-    cos = np.cos(angles)
-    sin = np.sin(angles)
-    even = v[..., 0::2]
-    odd = v[..., 1::2]
-    out = np.empty_like(v)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
+    return np.cos(angles) + 1j * np.sin(angles)
 
 
-def position_of(block_index: int, offset: int, block_size: int = 3) -> int:
-    """Frame position of offset k inside a block embedded at time index j."""
-    return block_size * block_index + offset
+def apply_rotation(v: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Rotate float64 v, whose last axis is contiguous, by rot = rotation(cfg, m):
+    pair (2t, 2t+1) is multiplied as the complex number v[2t] + i*v[2t+1].
+    Rows at fixed positions can be rotated again without recomputing the
+    angles."""
+    return (v.view(np.complex128) * rot).view(np.float64)

@@ -1,9 +1,13 @@
 """Few-step denoising sampler.
 
-One autoregressive step draws a pure-noise block, then alternates a
-denoiser estimate with forward re-noising at the next-lower level until
-the noise level reaches zero. The noise level is linear in the timestep,
-sigma(t) = t/1000, so t=1000 is pure noise and t=0 is clean.
+One autoregressive step conditions the denoiser once on the step's
+Context (the (n, frame_dim) frames and ascending (n,) positions the
+schedule expands to): condition(context, block_size) returns a state that
+lives for this step only. The step then draws a pure-noise block and
+alternates estimate(noisy, t, state, rng) with forward re-noising at the
+next-lower level until the noise level reaches zero. The noise level is
+linear in the timestep, sigma(t) = t/1000, so t=1000 is pure noise and
+t=0 is clean.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ class TimestepSchedule:
 
 class NoiseSource:
     """Seeded Gaussian stream. Identical (seed, stream) pairs reproduce
-    identical draws in identical order; `position` counts values drawn."""
+    identical draws in identical order."""
 
     def __init__(self, seed: int, stream: tuple[int, ...] = ()):
         self.seed = seed
@@ -55,12 +59,9 @@ class NoiseSource:
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=stream))
         )
-        self.position = 0
 
     def standard_normal(self, shape) -> np.ndarray:
-        draw = self._gen.standard_normal(shape)
-        self.position += int(np.prod(shape, dtype=np.int64)) if shape else 1
-        return draw
+        return self._gen.standard_normal(shape)
 
 
 def sigma(t: float) -> float:
@@ -80,16 +81,19 @@ def sample_block(denoiser, timesteps: TimestepSchedule, context, noise: NoiseSou
                  shape: tuple[int, int]) -> np.ndarray:
     """Run the full denoising loop for one block.
 
-    `denoiser` must satisfy the estimate(noisy, t, context, rng) contract
-    (see denoisers.DenoiserInterface); `context` is the expanded
-    conditioning schedule, which may be empty for the first block. A fresh
-    eps is drawn at every re-noising step, including the final one at t=0
-    where it is weighted by zero.
+    `denoiser` must satisfy denoisers.DenoiserInterface; `context` is the
+    step's expanded conditioning schedule, a denoisers.Context that is
+    empty for the first block. The denoiser conditions on it once, with
+    condition(context, block_size), and every level then calls
+    estimate(noisy, t, state, rng) with that state. A fresh eps is drawn
+    at every re-noising step, including the final one at t=0 where it is
+    weighted by zero.
     """
+    state = denoiser.condition(context, shape[0])
     y = noise.standard_normal(shape)
     ts = timesteps.steps
     for j in range(len(ts) - 1):
-        x_hat = denoiser.estimate(y, ts[j], context, rng=noise)
+        x_hat = denoiser.estimate(y, ts[j], state, rng=noise)
         eps = noise.standard_normal(shape)
         y = forward_noise(x_hat, eps, ts[j + 1])
     return y

@@ -13,7 +13,7 @@ import numpy as np
 from blockroll import cli
 from blockroll.denoisers import (
     AnalyticGaussianDenoiser,
-    ContextFrame,
+    Context,
     ContextMeanDenoiser,
     TinyAttentionDenoiser,
 )
@@ -24,10 +24,10 @@ from blockroll.schedule import (
     Policy,
     PolicyConfig,
     RollConvention,
-    oracle_boustrophedon,
     roll_slot,
     schedule_for,
 )
+from walk_oracle import oracle_boustrophedon
 
 
 def _report(name: str, started: float, budget_s: float) -> None:
@@ -120,15 +120,12 @@ def test_attention_position_shift_invariance():
         noisy = rng.standard_normal((block_size, frame_dim))
         n_ctx = int(rng.integers(1, 13))
         base_pos = int(rng.integers(0, 100))
-        ctx = [
-            ContextFrame(j, base_pos + j, rng.standard_normal(frame_dim))
-            for j in range(n_ctx)
-        ]
+        ctx = Context(rng.standard_normal((n_ctx, frame_dim)),
+                      base_pos + np.arange(n_ctx))
         shift = int(rng.integers(1, 20_000))
-        moved = [ContextFrame(f.content_frame, f.position + shift, f.value)
-                 for f in ctx]
-        a = den.estimate(noisy, 500.0, ctx)
-        b = den.estimate(noisy, 500.0, moved)
+        moved = Context(ctx.values, ctx.positions + shift)
+        a = den.estimate(noisy, 500.0, den.condition(ctx, block_size))
+        b = den.estimate(noisy, 500.0, den.condition(moved, block_size))
         assert np.abs(a - b).max() < 1e-6, f"trial {trial}"
     _report("attention position-shift invariance", started, 10.0)
 

@@ -8,20 +8,30 @@ import pytest
 
 from blockroll.denoisers import (
     AnalyticGaussianDenoiser,
-    ContextFrame,
+    Context,
     ContextMeanDenoiser,
     TinyAttentionDenoiser,
 )
 from blockroll.sampler import NoiseSource
 
 
-def make_context(values, start_content=0, start_pos=None):
-    """Context frames with consecutive positions; values is (n, frame_dim)."""
-    start_pos = start_content if start_pos is None else start_pos
-    return [
-        ContextFrame(start_content + j, start_pos + j, np.asarray(v, dtype=float))
-        for j, v in enumerate(values)
-    ]
+def make_context(values):
+    """Frames at positions 0..n-1; values is (n, frame_dim), n >= 1."""
+    values = np.asarray(values, dtype=float)
+    return Context(values, np.arange(len(values)))
+
+
+def empty_context(frame_dim):
+    return Context(np.zeros((0, frame_dim)), np.zeros(0, dtype=int))
+
+
+def estimate(den, noisy, t, ctx, rng=None):
+    """One denoising level: condition on ctx for this block, then estimate."""
+    return den.estimate(noisy, t, den.condition(ctx, len(noisy)), rng=rng)
+
+
+def posterior_mean(den, noisy, t, ctx):
+    return den.posterior_mean(noisy, t, den.condition(ctx, len(noisy)))
 
 
 def _trapezoid(ys, dx):
@@ -40,6 +50,18 @@ def quadrature_posterior_mean(y, s, mu, tau2):
     return _trapezoid(xs * w, dx) / _trapezoid(w, dx)
 
 
+def test_context_rejects_mismatched_shapes_and_unordered_positions():
+    with pytest.raises(ValueError, match="ascending"):
+        Context(np.zeros((2, 1)), [1, 1])
+    with pytest.raises(ValueError, match="ascending"):
+        Context(np.zeros((2, 1)), [1, 0])
+    with pytest.raises(ValueError):
+        Context(np.zeros((2, 1)), [0, 1, 2])
+    with pytest.raises(ValueError):
+        Context(np.zeros(2), [0, 1])
+    assert len(Context(np.zeros((3, 2)), [5, 6, 9])) == 3
+
+
 # --------------------------------------------------------------------------
 # analytic Gaussian denoiser
 # --------------------------------------------------------------------------
@@ -54,21 +76,22 @@ def test_clean_observation_is_returned_unchanged():
     den = AnalyticGaussianDenoiser(rho=0.9)
     noisy = np.array([[0.3, -0.7], [1.1, 0.0]])
     ctx = make_context([[1.0, 1.0]])
-    assert np.array_equal(den.posterior_mean(noisy, 0.0, ctx), noisy)
-    assert np.array_equal(den.estimate(noisy, 0.0, ctx, rng=NoiseSource(0)), noisy)
+    assert np.array_equal(posterior_mean(den, noisy, 0.0, ctx), noisy)
+    assert np.array_equal(estimate(den, noisy, 0.0, ctx, rng=NoiseSource(0)), noisy)
 
 
 def test_pure_noise_with_no_context_yields_prior_mean_zero():
     den = AnalyticGaussianDenoiser(rho=0.9)
     noisy = np.array([[5.0], [-3.0]])
-    assert np.array_equal(den.posterior_mean(noisy, 1000.0, []), np.zeros((2, 1)))
+    assert np.array_equal(posterior_mean(den, noisy, 1000.0, empty_context(1)),
+                          np.zeros((2, 1)))
 
 
 def test_worked_example_matches_two_by_two_conditioning():
     # rho=0.9, sigma=0.5, last context frame 1.0, noisy 0.0
     den = AnalyticGaussianDenoiser(rho=0.9)
     ctx = make_context([[1.0]])
-    mean = den.posterior_mean(np.array([[0.0]]), 500.0, ctx)
+    mean = posterior_mean(den, np.array([[0.0]]), 500.0, ctx)
     oracle = quadrature_posterior_mean(0.0, 0.5, 0.9, 1 - 0.81)
     assert abs(mean[0, 0] - oracle) < 1e-6
 
@@ -85,7 +108,7 @@ def test_posterior_mean_matches_quadrature_on_random_configurations():
         block_size = rng.integers(1, 4)
         noisy = np.full((block_size, 1), y)
         ctx = make_context([[z_prev]])
-        mean = den.posterior_mean(noisy, t, ctx)
+        mean = posterior_mean(den, noisy, t, ctx)
         for k in range(block_size):
             mu = rho ** (k + 1) * z_prev
             tau2 = 1 - rho ** (2 * (k + 1))
@@ -96,7 +119,7 @@ def test_posterior_mean_matches_quadrature_on_random_configurations():
 def test_gap_grows_with_in_block_offset():
     den = AnalyticGaussianDenoiser(rho=0.5)
     ctx = make_context([[2.0]])
-    mean = den.posterior_mean(np.zeros((3, 1)), 1000.0, ctx)
+    mean = posterior_mean(den, np.zeros((3, 1)), 1000.0, ctx)
     # at full noise the posterior collapses to the prior mean rho^(k+1)*z
     assert np.allclose(mean[:, 0], [1.0, 0.5, 0.25])
 
@@ -104,7 +127,7 @@ def test_gap_grows_with_in_block_offset():
 def test_most_recent_context_frame_wins():
     den = AnalyticGaussianDenoiser(rho=0.5)
     ctx = make_context([[10.0], [2.0]])  # positions 0, 1: the later one rules
-    mean = den.posterior_mean(np.zeros((1, 1)), 1000.0, ctx)
+    mean = posterior_mean(den, np.zeros((1, 1)), 1000.0, ctx)
     assert mean[0, 0] == pytest.approx(1.0)
 
 
@@ -112,9 +135,10 @@ def test_posterior_draw_is_calibrated():
     den = AnalyticGaussianDenoiser(rho=0.9)
     ctx = make_context([[1.0]])
     noisy = np.zeros((1, 1))
-    mean, var = den.posterior(noisy, 500.0, ctx)
+    state = den.condition(ctx, 1)
+    mean, var = den.posterior(noisy, 500.0, state)
     rng = NoiseSource(5)
-    draws = np.array([den.estimate(noisy, 500.0, ctx, rng=rng)[0, 0]
+    draws = np.array([den.estimate(noisy, 500.0, state, rng=rng)[0, 0]
                       for _ in range(20000)])
     assert abs(draws.mean() - mean[0, 0]) < 4 * np.sqrt(var[0, 0] / len(draws))
     assert abs(draws.var() - var[0, 0]) < 0.05 * var[0, 0]
@@ -124,8 +148,9 @@ def test_estimate_without_rng_degrades_to_posterior_mean():
     den = AnalyticGaussianDenoiser(rho=0.7)
     ctx = make_context([[0.4]])
     noisy = np.array([[0.2]])
-    assert np.array_equal(den.estimate(noisy, 300.0, ctx),
-                          den.posterior_mean(noisy, 300.0, ctx))
+    state = den.condition(ctx, 1)
+    assert np.array_equal(den.estimate(noisy, 300.0, state),
+                          den.posterior_mean(noisy, 300.0, state))
 
 
 # --------------------------------------------------------------------------
@@ -135,21 +160,21 @@ def test_estimate_without_rng_degrades_to_posterior_mean():
 def test_full_anchor_on_constant_context_returns_the_constant():
     den = ContextMeanDenoiser(anchor_weight=1.0)
     ctx = make_context([[0.7, 0.7]] * 4)
-    out = den.estimate(np.random.default_rng(0).standard_normal((3, 2)), 500.0, ctx)
+    out = estimate(den, np.random.default_rng(0).standard_normal((3, 2)), 500.0, ctx)
     assert np.allclose(out, 0.7)
 
 
 def test_empty_context_renormalizes_onto_noisy_term():
     den = ContextMeanDenoiser(anchor_weight=1.0, bias=0.25)
     noisy = np.array([[1.0, -1.0]])
-    assert np.allclose(den.estimate(noisy, 500.0, []), noisy + 0.25)
+    assert np.allclose(estimate(den, noisy, 500.0, empty_context(2)), noisy + 0.25)
 
 
 def test_anchor_mixes_context_mean_and_noisy():
     den = ContextMeanDenoiser(anchor_weight=0.25, bias=0.0)
     ctx = make_context([[2.0]] * 3)
     noisy = np.array([[4.0]])
-    assert den.estimate(noisy, 0.0, ctx)[0, 0] == pytest.approx(
+    assert estimate(den, noisy, 0.0, ctx)[0, 0] == pytest.approx(
         0.25 * 2.0 + 0.75 * 4.0
     )
 
@@ -157,8 +182,8 @@ def test_anchor_mixes_context_mean_and_noisy():
 def test_innovation_requires_a_noise_source():
     den = ContextMeanDenoiser(innovation_scale=0.1)
     with pytest.raises(ValueError, match="NoiseSource"):
-        den.estimate(np.zeros((1, 1)), 500.0, [])
-    out = den.estimate(np.zeros((1, 1)), 500.0, [], rng=NoiseSource(0))
+        estimate(den, np.zeros((1, 1)), 500.0, empty_context(1))
+    out = estimate(den, np.zeros((1, 1)), 500.0, empty_context(1), rng=NoiseSource(0))
     assert out.shape == (1, 1)
 
 
@@ -191,16 +216,16 @@ def test_attention_output_shape_matches_input():
     rng = np.random.default_rng(0)
     den = build_attention()
     noisy, ctx = random_case(rng)
-    assert den.estimate(noisy, 500.0, ctx).shape == noisy.shape
-    assert den.estimate(noisy, 1000.0, []).shape == noisy.shape
+    assert estimate(den, noisy, 500.0, ctx).shape == noisy.shape
+    assert estimate(den, noisy, 1000.0, empty_context(FRAME_DIM)).shape == noisy.shape
 
 
 def test_attention_weights_are_seed_deterministic():
     rng = np.random.default_rng(1)
     noisy, ctx = random_case(rng)
-    a = build_attention(seed=9).estimate(noisy, 500.0, ctx)
-    b = build_attention(seed=9).estimate(noisy, 500.0, ctx)
-    c = build_attention(seed=10).estimate(noisy, 500.0, ctx)
+    a = estimate(build_attention(seed=9), noisy, 500.0, ctx)
+    b = estimate(build_attention(seed=9), noisy, 500.0, ctx)
+    c = estimate(build_attention(seed=10), noisy, 500.0, ctx)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -211,10 +236,9 @@ def test_attention_is_invariant_under_uniform_position_shift():
     for trial in range(20):
         noisy, ctx = random_case(rng, n_ctx=int(rng.integers(1, 9)))
         d = int(rng.integers(1, 5000))
-        shifted = [ContextFrame(f.content_frame, f.position + d, f.value)
-                   for f in ctx]
-        base = den.estimate(noisy, 500.0, ctx)
-        moved = den.estimate(noisy, 500.0, shifted)
+        shifted = Context(ctx.values, ctx.positions + d)
+        base = estimate(den, noisy, 500.0, ctx)
+        moved = estimate(den, noisy, 500.0, shifted)
         assert np.abs(base - moved).max() < 1e-6, f"trial {trial}"
 
 
@@ -222,29 +246,30 @@ def test_attention_is_sensitive_to_nonuniform_position_changes():
     rng = np.random.default_rng(3)
     den = build_attention()
     noisy, ctx = random_case(rng)
-    skewed = [ContextFrame(f.content_frame, f.position + (0 if j else 3), f.value)
-              for j, f in enumerate(ctx)]
-    assert np.abs(den.estimate(noisy, 500.0, ctx)
-                  - den.estimate(noisy, 500.0, skewed)).max() > 1e-8
+    skew = np.full(len(ctx), 3)
+    skew[0] = 0  # every frame but the first moves 3 positions later
+    skewed = Context(ctx.values, ctx.positions + skew)
+    assert np.abs(estimate(den, noisy, 500.0, ctx)
+                  - estimate(den, noisy, 500.0, skewed)).max() > 1e-8
 
 
 def test_duplicating_a_context_slot_changes_the_output():
     rng = np.random.default_rng(4)
     den = build_attention()
     noisy, ctx = random_case(rng)
-    dup = ctx + [ContextFrame(ctx[-1].content_frame, ctx[-1].position + 1,
-                              ctx[-1].value)]
-    assert np.abs(den.estimate(noisy, 500.0, ctx)
-                  - den.estimate(noisy, 500.0, dup)).max() > 1e-8
+    dup = Context(np.vstack([ctx.values, ctx.values[-1:]]),
+                  np.append(ctx.positions, ctx.positions[-1] + 1))
+    assert np.abs(estimate(den, noisy, 500.0, ctx)
+                  - estimate(den, noisy, 500.0, dup)).max() > 1e-8
 
 
 def test_attention_rejects_mismatched_widths():
     den = build_attention()
     with pytest.raises(ValueError):
-        den.estimate(np.zeros((3, FRAME_DIM + 1)), 500.0, [])
+        estimate(den, np.zeros((3, FRAME_DIM + 1)), 500.0, empty_context(FRAME_DIM))
     with pytest.raises(ValueError):
-        den.estimate(np.zeros((3, FRAME_DIM)), 500.0,
-                     make_context(np.zeros((2, FRAME_DIM + 1))))
+        estimate(den, np.zeros((3, FRAME_DIM)), 500.0,
+                 make_context(np.zeros((2, FRAME_DIM + 1))))
 
 
 def test_attention_configuration_validation():

@@ -13,7 +13,14 @@ from blockroll.engine import (
     RolloutConfig,
     run,
 )
-from blockroll.schedule import Policy, PolicyConfig, rolling_sink_schedule, schedule_for
+from blockroll.schedule import (
+    Policy,
+    PolicyConfig,
+    RollConvention,
+    frame_expand,
+    rolling_sink_schedule,
+    schedule_for,
+)
 
 
 def make_config(policy=Policy.ROLLING_SINK, K=6, S=5, horizon=10, seed=0,
@@ -155,6 +162,50 @@ def test_missing_history_is_an_internal_invariant_violation():
     rollout.store.recent.clear()
     with pytest.raises(InternalInvariantError, match="absent from the history"):
         rollout.step()
+
+
+class ContextRecorder:
+    """Delegates to a denoiser, keeping every Context it is conditioned on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.contexts = []
+
+    def condition(self, context, block_size):
+        self.contexts.append(context)
+        return self.inner.condition(context, block_size)
+
+    def estimate(self, noisy, t, state, rng=None):
+        return self.inner.estimate(noisy, t, state, rng=rng)
+
+
+@pytest.mark.parametrize("convention", list(RollConvention))
+@pytest.mark.parametrize("policy", list(Policy))
+def test_context_is_frame_expand_of_the_stored_blocks(policy, convention):
+    # horizon 30 covers the fill steps (i <= K) and more than a full
+    # 2K-slot period of the rolling walk at S=3
+    K, block_size, frame_dim = 6, 3, 4
+    recorder = ContextRecorder(ContextMeanDenoiser(anchor_weight=0.5,
+                                                   innovation_scale=0.1))
+    cfg = RolloutConfig(
+        policy=PolicyConfig(K=K, S=3, block_size=block_size, policy=policy,
+                            roll_convention=convention),
+        denoiser=recorder,
+        horizon=30,
+        frame_dim=frame_dim,
+    )
+    trace = run(cfg)
+    assert len(recorder.contexts) == len(trace.records)
+    for record, context in zip(trace.records, recorder.contexts):
+        rows, positions = [], []
+        for slot in record.schedule.slots:
+            block = trace.records[slot.content_id].frames
+            for content_frame, position in frame_expand(slot, block_size):
+                rows.append(block[content_frame - block_size * slot.content_id])
+                positions.append(position)
+        assert context.positions.tolist() == positions
+        assert np.array_equal(context.values,
+                              np.reshape(rows, (len(rows), frame_dim)))
 
 
 def test_analytic_rollout_tracks_its_context():

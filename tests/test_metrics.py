@@ -16,7 +16,10 @@ class ConstantDenoiser:
     def __init__(self, block):
         self.block = block
 
-    def estimate(self, noisy, t, context, rng=None):
+    def condition(self, context, block_size):
+        return context
+
+    def estimate(self, noisy, t, state, rng=None):
         return self.block
 
 

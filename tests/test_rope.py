@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from blockroll.rope import RotaryConfig, position_of, rotate
+from blockroll.rope import RotaryConfig, rotate
+from blockroll.schedule import CacheSlot, Orientation, frame_expand
 
 CFG = RotaryConfig(dim=16)
 
@@ -64,7 +65,9 @@ def test_odd_dimension_is_rejected():
 
 
 def test_frame_positions_are_block_granular():
-    assert position_of(0, 0) == 0
-    assert position_of(2, 1) == 7
-    assert position_of(9, 2) == 29
-    assert position_of(4, 3, block_size=5) == 23
+    # offset k of a block at time index j sits at frame position block_size*j + k
+    for j, k, block_size, position in ((0, 0, 3, 0), (2, 1, 3, 7), (9, 2, 3, 29),
+                                       (4, 3, 5, 23)):
+        assert block_size * j + k == position
+        slot = CacheSlot(0, Orientation.FORWARD, j)
+        assert frame_expand(slot, block_size)[k][1] == position

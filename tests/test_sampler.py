@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from blockroll.denoisers import Context
 from blockroll.sampler import (
     NoiseSource,
     TimestepSchedule,
@@ -14,24 +15,36 @@ from blockroll.sampler import (
 )
 
 SHAPE = (3, 4)
+EMPTY = Context(np.zeros((0, SHAPE[1])), np.zeros(0, dtype=int))
 
 
 class ConstantDenoiser:
     def __init__(self, block):
         self.block = block
 
-    def estimate(self, noisy, t, context, rng=None):
+    def condition(self, context, block_size):
+        return context
+
+    def estimate(self, noisy, t, state, rng=None):
         return self.block
 
 
 class RecordingDenoiser:
-    """Returns noisy unchanged, remembering every (t, noisy) it saw."""
+    """Returns noisy unchanged, remembering every (t, noisy) it saw, and
+    every (context, block_size) it was conditioned on."""
 
     def __init__(self):
         self.calls = []
+        self.conditioned = []
+        self.states = []
 
-    def estimate(self, noisy, t, context, rng=None):
+    def condition(self, context, block_size):
+        self.conditioned.append((context, block_size))
+        return object()
+
+    def estimate(self, noisy, t, state, rng=None):
         self.calls.append((t, noisy.copy()))
+        self.states.append(state)
         return noisy
 
 
@@ -58,7 +71,6 @@ def test_noise_source_replays_identically():
     a = NoiseSource(12345)
     b = NoiseSource(12345)
     assert np.array_equal(a.standard_normal(SHAPE), b.standard_normal(SHAPE))
-    assert a.position == b.position == 12
 
 
 def test_noise_source_streams_are_independent():
@@ -89,7 +101,7 @@ def test_forward_noise_interpolates_between_clean_and_noise():
 def test_constant_denoiser_passes_through_regardless_of_noise():
     target = np.full(SHAPE, 2.5)
     for seed in (0, 1, 99):
-        out = sample_block(ConstantDenoiser(target), TimestepSchedule(), [],
+        out = sample_block(ConstantDenoiser(target), TimestepSchedule(), EMPTY,
                            NoiseSource(seed), SHAPE)
         assert np.array_equal(out, target)
 
@@ -98,7 +110,7 @@ def test_single_step_schedule_applies_denoiser_once_at_full_noise():
     den = RecordingDenoiser()
     noise = NoiseSource(3)
     expected_initial = NoiseSource(3).standard_normal(SHAPE)
-    out = sample_block(den, TimestepSchedule.uniform(1), [], noise, SHAPE)
+    out = sample_block(den, TimestepSchedule.uniform(1), EMPTY, noise, SHAPE)
     assert len(den.calls) == 1
     t, seen = den.calls[0]
     assert t == 1000.0
@@ -108,17 +120,25 @@ def test_single_step_schedule_applies_denoiser_once_at_full_noise():
 
 def test_denoiser_sees_strictly_decreasing_noise_levels():
     den = RecordingDenoiser()
-    sample_block(den, TimestepSchedule(), [], NoiseSource(0), SHAPE)
+    sample_block(den, TimestepSchedule(), EMPTY, NoiseSource(0), SHAPE)
     ts = [t for t, _ in den.calls]
     assert ts == [1000.0, 750.0, 500.0, 250.0]
 
 
 def test_sampling_is_deterministic_under_a_fixed_seed():
     den = RecordingDenoiser()
-    a = sample_block(den, TimestepSchedule(), [], NoiseSource(42), SHAPE)
-    b = sample_block(RecordingDenoiser(), TimestepSchedule(), [],
+    a = sample_block(den, TimestepSchedule(), EMPTY, NoiseSource(42), SHAPE)
+    b = sample_block(RecordingDenoiser(), TimestepSchedule(), EMPTY,
                      NoiseSource(42), SHAPE)
     assert np.array_equal(a, b)
-    c = sample_block(RecordingDenoiser(), TimestepSchedule(), [],
+    c = sample_block(RecordingDenoiser(), TimestepSchedule(), EMPTY,
                      NoiseSource(43), SHAPE)
     assert not np.array_equal(a, c)
+
+
+def test_denoiser_conditions_once_per_block():
+    den = RecordingDenoiser()
+    sample_block(den, TimestepSchedule(), EMPTY, NoiseSource(0), SHAPE)
+    assert den.conditioned == [(EMPTY, SHAPE[0])]
+    assert len(den.states) == 4
+    assert all(state is den.states[0] for state in den.states)

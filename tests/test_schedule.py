@@ -11,7 +11,6 @@ from blockroll.schedule import (
     PolicyConfig,
     RollConvention,
     frame_expand,
-    oracle_boustrophedon,
     roll_slot,
     rolling_sink_schedule,
     schedule_for,
@@ -19,6 +18,7 @@ from blockroll.schedule import (
     sliding_index_schedule,
     window_schedule,
 )
+from walk_oracle import oracle_boustrophedon
 
 F = Orientation.FORWARD
 R = Orientation.REVERSED
