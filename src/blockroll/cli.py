@@ -219,12 +219,25 @@ def record_from_obj(obj: dict) -> TraceRecord:
 
 
 def trace_to_lines(trace: RolloutTrace) -> list[str]:
-    return [json.dumps(record_to_obj(r), separators=(",", ":")) for r in trace.records]
+    """One JSON line per record; UsageError at the first record holding an
+    inf or NaN, which JSON cannot represent."""
+    lines = []
+    for record in trace.records:
+        try:
+            lines.append(json.dumps(record_to_obj(record), separators=(",", ":"),
+                                    allow_nan=False))
+        except ValueError:
+            raise UsageError(
+                f"trace record for step {record.step} holds inf or NaN, which "
+                "JSON cannot represent"
+            ) from None
+    return lines
 
 
 def write_trace(trace: RolloutTrace, path: str) -> None:
+    lines = trace_to_lines(trace)  # before opening, so a failure leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in trace_to_lines(trace):
+        for line in lines:
             fh.write(line + "\n")
 
 
@@ -236,7 +249,7 @@ def read_trace(path: str) -> RolloutTrace:
                 continue
             try:
                 records.append(record_from_obj(json.loads(line)))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise UsageError(f"trace line {lineno}: malformed record ({exc})")
     if not records:
         raise UsageError("trace file contains no records")

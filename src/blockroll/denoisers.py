@@ -91,10 +91,17 @@ class DenoiserInterface(Protocol):
 @dataclass(frozen=True, eq=False)
 class GaussianPrior(Conditioned):
     """Prior mean (block_size, frame_dim) and variance (block_size, 1) of
-    the next block's frames."""
+    the next block's frames, and the denoiser's read-only per-level table
+    for this block size and context emptiness (see AnalyticGaussianDenoiser)."""
 
     mu: np.ndarray
     tau2: np.ndarray
+    levels: dict[float, tuple[float, np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class AnalyticGaussianDenoiser:
@@ -106,40 +113,64 @@ class AnalyticGaussianDenoiser:
     most recent context frame; with no context the prior is the stationary
     N(0, 1). `posterior` returns the exact posterior mean and variance of
     the clean frame given the noisy observation at level sigma(t).
+
+    Only the prior mean depends on the context values. rho**gaps and tau2
+    are built once per (block_size, context empty or not), and each
+    level's gain, variance and standard deviation once per such key and
+    timestep; later blocks reuse these read-only arrays. The table grows
+    by one entry per distinct timestep the caller uses.
     """
 
     def __init__(self, rho: float):
         if not -1.0 < rho < 1.0:
             raise ValueError(f"rho must lie in (-1, 1) (got {rho})")
         self.rho = rho
+        # (block_size, context empty) -> (rho**gaps or None, tau2, levels)
+        self._priors: dict[tuple[int, bool], tuple] = {}
 
     def condition(self, context: Context, block_size: int) -> GaussianPrior:
-        if len(context):
-            gaps = np.arange(1, block_size + 1, dtype=np.float64)[:, None]
-            mu = self.rho ** gaps * context.values[-1][None, :]
-            tau2 = 1.0 - self.rho ** (2.0 * gaps)
-        else:
+        key = (block_size, not len(context))
+        if key not in self._priors:
+            if len(context):
+                gaps = np.arange(1, block_size + 1, dtype=np.float64)[:, None]
+                self._priors[key] = (_frozen(self.rho ** gaps),
+                                     _frozen(1.0 - self.rho ** (2.0 * gaps)), {})
+            else:
+                self._priors[key] = (None, _frozen(np.ones((block_size, 1))), {})
+        powers, tau2, levels = self._priors[key]
+        if powers is None:
             mu = np.zeros((block_size, context.values.shape[1]))
-            tau2 = np.ones((block_size, 1))
-        return GaussianPrior(context, mu, tau2)
+        else:
+            mu = powers * context.values[-1]
+        return GaussianPrior(context, mu, tau2, levels)
+
+    def _posterior(self, noisy: np.ndarray, t: float, state: GaussianPrior):
+        """Posterior mean, and the (block_size, 1) posterior variance and
+        standard deviation, of the clean block at level t."""
+        level = state.levels.get(t)
+        if level is None:
+            s = sigma(t)
+            denom = (1.0 - s) ** 2 * state.tau2 + s**2
+            gain = (1.0 - s) * state.tau2 / denom
+            var = state.tau2 * s**2 / denom
+            level = (s, _frozen(gain), _frozen(var), _frozen(np.sqrt(var)))
+            state.levels[t] = level
+        s, gain, var, std = level
+        noisy = np.asarray(noisy, dtype=np.float64)
+        if s == 0.0:
+            return noisy.copy(), var, std
+        mu = state.mu
+        return mu + gain * (noisy - (1.0 - s) * mu), var, std
 
     def posterior(self, noisy: np.ndarray, t: float,
                   state: GaussianPrior) -> tuple[np.ndarray, np.ndarray]:
-        noisy = np.asarray(noisy, dtype=np.float64)
-        mu, tau2 = state.mu, state.tau2
-        s = sigma(t)
-        if s == 0.0:
-            return noisy.copy(), np.zeros_like(noisy)
-        denom = (1.0 - s) ** 2 * tau2 + s**2
-        gain = (1.0 - s) * tau2 / denom
-        mean = mu + gain * (noisy - (1.0 - s) * mu)
-        var = np.broadcast_to(tau2 * s**2 / denom, noisy.shape).copy()
-        return mean, var
+        mean, var, _ = self._posterior(noisy, t, state)
+        return mean, np.broadcast_to(var, mean.shape).copy()
 
     def posterior_mean(self, noisy: np.ndarray, t: float,
                        state: GaussianPrior) -> np.ndarray:
         """Deterministic MMSE estimate (exact posterior mean)."""
-        return self.posterior(noisy, t, state)[0]
+        return self._posterior(noisy, t, state)[0]
 
     def estimate(self, noisy: np.ndarray, t: float, state: GaussianPrior,
                  rng: NoiseSource | None = None) -> np.ndarray:
@@ -151,17 +182,18 @@ class AnalyticGaussianDenoiser:
         long rollouts reproduce the stationary statistics. The bare
         posterior mean would systematically under-disperse.
         """
-        mean, var = self.posterior(noisy, t, state)
+        mean, _, std = self._posterior(noisy, t, state)
         if rng is None:
             return mean
-        return mean + np.sqrt(var) * rng.standard_normal(mean.shape)
+        return mean + std * rng.standard_normal(mean.shape)
 
 
 @dataclass(frozen=True, eq=False)
 class ContextMean(Conditioned):
-    """Mean context frame (frame_dim,), None for an empty context."""
+    """anchor_weight times the mean context frame (frame_dim,), None for an
+    empty context."""
 
-    mean: np.ndarray | None
+    anchored: np.ndarray | None
 
 
 class ContextMeanDenoiser:
@@ -184,14 +216,16 @@ class ContextMeanDenoiser:
         self.bias = bias
 
     def condition(self, context: Context, block_size: int) -> ContextMean:
-        return ContextMean(context, context.values.mean(axis=0) if len(context) else None)
+        if not len(context):
+            return ContextMean(context, None)
+        return ContextMean(context, self.anchor_weight * context.values.mean(axis=0))
 
     def estimate(self, noisy: np.ndarray, t: float, state: ContextMean,
                  rng: NoiseSource | None = None) -> np.ndarray:
         sigma(t)  # range check only
         noisy = np.asarray(noisy, dtype=np.float64)
-        if state.mean is not None:
-            est = self.anchor_weight * state.mean + (1.0 - self.anchor_weight) * noisy
+        if state.anchored is not None:
+            est = state.anchored + (1.0 - self.anchor_weight) * noisy
         else:
             est = noisy.copy()
         est = est + self.bias

@@ -42,35 +42,48 @@ class RolloutConfig:
 
 
 class HistoryStore:
-    """Bounded block storage: the first K blocks are pinned for sink-bearing
-    policies, plus a ring of the last K blocks. Retention never exceeds 2K
-    block slots (K when the pinned prefix is disabled)."""
+    """Bounded block storage in one preallocated array of frame rows: with
+    pinning, the first K blocks, then a ring holding the last K blocks at
+    slot block_id mod K; without pinning, the ring alone. Blocks are put in
+    id order and held once each, so retention never exceeds 2K blocks (K
+    without pinning)."""
 
-    def __init__(self, capacity: int, keep_permanent: bool = True):
+    def __init__(self, capacity: int, block_size: int, frame_dim: int,
+                 keep_permanent: bool = True):
         self.capacity = capacity
-        self.keep_permanent = keep_permanent
-        self.permanent: list[np.ndarray] = []
-        self.recent: dict[int, np.ndarray] = {}
-        self.peak_retained = 0
+        self.block_size = block_size
+        self._ring = capacity if keep_permanent else 0  # first ring slot
+        self.frames = np.zeros(((self._ring + capacity) * block_size, frame_dim))
+        self.count = 0  # blocks put so far; the next id put must be this
 
     @property
     def retained(self) -> int:
-        return len(self.permanent) + len(self.recent)
+        """Blocks held. It never falls, so it is also the peak."""
+        return min(self.count, self._ring + self.capacity)
+
+    peak_retained = retained
+
+    def row(self, block_id: int) -> int:
+        """First row of a retained block in `frames`; KeyError for a block
+        not retained, also when its ring slot now holds a newer block."""
+        if 0 <= block_id < self.count:
+            if block_id < self._ring:
+                return block_id * self.block_size
+            if block_id >= self.count - self.capacity:
+                return (self._ring + block_id % self.capacity) * self.block_size
+        raise KeyError(block_id)
 
     def put(self, block_id: int, block: np.ndarray) -> None:
-        if self.keep_permanent and block_id < self.capacity:
-            self.permanent.append(block)
-        self.recent[block_id] = block
-        if len(self.recent) > self.capacity:
-            del self.recent[next(iter(self.recent))]
-        self.peak_retained = max(self.peak_retained, self.retained)
+        if block_id != self.count:
+            raise ValueError(f"blocks must be put in id order: expected block "
+                             f"{self.count}, got {block_id}")
+        self.count += 1
+        first = self.row(block_id)
+        self.frames[first:first + self.block_size] = block
 
     def get(self, block_id: int) -> np.ndarray:
-        if block_id in self.recent:
-            return self.recent[block_id]
-        if self.keep_permanent and 0 <= block_id < len(self.permanent):
-            return self.permanent[block_id]
-        raise KeyError(block_id)
+        first = self.row(block_id)
+        return self.frames[first:first + self.block_size].copy()
 
 
 @dataclass(eq=False)
@@ -98,7 +111,7 @@ class Rollout:
     def __init__(self, cfg: RolloutConfig):
         self.cfg = cfg
         self.store = HistoryStore(
-            cfg.policy.K,
+            cfg.policy.K, cfg.policy.block_size, cfg.frame_dim,
             keep_permanent=cfg.policy.policy is not Policy.SLIDING_WINDOW,
         )
         self.step_index = 0
@@ -106,25 +119,24 @@ class Rollout:
 
     def _expand(self, schedule: Schedule) -> Context:
         """Gather the schedule's frames, in frame_expand's order and at its
-        positions, with one concatenate and one row index."""
-        block_size = self.cfg.policy.block_size
-        if not schedule.slots:
-            return Context(np.zeros((0, self.cfg.frame_dim)), np.zeros(0, np.int64))
-        blocks, rows, positions = [], [], []
-        for rank, slot in enumerate(schedule.slots):
+        positions, with one row index into the history store."""
+        store = self.store
+        block_size = store.block_size
+        rows, positions = [], []
+        for slot in schedule.slots:
             try:
-                blocks.append(self.store.get(slot.content_id))
+                # the frame with content id f sits at row base + f
+                base = store.row(slot.content_id) - block_size * slot.content_id
             except KeyError:
                 raise InternalInvariantError(
                     f"schedule for step {schedule.step} references block "
                     f"{slot.content_id}, which is absent from the history store"
                 ) from None
-            # frame content_frame sits at this row of the concatenated blocks
-            first_row = block_size * (rank - slot.content_id)
             for content_frame, position in frame_expand(slot, block_size):
-                rows.append(first_row + content_frame)
+                rows.append(base + content_frame)
                 positions.append(position)
-        return Context(np.concatenate(blocks)[rows], np.array(positions))
+        return Context(store.frames.take(rows, axis=0),
+                       np.array(positions, dtype=np.int64))
 
     def step(self) -> np.ndarray:
         """Generate the next block and append its trace record."""
@@ -138,12 +150,16 @@ class Rollout:
             shape=(cfg.policy.block_size, cfg.frame_dim),
         )
         self.store.put(i, block)
+        # np.mean and np.var of the block, by the reductions they run inside
+        n = block.size
+        mean = float(np.add.reduce(block, axis=None)) / n
+        deviation = block - mean
         self.records.append(
             TraceRecord(
                 step=i,
                 schedule=schedule,
-                mean=float(block.mean()),
-                var=float(block.var()),
+                mean=mean,
+                var=float(np.add.reduce(deviation * deviation, axis=None)) / n,
                 frames=block.copy() if cfg.record_frames else None,
                 seed=cfg.seed,
             )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class Policy(enum.Enum):
@@ -79,8 +80,7 @@ class PolicyConfig:
             raise ValueError(f"block_size must be >= 1 (got {self.block_size})")
 
 
-@dataclass(frozen=True)
-class CacheSlot:
+class CacheSlot(NamedTuple):
     """One conditioning slot: which block's content, which way round,
     and the block-time index used for positional embedding."""
 

@@ -128,11 +128,34 @@ def test_records_omit_frames_when_not_recorded(tmp_path):
     assert cli.read_trace(str(path)).records[0].frames is None
 
 
-def test_malformed_trace_is_rejected(tmp_path):
+VALID_RECORD = ('{"step":0,"schedule":[],"frame_stats":{"mean":0.0,"var":1.0},'
+                '"seed":0}')
+
+
+@pytest.mark.parametrize("line", [
+    '{"step": 0}',
+    VALID_RECORD.replace('"schedule":[]', '"schedule":5'),
+    VALID_RECORD.replace('"schedule":[]', '"schedule":[5]'),
+    VALID_RECORD.replace('{"mean":0.0,"var":1.0}', '[]'),
+    VALID_RECORD.replace('"seed":0', '"seed":0,"frames":{}'),
+    "[" + VALID_RECORD + "]",
+    "5",
+], ids=["missing-keys", "schedule-int", "slot-int", "frame-stats-list",
+        "frames-object", "line-is-list", "line-is-number"])
+def test_malformed_trace_is_rejected(tmp_path, line):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"step": 0}\n')
-    with pytest.raises(cli.UsageError, match="malformed"):
+    path.write_text(VALID_RECORD + "\n" + line + "\n")
+    with pytest.raises(cli.UsageError, match="trace line 2: malformed"):
         cli.read_trace(str(path))
+
+
+def test_metrics_on_malformed_trace_exits_one_without_traceback(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(VALID_RECORD.replace('"schedule":[]', '"schedule":5') + "\n")
+    assert cli.main(["metrics", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace line 1: malformed record")
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------------
@@ -241,6 +264,18 @@ def test_rollout_unwritable_output_is_a_usage_error(tmp_path, capsys):
     rc = cli.main(["rollout", config, "--out",
                    str(tmp_path / "missing_dir" / "t.jsonl")])
     assert rc == 1
+
+
+def test_non_finite_rollout_exits_one_and_writes_no_trace(tmp_path, capsys):
+    config = write_config(tmp_path, BASE_CONFIG.replace("bias = 0.01", "bias = 1e308"))
+    out = tmp_path / "t.jsonl"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["rollout", config, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace record for step ")
+    assert "inf or NaN" in err
+    assert not out.exists()
 
 
 def test_internal_invariant_maps_to_exit_code_two(tmp_path, monkeypatch, capsys):

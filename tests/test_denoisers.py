@@ -12,7 +12,7 @@ from blockroll.denoisers import (
     ContextMeanDenoiser,
     TinyAttentionDenoiser,
 )
-from blockroll.sampler import NoiseSource
+from blockroll.sampler import NoiseSource, TimestepSchedule, sigma
 
 
 def make_context(values):
@@ -151,6 +151,59 @@ def test_estimate_without_rng_degrades_to_posterior_mean():
     state = den.condition(ctx, 1)
     assert np.array_equal(den.estimate(noisy, 300.0, state),
                           den.posterior_mean(noisy, 300.0, state))
+
+
+def closed_form_posterior(rho, ctx, noisy, t):
+    """The analytic posterior written out from the model, every term built
+    per call: the reference for the denoiser's shared per-level table."""
+    block_size, frame_dim = noisy.shape
+    gaps = np.arange(1, block_size + 1, dtype=np.float64)[:, None]
+    if len(ctx):
+        mu = rho ** gaps * ctx.values[-1][None, :]
+        tau2 = 1.0 - rho ** (2.0 * gaps)
+    else:
+        mu, tau2 = np.zeros((block_size, frame_dim)), np.ones((block_size, 1))
+    s = sigma(t)
+    if s == 0.0:
+        return noisy.copy(), np.zeros_like(noisy)
+    denom = (1.0 - s) ** 2 * tau2 + s**2
+    mean = mu + (1.0 - s) * tau2 / denom * (noisy - (1.0 - s) * mu)
+    return mean, np.broadcast_to(tau2 * s**2 / denom, noisy.shape).copy()
+
+
+def test_level_table_is_exact_across_block_sizes_contexts_and_timesteps():
+    rho, frame_dim = 0.8, 2
+    shared = AnalyticGaussianDenoiser(rho)
+    timesteps = TimestepSchedule((1000.0, 910.0, 420.0, 35.0, 0.0))
+    gen = np.random.default_rng(3)
+    contexts = (empty_context(frame_dim),
+                make_context(gen.standard_normal((4, frame_dim))))
+    draw = 0
+    for block_size in (3, 2):
+        for ctx in contexts:  # empty, then non-empty
+            state = shared.condition(ctx, block_size)
+            for t in timesteps.steps:
+                noisy = gen.standard_normal((block_size, frame_dim))
+                fresh = AnalyticGaussianDenoiser(rho)
+                fresh_state = fresh.condition(ctx, block_size)
+                got = shared.estimate(noisy, t, state, rng=NoiseSource(7, (draw,)))
+                want = fresh.estimate(noisy, t, fresh_state, rng=NoiseSource(7, (draw,)))
+                assert np.array_equal(got, want)
+                mean, var = shared.posterior(noisy, t, state)
+                want_mean, want_var = closed_form_posterior(rho, ctx, noisy, t)
+                assert np.array_equal(mean, want_mean)
+                assert np.array_equal(var, want_var)
+                z = NoiseSource(7, (draw,)).standard_normal(noisy.shape)
+                assert np.array_equal(got, mean + np.sqrt(var) * z)
+                assert np.array_equal(shared.estimate(noisy, t, state), mean)
+                draw += 1
+            cached = [state.tau2] + [a for level in state.levels.values()
+                                     for a in level[1:]]
+            assert len(cached) == 1 + 3 * len(timesteps.steps)
+            for array in cached:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0, 0] = 1.0
 
 
 # --------------------------------------------------------------------------

@@ -127,11 +127,12 @@ def test_retention_is_bounded_by_twice_capacity():
         for _ in range(cfg.horizon):
             rollout.step()
         bound = 6 if policy is Policy.SLIDING_WINDOW else 12
-        assert rollout.store.peak_retained <= bound, policy
+        assert rollout.store.peak_retained == bound, policy
+        assert rollout.store.frames.shape == (bound * 3, 1), policy
 
 
 def test_history_store_serves_pinned_and_recent_blocks():
-    store = HistoryStore(capacity=3, keep_permanent=True)
+    store = HistoryStore(capacity=3, block_size=1, frame_dim=1, keep_permanent=True)
     blocks = [np.full((1, 1), float(i)) for i in range(8)]
     for i, block in enumerate(blocks):
         store.put(i, block)
@@ -139,18 +140,35 @@ def test_history_store_serves_pinned_and_recent_blocks():
         assert store.get(i)[0, 0] == i
     for i in (5, 6, 7):  # recent ring
         assert store.get(i)[0, 0] == i
-    with pytest.raises(KeyError):
-        store.get(4)
-    assert store.peak_retained <= 6
+    # block 4 was evicted: its ring row now holds block 7, which must not be
+    # served under id 4
+    for evicted in (3, 4, 8, -1):
+        with pytest.raises(KeyError):
+            store.get(evicted)
+    assert store.peak_retained == 6
 
 
 def test_history_store_without_pinning_keeps_only_the_ring():
-    store = HistoryStore(capacity=3, keep_permanent=False)
+    store = HistoryStore(capacity=3, block_size=2, frame_dim=1, keep_permanent=False)
     for i in range(8):
-        store.put(i, np.zeros((1, 1)))
+        store.put(i, np.full((2, 1), float(i)))
     assert store.retained == 3
+    assert store.frames.shape == (6, 1)
+    assert store.get(7).tolist() == [[7.0], [7.0]]
     with pytest.raises(KeyError):
         store.get(0)
+    with pytest.raises(KeyError):
+        store.get(4)  # its ring row holds block 7
+
+
+def test_history_store_rejects_out_of_order_puts():
+    store = HistoryStore(capacity=3, block_size=1, frame_dim=1)
+    store.put(0, np.zeros((1, 1)))
+    for block_id in (0, 2, -1):
+        with pytest.raises(ValueError, match="in id order"):
+            store.put(block_id, np.ones((1, 1)))
+    assert store.retained == 1
+    assert store.get(0)[0, 0] == 0.0
 
 
 def test_missing_history_is_an_internal_invariant_violation():
@@ -158,8 +176,7 @@ def test_missing_history_is_an_internal_invariant_violation():
     rollout = Rollout(cfg)
     for _ in range(5):
         rollout.step()
-    rollout.store.permanent.clear()
-    rollout.store.recent.clear()
+    rollout.store = HistoryStore(capacity=3, block_size=3, frame_dim=4)
     with pytest.raises(InternalInvariantError, match="absent from the history"):
         rollout.step()
 
