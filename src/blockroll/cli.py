@@ -202,20 +202,49 @@ def record_to_obj(record: TraceRecord) -> dict:
     return obj
 
 
+def _number(obj: dict, key: str):
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return value
+
+
 def record_from_obj(obj: dict) -> TraceRecord:
+    step = obj["step"]
+    if type(step) is not int:
+        raise TypeError(f"step must be an integer, got {step!r}")
     slots = tuple(
         CacheSlot(s["content"], Orientation(s["orient"]), s["index"])
         for s in obj["schedule"]
     )
     frames = obj.get("frames")
+    if frames is not None:
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 2:
+            raise ValueError(f"frames must be 2-D, got shape {frames.shape}")
+    stats = obj["frame_stats"]
     return TraceRecord(
-        step=obj["step"],
-        schedule=Schedule(step=obj["step"], slots=slots),
-        mean=obj["frame_stats"]["mean"],
-        var=obj["frame_stats"]["var"],
-        frames=None if frames is None else np.asarray(frames, dtype=np.float64),
+        step=step,
+        schedule=Schedule(step=step, slots=slots),
+        mean=_number(stats, "mean"),
+        var=_number(stats, "var"),
+        frames=frames,
         seed=obj["seed"],
     )
+
+
+def _check_follows(previous: TraceRecord, record: TraceRecord) -> None:
+    """A trace is one rollout: consecutive steps, one seed, one frame shape."""
+    if record.step != previous.step + 1:
+        raise ValueError(f"step {record.step} does not follow step {previous.step}")
+    if record.seed != previous.seed:
+        raise ValueError(f"seed {record.seed!r} differs from the trace's seed "
+                         f"{previous.seed!r}")
+    shape = None if record.frames is None else record.frames.shape
+    expected = None if previous.frames is None else previous.frames.shape
+    if shape != expected:
+        raise ValueError(f"frames shape {shape} differs from the previous "
+                         f"record's {expected}")
 
 
 def trace_to_lines(trace: RolloutTrace) -> list[str]:
@@ -248,9 +277,12 @@ def read_trace(path: str) -> RolloutTrace:
             if not line.strip():
                 continue
             try:
-                records.append(record_from_obj(json.loads(line)))
+                record = record_from_obj(json.loads(line))
+                if records:
+                    _check_follows(records[-1], record)
             except (KeyError, TypeError, ValueError) as exc:
                 raise UsageError(f"trace line {lineno}: malformed record ({exc})")
+            records.append(record)
     if not records:
         raise UsageError("trace file contains no records")
     return RolloutTrace(records=tuple(records))

@@ -4,8 +4,9 @@ Each step builds the policy's conditioning schedule, expands it into one
 Context of positioned latent frames gathered from stored block data,
 samples the next block through the few-step denoising loop, appends it to
 the bounded history, and emits a replayable trace record. Noise for step
-i is drawn from a per-step stream derived from (seed, i), so traces
-depend only on the config and seed.
+i is drawn from the stream (i,) of the seed, which the rollout's one
+NoiseSource is re-seated to at the start of the step, so traces depend
+only on the config and seed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ import numpy as np
 
 from .denoisers import Context, DenoiserInterface
 from .sampler import NoiseSource, TimestepSchedule, sample_block
-from .schedule import Policy, PolicyConfig, Schedule, frame_expand, schedule_for
+# frame_expand is the gather's spec: _expand builds the same rows and positions
+# by range arithmetic. It stays importable here for tracers that wrap it.
+from .schedule import (  # noqa: F401
+    Orientation, Policy, PolicyConfig, Schedule, frame_expand, schedule_for,
+)
 
 
 class InternalInvariantError(Exception):
@@ -116,6 +121,7 @@ class Rollout:
         )
         self.step_index = 0
         self.records: list[TraceRecord] = []
+        self.noise: NoiseSource | None = None  # one generator, re-seated per step
 
     def _expand(self, schedule: Schedule) -> Context:
         """Gather the schedule's frames, in frame_expand's order and at its
@@ -125,16 +131,18 @@ class Rollout:
         rows, positions = [], []
         for slot in schedule.slots:
             try:
-                # the frame with content id f sits at row base + f
-                base = store.row(slot.content_id) - block_size * slot.content_id
+                first = store.row(slot.content_id)
             except KeyError:
                 raise InternalInvariantError(
                     f"schedule for step {schedule.step} references block "
                     f"{slot.content_id}, which is absent from the history store"
                 ) from None
-            for content_frame, position in frame_expand(slot, block_size):
-                rows.append(base + content_frame)
-                positions.append(position)
+            if slot.orientation is Orientation.FORWARD:
+                rows.extend(range(first, first + block_size))
+            else:
+                rows.extend(range(first + block_size - 1, first - 1, -1))
+            position = block_size * slot.assigned_index
+            positions.extend(range(position, position + block_size))
         return Context(store.frames.take(rows, axis=0),
                        np.array(positions, dtype=np.int64))
 
@@ -144,7 +152,10 @@ class Rollout:
         i = self.step_index
         schedule = schedule_for(cfg.policy, i)
         context = self._expand(schedule)
-        noise = NoiseSource(cfg.seed, stream=(i,))
+        noise = self.noise
+        if noise is None:  # built inside a step, so its cost counts as step time
+            noise = self.noise = NoiseSource(cfg.seed)
+        noise.seek((i,))
         block = sample_block(
             cfg.denoiser, cfg.timesteps, context, noise,
             shape=(cfg.policy.block_size, cfg.frame_dim),

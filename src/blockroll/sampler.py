@@ -12,6 +12,7 @@ t=0 is clean.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,17 +49,91 @@ class TimestepSchedule:
         return len(self.steps) - 1
 
 
+# numpy's SeedSequence hash and mix constants and PCG64's 128-bit LCG
+# multiplier (numpy/random/bit_generator.pyx, pcg64.h), for NoiseSource.seek.
+_MASK32 = 0xFFFF_FFFF
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_MULT_A = 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# The hash constant once the seed words are mixed into the 4-word pool: the
+# initial 0x43B0D7E5 advanced by the 16 hashes of that phase, whatever the
+# seed (a seed mod 2^64 never fills more than the pool).
+_SPAWN_HASH = 0x43B0D7E5 * pow(_MULT_A, 16, 1 << 32) & _MASK32
+# generate_state's (xor, multiply) constant per output word: the hash
+# constant 0x8B51F9DD before and after its k-th advance by 0x58F38DED.
+_STATE_HASH = tuple(
+    (0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _MASK32,
+     0x8B51F9DD * pow(0x58F38DED, k + 1, 1 << 32) & _MASK32)
+    for k in range(8)
+)
+
+
 class NoiseSource:
     """Seeded Gaussian stream. Identical (seed, stream) pairs reproduce
-    identical draws in identical order."""
+    identical draws in identical order.
+
+    Stream `stream` of `seed` is numpy's
+    Generator(PCG64(SeedSequence(seed mod 2^64, spawn_key=stream))).
+    `seek(stream)` moves this source's one generator to the exact state that
+    stream starts in, so a caller that needs many streams of one seed builds
+    one source and re-seats it; NoiseSource(seed, stream) is NoiseSource(seed)
+    followed by seek(stream).
+    """
 
     def __init__(self, seed: int, stream: tuple[int, ...] = ()):
         self.seed = seed
+        seq = np.random.SeedSequence(seed & _MASK64)
+        self._pool = tuple(int(word) for word in seq.pool)
+        self._bitgen = np.random.PCG64(seq)
+        self._gen = np.random.Generator(self._bitgen)
+        self.seek(stream)
+
+    def seek(self, stream: tuple[int, ...]) -> None:
+        """Re-seat the generator at the start of stream `stream`, as numpy
+        derives it: the keys' 32-bit words are mixed into the seed's pool,
+        which is hashed into four 64-bit words that seed PCG64. Keys must
+        be non-negative integers (ValueError, TypeError otherwise), of any
+        size."""
+        words = []
+        for key in stream:
+            key = operator.index(key)
+            if key < 0:
+                raise ValueError("expected non-negative integer")
+            while True:
+                words.append(key & _MASK32)
+                key >>= 32
+                if not key:
+                    break
+        pool = self._pool
+        h = _SPAWN_HASH
+        for word in words:
+            mixed_pool = []
+            for entry in pool:
+                value = word ^ h
+                h = h * _MULT_A & _MASK32
+                value = value * h & _MASK32
+                value ^= value >> 16
+                mixed = (_MIX_MULT_L * entry - _MIX_MULT_R * value) & _MASK32
+                mixed_pool.append(mixed ^ mixed >> 16)
+            pool = mixed_pool
+        out = []
+        for k, (xor, mult) in enumerate(_STATE_HASH):
+            value = (pool[k & 3] ^ xor) * mult & _MASK32
+            out.append(value ^ value >> 16)
+        # the four 64-bit words are (out[1]:out[0]), ... little-endian; PCG64
+        # takes the first two as the 128-bit seed, the last two as the stream
+        initstate = out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2]
+        inc = (out[5] << 97 | out[4] << 65 | out[7] << 33 | out[6] << 1 | 1) & _MASK128
+        self._bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": ((inc + initstate) * _PCG_MULT + inc) & _MASK128,
+                      "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         self.stream = stream
-        entropy = seed & 0xFFFF_FFFF_FFFF_FFFF
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=stream))
-        )
 
     def standard_normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)

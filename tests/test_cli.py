@@ -129,7 +129,8 @@ def test_records_omit_frames_when_not_recorded(tmp_path):
 
 
 VALID_RECORD = ('{"step":0,"schedule":[],"frame_stats":{"mean":0.0,"var":1.0},'
-                '"seed":0}')
+                '"frames":[[0.0,1.0]],"seed":0}')
+NEXT_RECORD = VALID_RECORD.replace('"step":0', '"step":1')
 
 
 @pytest.mark.parametrize("line", [
@@ -140,8 +141,17 @@ VALID_RECORD = ('{"step":0,"schedule":[],"frame_stats":{"mean":0.0,"var":1.0},'
     VALID_RECORD.replace('"seed":0', '"seed":0,"frames":{}'),
     "[" + VALID_RECORD + "]",
     "5",
+    NEXT_RECORD.replace('"mean":0.0', '"mean":"x"'),
+    NEXT_RECORD.replace('"var":1.0', '"var":false'),
+    NEXT_RECORD.replace('"step":1', '"step":true'),
+    NEXT_RECORD.replace('"step":1', '"step":5'),
+    NEXT_RECORD.replace('"seed":0', '"seed":1'),
+    NEXT_RECORD.replace('[[0.0,1.0]]', '[[0.0,1.0,2.0]]'),
+    NEXT_RECORD.replace(',"frames":[[0.0,1.0]]', ''),
 ], ids=["missing-keys", "schedule-int", "slot-int", "frame-stats-list",
-        "frames-object", "line-is-list", "line-is-number"])
+        "frames-object", "line-is-list", "line-is-number", "mean-string",
+        "var-bool", "step-bool", "step-gap", "mixed-seeds", "frame-width-change",
+        "frames-dropped"])
 def test_malformed_trace_is_rejected(tmp_path, line):
     path = tmp_path / "bad.jsonl"
     path.write_text(VALID_RECORD + "\n" + line + "\n")
@@ -149,9 +159,14 @@ def test_malformed_trace_is_rejected(tmp_path, line):
         cli.read_trace(str(path))
 
 
-def test_metrics_on_malformed_trace_exits_one_without_traceback(tmp_path, capsys):
+@pytest.mark.parametrize("line", [
+    VALID_RECORD.replace('"schedule":[]', '"schedule":5'),
+    VALID_RECORD.replace('"mean":0.0', '"mean":"x"'),
+], ids=["schedule-int", "mean-string"])
+def test_metrics_on_malformed_trace_exits_one_without_traceback(tmp_path, capsys,
+                                                                 line):
     path = tmp_path / "bad.jsonl"
-    path.write_text(VALID_RECORD.replace('"schedule":[]', '"schedule":5') + "\n")
+    path.write_text(line + "\n")
     assert cli.main(["metrics", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: trace line 1: malformed record")

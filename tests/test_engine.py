@@ -13,6 +13,7 @@ from blockroll.engine import (
     RolloutConfig,
     run,
 )
+from blockroll.sampler import NoiseSource
 from blockroll.schedule import (
     Policy,
     PolicyConfig,
@@ -196,12 +197,14 @@ class ContextRecorder:
         return self.inner.estimate(noisy, t, state, rng=rng)
 
 
+@pytest.mark.parametrize("block_size", [1, 2, 3])
 @pytest.mark.parametrize("convention", list(RollConvention))
 @pytest.mark.parametrize("policy", list(Policy))
-def test_context_is_frame_expand_of_the_stored_blocks(policy, convention):
+def test_context_is_frame_expand_of_the_stored_blocks(policy, convention, block_size):
     # horizon 30 covers the fill steps (i <= K) and more than a full
-    # 2K-slot period of the rolling walk at S=3
-    K, block_size, frame_dim = 6, 3, 4
+    # 2K-slot period of the rolling walk at S=3; block_size 1 takes a
+    # reversed slot's rows from a range that ends at row -1
+    K, frame_dim = 6, 4
     recorder = ContextRecorder(ContextMeanDenoiser(anchor_weight=0.5,
                                                    innovation_scale=0.1))
     cfg = RolloutConfig(
@@ -223,6 +226,20 @@ def test_context_is_frame_expand_of_the_stored_blocks(policy, convention):
         assert context.positions.tolist() == positions
         assert np.array_equal(context.values,
                               np.reshape(rows, (len(rows), frame_dim)))
+
+
+def test_rollout_builds_one_noise_source(monkeypatch):
+    built = []
+    init = NoiseSource.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NoiseSource, "__init__", counting_init)
+    trace = run(make_config(horizon=50, seed=4))
+    assert len(trace) == 50
+    assert built == [(4,)]
 
 
 def test_analytic_rollout_tracks_its_context():

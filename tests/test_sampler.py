@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blockroll.denoisers import Context
 from blockroll.sampler import (
@@ -15,6 +17,7 @@ from blockroll.sampler import (
 )
 
 SHAPE = (3, 4)
+MASK64 = (1 << 64) - 1
 EMPTY = Context(np.zeros((0, SHAPE[1])), np.zeros(0, dtype=int))
 
 
@@ -71,6 +74,49 @@ def test_noise_source_replays_identically():
     a = NoiseSource(12345)
     b = NoiseSource(12345)
     assert np.array_equal(a.standard_normal(SHAPE), b.standard_normal(SHAPE))
+
+
+def numpy_stream(seed, stream):
+    """The stream NoiseSource(seed, stream) is documented to be."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed & MASK64, spawn_key=stream))
+    )
+
+
+KEYS = st.lists(st.integers(0, 2**70 - 1), max_size=3).map(tuple)
+
+
+@given(seed=st.integers(-2**70, 2**70),
+       visits=st.lists(st.tuples(KEYS, st.integers(1, 9)), min_size=1, max_size=4))
+def test_seek_is_numpys_stream_derivation(seed, visits):
+    # one source visits several streams, leaving a different number of
+    # draws behind in each, and must start every stream afresh
+    source = NoiseSource(seed)
+    for stream, count in visits:
+        source.seek(stream)
+        want = numpy_stream(seed, stream).standard_normal(count)
+        assert np.array_equal(source.standard_normal(count), want)
+        assert np.array_equal(NoiseSource(seed, stream).standard_normal(count), want)
+
+
+@pytest.mark.parametrize("stream", [(2**640 - 1,), tuple(range(20))],
+                         ids=["one-20-word-key", "20-keys"])
+def test_seek_accepts_keys_of_any_length(stream):
+    source = NoiseSource(11)
+    source.seek(stream)
+    assert np.array_equal(source.standard_normal(SHAPE),
+                          numpy_stream(11, stream).standard_normal(SHAPE))
+
+
+@pytest.mark.parametrize("stream, error", [((3, -1), ValueError), ((1.0,), TypeError)],
+                         ids=["negative-key", "float-key"])
+def test_seek_rejects_the_keys_numpy_rejects(stream, error):
+    with pytest.raises(error):
+        numpy_stream(0, stream)
+    with pytest.raises(error):
+        NoiseSource(0).seek(stream)
+    with pytest.raises(error):
+        NoiseSource(0, stream)
 
 
 def test_noise_source_streams_are_independent():
