@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -202,9 +203,21 @@ def record_to_obj(record: TraceRecord) -> dict:
     return obj
 
 
+# JSON numbers decode to exactly these types; bools and strings are not numbers
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
+# json.loads would accept NaN and Infinity, which write_trace never writes
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _number(obj: dict, key: str):
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in _NUMBER_TYPES:
         raise TypeError(f"{key} must be a number, got {value!r}")
     return value
 
@@ -219,9 +232,10 @@ def record_from_obj(obj: dict) -> TraceRecord:
     )
     frames = obj.get("frames")
     if frames is not None:
-        frames = np.asarray(frames, dtype=np.float64)
-        if frames.ndim != 2:
-            raise ValueError(f"frames must be 2-D, got shape {frames.shape}")
+        if (type(frames) is not list or set(map(type, frames)) != {list}
+                or not set(map(type, chain.from_iterable(frames))) <= _NUMBER_TYPES):
+            raise TypeError("frames must be a list of rows of numbers")
+        frames = np.asarray(frames, dtype=np.float64)  # ValueError if ragged
     stats = obj["frame_stats"]
     return TraceRecord(
         step=step,
@@ -277,7 +291,7 @@ def read_trace(path: str) -> RolloutTrace:
             if not line.strip():
                 continue
             try:
-                record = record_from_obj(json.loads(line))
+                record = record_from_obj(_DECODER.decode(line))
                 if records:
                     _check_follows(records[-1], record)
             except (KeyError, TypeError, ValueError) as exc:

@@ -17,10 +17,10 @@ import numpy as np
 
 from .denoisers import Context, DenoiserInterface
 from .sampler import NoiseSource, TimestepSchedule, sample_block
-# frame_expand is the gather's spec: _expand builds the same rows and positions
-# by range arithmetic. It stays importable here for tracers that wrap it.
+# The step never calls frame_expand; the name stays here because the
+# benchmark's tracer wraps engine.frame_expand (ROADMAP item 2).
 from .schedule import (  # noqa: F401
-    Orientation, Policy, PolicyConfig, Schedule, frame_expand, schedule_for,
+    Policy, PolicyConfig, Schedule, frame_expand, frame_ranges, schedule_for,
 )
 
 
@@ -124,7 +124,7 @@ class Rollout:
         self.noise: NoiseSource | None = None  # one generator, re-seated per step
 
     def _expand(self, schedule: Schedule) -> Context:
-        """Gather the schedule's frames, in frame_expand's order and at its
+        """Gather the schedule's frames, in frame_ranges' order and at its
         positions, with one row index into the history store."""
         store = self.store
         block_size = store.block_size
@@ -137,12 +137,9 @@ class Rollout:
                     f"schedule for step {schedule.step} references block "
                     f"{slot.content_id}, which is absent from the history store"
                 ) from None
-            if slot.orientation is Orientation.FORWARD:
-                rows.extend(range(first, first + block_size))
-            else:
-                rows.extend(range(first + block_size - 1, first - 1, -1))
-            position = block_size * slot.assigned_index
-            positions.extend(range(position, position + block_size))
+            slot_rows, slot_positions = frame_ranges(slot, block_size, first)
+            rows.extend(slot_rows)
+            positions.extend(slot_positions)
         return Context(store.frames.take(rows, axis=0),
                        np.array(positions, dtype=np.int64))
 

@@ -181,17 +181,24 @@ def schedule_for(cfg: PolicyConfig, i: int) -> Schedule:
     return _DISPATCH[cfg.policy](cfg, i)
 
 
-def frame_expand(slot: CacheSlot, block_size: int) -> list[tuple[int, int]]:
-    """Expand a block slot into (frame_content_id, frame_position) pairs.
+def frame_ranges(slot: CacheSlot, block_size: int, first: int) -> tuple[range, range]:
+    """A block slot's frames as two aligned ranges: frame numbers, where the
+    block's first frame in content order is `first`, and positions.
 
-    Forward slots pair frame block_size*content + k with position
-    block_size*assigned + k; reversed slots pair the block's frames in
-    reverse content order against the same ascending positions.
+    Forward slots pair frame first + k with position block_size*assigned + k;
+    reversed slots pair the block's frames in reverse content order against
+    the same ascending positions.
     """
+    position = block_size * slot.assigned_index
+    positions = range(position, position + block_size)
+    if slot.orientation is Orientation.FORWARD:
+        return range(first, first + block_size), positions
+    return range(first + block_size - 1, first - 1, -1), positions
+
+
+def frame_expand(slot: CacheSlot, block_size: int) -> list[tuple[int, int]]:
+    """Expand a block slot into (frame_content_id, frame_position) pairs:
+    frame_ranges, with the block's first frame numbered block_size*content."""
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1 (got {block_size})")
-    base_c = block_size * slot.content_id
-    base_p = block_size * slot.assigned_index
-    if slot.orientation is Orientation.FORWARD:
-        return [(base_c + k, base_p + k) for k in range(block_size)]
-    return [(base_c + (block_size - 1 - k), base_p + k) for k in range(block_size)]
+    return list(zip(*frame_ranges(slot, block_size, block_size * slot.content_id)))

@@ -133,30 +133,47 @@ VALID_RECORD = ('{"step":0,"schedule":[],"frame_stats":{"mean":0.0,"var":1.0},'
 NEXT_RECORD = VALID_RECORD.replace('"step":0', '"step":1')
 
 
-@pytest.mark.parametrize("line", [
-    '{"step": 0}',
-    VALID_RECORD.replace('"schedule":[]', '"schedule":5'),
-    VALID_RECORD.replace('"schedule":[]', '"schedule":[5]'),
-    VALID_RECORD.replace('{"mean":0.0,"var":1.0}', '[]'),
-    VALID_RECORD.replace('"seed":0', '"seed":0,"frames":{}'),
-    "[" + VALID_RECORD + "]",
-    "5",
-    NEXT_RECORD.replace('"mean":0.0', '"mean":"x"'),
-    NEXT_RECORD.replace('"var":1.0', '"var":false'),
-    NEXT_RECORD.replace('"step":1', '"step":true'),
-    NEXT_RECORD.replace('"step":1', '"step":5'),
-    NEXT_RECORD.replace('"seed":0', '"seed":1'),
-    NEXT_RECORD.replace('[[0.0,1.0]]', '[[0.0,1.0,2.0]]'),
-    NEXT_RECORD.replace(',"frames":[[0.0,1.0]]', ''),
+# Each bad line follows VALID_RECORD and differs from its valid successor,
+# NEXT_RECORD, by one defect, which the matched reason names.
+@pytest.mark.parametrize("line, reason", [
+    ('{"step": 1}', "'schedule'"),
+    (NEXT_RECORD.replace('"schedule":[]', '"schedule":5'), "not iterable"),
+    (NEXT_RECORD.replace('"schedule":[]', '"schedule":[5]'), "not subscriptable"),
+    (NEXT_RECORD.replace('{"mean":0.0,"var":1.0}', '[]'), "list indices"),
+    (NEXT_RECORD.replace('[[0.0,1.0]]', '{}'), "frames must be a list of rows"),
+    ("[" + NEXT_RECORD + "]", "list indices"),
+    ("5", "not subscriptable"),
+    (NEXT_RECORD.replace('"mean":0.0', '"mean":"x"'), "mean must be a number"),
+    (NEXT_RECORD.replace('"var":1.0', '"var":false'), "var must be a number"),
+    (NEXT_RECORD.replace('"mean":0.0', '"mean":NaN'), "NaN is not a finite"),
+    (NEXT_RECORD.replace('"var":1.0', '"var":-Infinity'), "-Infinity is not a finite"),
+    (NEXT_RECORD.replace('"step":1', '"step":true'), "step must be an integer"),
+    (NEXT_RECORD.replace('"step":1', '"step":5'), "step 5 does not follow step 0"),
+    (NEXT_RECORD.replace('"seed":0', '"seed":1'), "seed 1 differs"),
+    (NEXT_RECORD.replace('[[0.0,1.0]]', '[[0.0,1.0,2.0]]'), r"frames shape \(1, 3\) differs"),
+    (NEXT_RECORD.replace(',"frames":[[0.0,1.0]]', ''), "frames shape None differs"),
+    (NEXT_RECORD.replace('[[0.0,1.0]]', '[["0","1"]]'), "frames must be a list of rows"),
+    (NEXT_RECORD.replace('[[0.0,1.0]]', '[[0.0,true]]'), "frames must be a list of rows"),
+    (NEXT_RECORD.replace('[[0.0,1.0]]', '[[0.0,Infinity]]'), "Infinity is not a finite"),
+    (NEXT_RECORD.replace('[[0.0,1.0]]', '[0.0,1.0]'), "frames must be a list of rows"),
+    (NEXT_RECORD.replace('[[0.0,1.0]]', '[[0.0,1.0],[0.0]]'), "inhomogeneous"),
 ], ids=["missing-keys", "schedule-int", "slot-int", "frame-stats-list",
         "frames-object", "line-is-list", "line-is-number", "mean-string",
-        "var-bool", "step-bool", "step-gap", "mixed-seeds", "frame-width-change",
-        "frames-dropped"])
-def test_malformed_trace_is_rejected(tmp_path, line):
+        "var-bool", "mean-nan", "var-infinity", "step-bool", "step-gap",
+        "mixed-seeds", "frame-width-change", "frames-dropped", "frames-strings",
+        "frames-bool", "frames-infinity", "frames-1d", "frames-ragged"])
+def test_malformed_trace_is_rejected(tmp_path, line, reason):
     path = tmp_path / "bad.jsonl"
     path.write_text(VALID_RECORD + "\n" + line + "\n")
-    with pytest.raises(cli.UsageError, match="trace line 2: malformed"):
+    with pytest.raises(cli.UsageError,
+                       match=r"trace line 2: malformed record \(.*" + reason):
         cli.read_trace(str(path))
+
+
+def test_valid_successor_is_accepted(tmp_path):
+    path = tmp_path / "good.jsonl"
+    path.write_text(VALID_RECORD + "\n" + NEXT_RECORD + "\n")
+    assert [record.step for record in cli.read_trace(str(path)).records] == [0, 1]
 
 
 @pytest.mark.parametrize("line", [
