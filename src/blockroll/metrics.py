@@ -31,14 +31,22 @@ class MetricSeries:
         return self.values[-1][1]
 
 
-def _require_frames(trace: RolloutTrace, metric: str) -> list[np.ndarray]:
+def _stacked_frames(trace: RolloutTrace, metric: str) -> np.ndarray:
+    """Every record's frames as one (steps, rows, width) array."""
     frames = [r.frames for r in trace.records]
     if any(f is None for f in frames):
         raise ValueError(
             f"{metric} needs per-frame values; rerun the rollout with frame "
             "recording enabled"
         )
-    return frames  # type: ignore[return-value]
+    return np.stack(frames)
+
+
+def _series(name: str, trace: RolloutTrace, values: np.ndarray) -> MetricSeries:
+    """Pair values[i] with record i's step; step 0's value is 0 by definition."""
+    values[0] = 0.0
+    return MetricSeries(name, tuple(zip([r.step for r in trace.records],
+                                        values.tolist())))
 
 
 def mean_drift(trace: RolloutTrace) -> MetricSeries:
@@ -55,32 +63,40 @@ def flicker_proxy(trace: RolloutTrace) -> MetricSeries:
     frame of block i."""
     if not trace.records:
         raise ValueError("trace is empty")
-    frames = _require_frames(trace, "flicker_proxy")
-    values = [(trace.records[0].step, 0.0)]
-    for i in range(1, len(frames)):
-        jump = float(np.abs(frames[i][0] - frames[i - 1][-1]).mean())
-        values.append((trace.records[i].step, jump))
-    return MetricSeries("flicker_proxy", values)
+    frames = _stacked_frames(trace, "flicker_proxy")
+    jumps = np.empty(len(frames))
+    jumps[1:] = np.abs(frames[1:, 0] - frames[:-1, -1]).mean(axis=1)
+    return _series("flicker_proxy", trace, jumps)
 
 
 def repetition_score(trace: RolloutTrace, window: int = 8) -> MetricSeries:
     """Max cosine similarity between block i and the previous `window`
-    blocks (1.0 = exact repetition)."""
+    blocks (1.0 = exact repetition); a block of norm 0 scores 0 against
+    every other."""
     if window < 1:
         raise ValueError(f"window must be >= 1 (got {window})")
     if not trace.records:
         raise ValueError("trace is empty")
-    frames = _require_frames(trace, "repetition_score")
-    flat = np.stack([f.ravel() for f in frames])
+    flat = _stacked_frames(trace, "repetition_score").reshape(len(trace.records), -1)
+    n = len(flat)
+    width = max(1, min(window, n - 1))
+    # Row i - 1 compares block i with blocks i - width .. i - 1; the columns
+    # that would fall before block 0 are left out of the max.
+    earlier = np.arange(1, n)[:, None] - width + np.arange(width)
+    valid = earlier >= 0
+    dots = np.zeros(valid.shape)
+    for i in range(1, n):
+        # one matrix-vector product per block: einsum or a batched matmul
+        # would change the low bits of the scores
+        lo = max(0, i - width)
+        dots[i - 1, lo - i:] = flat[lo:i] @ flat[i]
     norms = np.linalg.norm(flat, axis=1)
-    values = [(trace.records[0].step, 0.0)]
-    for i in range(1, len(flat)):
-        lo = max(0, i - window)
-        dots = flat[lo:i] @ flat[i]
-        denom = norms[lo:i] * norms[i]
-        sims = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
-        values.append((trace.records[i].step, float(sims.max())))
-    return MetricSeries("repetition_score", values)
+    denom = norms[np.where(valid, earlier, 0)] * norms[1:, None]
+    positive = denom > 0
+    sims = np.where(positive, dots / np.where(positive, denom, 1.0), 0.0)
+    scores = np.empty(n)
+    scores[1:] = np.where(valid, sims, -np.inf).max(axis=1)
+    return _series("repetition_score", trace, scores)
 
 
 METRICS = {

@@ -3,14 +3,30 @@
 from __future__ import annotations
 
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr
+from io import StringIO
+from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blockroll import cli
 from blockroll.denoisers import AnalyticGaussianDenoiser, TinyAttentionDenoiser
-from blockroll.engine import run
-from blockroll.schedule import Orientation, Policy, PolicyConfig, schedule_for
+from blockroll.engine import RolloutTrace, TraceRecord, run
+from blockroll.schedule import (
+    CacheSlot,
+    Orientation,
+    Policy,
+    PolicyConfig,
+    Schedule,
+    schedule_for,
+)
+from trace_oracle import record_to_obj
 
 BASE_CONFIG = """
 # rollout configuration
@@ -133,6 +149,71 @@ VALID_RECORD = ('{"step":0,"schedule":[],"frame_stats":{"mean":0.0,"var":1.0},'
 NEXT_RECORD = VALID_RECORD.replace('"step":0', '"step":1')
 
 
+def with_slot(record: str, slot: str = '{"content":0,"orient":"F","index":0}') -> str:
+    """record with `slot` as its one schedule slot."""
+    return record.replace('"schedule":[]', '"schedule":[' + slot + ']')
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.0, -3.0,
+                               1e22, 2.0**53, 0.1])
+STATS = st.one_of(FINITE, EDGE_FLOATS, FINITE.map(np.float64),
+                  st.integers(-(2**63), 2**63))
+RECORDS = st.builds(
+    lambda step, slots, mean, var, frames, seed: TraceRecord(
+        step, Schedule(step, tuple(slots)), mean, var, frames, seed),
+    st.integers(0, 10**9),
+    st.lists(st.builds(CacheSlot, st.integers(0, 10**9), st.sampled_from(Orientation),
+                       st.integers(0, 10**9)), max_size=7),
+    STATS,
+    STATS,
+    st.none() | hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                        max_side=4),
+                           elements=FINITE | EDGE_FLOATS),
+    st.integers(0, 2**64 - 1),
+)
+
+
+def reference_line(record: TraceRecord) -> str:
+    return json.dumps(record_to_obj(record), separators=(",", ":"), allow_nan=False)
+
+
+@given(st.lists(RECORDS, max_size=4))
+def test_trace_lines_are_json_dumps_of_the_reference_object(records):
+    lines = cli.trace_to_lines(RolloutTrace(records=tuple(records)))
+    assert lines == [reference_line(record) for record in records]
+
+
+@given(records=st.lists(RECORDS, min_size=1, max_size=4), data=st.data())
+def test_non_finite_record_is_refused_and_writes_no_file(records, data):
+    bad = data.draw(st.integers(0, len(records) - 1))
+    value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    field = data.draw(st.sampled_from(["mean", "var", "frames"]))
+    record = records[bad]
+    if field == "frames":
+        frames = np.zeros((2, 3)) if record.frames is None else record.frames.copy()
+        frames.flat[data.draw(st.integers(0, frames.size - 1))] = value
+        record.frames = frames
+    else:
+        setattr(record, field, data.draw(st.sampled_from([value, np.float64(value)])))
+    message = (f"trace record for step {record.step} holds inf or NaN, which JSON "
+               "cannot represent")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        with pytest.raises(cli.UsageError, match=re.escape(message) + "$"):
+            cli.write_trace(RolloutTrace(records=tuple(records)), str(path))
+        assert not path.exists()
+
+
+def test_int_stats_read_back_are_written_as_ints(tmp_path):
+    line = VALID_RECORD.replace('"mean":0.0,"var":1.0', '"mean":-2,"var":3')
+    path = tmp_path / "ints.jsonl"
+    path.write_text(line + "\n")
+    trace = cli.read_trace(str(path))
+    assert type(trace.records[0].mean) is int and type(trace.records[0].var) is int
+    assert cli.trace_to_lines(trace) == [reference_line(trace.records[0])] == [line]
+
+
 # Each bad line follows VALID_RECORD and differs from its valid successor,
 # NEXT_RECORD, by one defect, which the matched reason names.
 @pytest.mark.parametrize("line, reason", [
@@ -157,11 +238,28 @@ NEXT_RECORD = VALID_RECORD.replace('"step":0', '"step":1')
     (NEXT_RECORD.replace('[[0.0,1.0]]', '[[0.0,Infinity]]'), "Infinity is not a finite"),
     (NEXT_RECORD.replace('[[0.0,1.0]]', '[0.0,1.0]'), "frames must be a list of rows"),
     (NEXT_RECORD.replace('[[0.0,1.0]]', '[[0.0,1.0],[0.0]]'), "inhomogeneous"),
+    (with_slot(NEXT_RECORD, '{"content":"x","orient":"F","index":0}'),
+     "content must be a non-negative integer, got 'x'"),
+    (with_slot(NEXT_RECORD, '{"content":-1,"orient":"F","index":0}'),
+     "content must be a non-negative integer, got -1"),
+    (with_slot(NEXT_RECORD, '{"content":0,"orient":"F","index":null}'),
+     "index must be a non-negative integer, got None"),
+    (with_slot(NEXT_RECORD, '{"content":0,"orient":"F","index":true}'),
+     "index must be a non-negative integer, got True"),
+    (with_slot(NEXT_RECORD, '{"content":0,"orient":"X","index":0}'),
+     "'X' is not a valid Orientation"),
+    (NEXT_RECORD.replace('"seed":0', '"seed":"abc"'), "seed must be an integer, got 'abc'"),
+    (NEXT_RECORD.replace('"mean":0.0', '"mean":1e400'), "mean inf is not a finite number"),
+    (NEXT_RECORD.replace('"mean":0.0', '"mean":1' + "0" * 400), "int too large"),
+    (NEXT_RECORD.replace('[[0.0,1.0]]', '[[0.0,1' + "0" * 400 + ']]'), "int too large"),
 ], ids=["missing-keys", "schedule-int", "slot-int", "frame-stats-list",
         "frames-object", "line-is-list", "line-is-number", "mean-string",
         "var-bool", "mean-nan", "var-infinity", "step-bool", "step-gap",
         "mixed-seeds", "frame-width-change", "frames-dropped", "frames-strings",
-        "frames-bool", "frames-infinity", "frames-1d", "frames-ragged"])
+        "frames-bool", "frames-infinity", "frames-1d", "frames-ragged",
+        "content-string", "content-negative", "index-null", "index-bool",
+        "orient-unknown", "seed-string", "mean-overflow-literal", "mean-huge-int",
+        "frames-huge-int"])
 def test_malformed_trace_is_rejected(tmp_path, line, reason):
     path = tmp_path / "bad.jsonl"
     path.write_text(VALID_RECORD + "\n" + line + "\n")
@@ -174,12 +272,17 @@ def test_valid_successor_is_accepted(tmp_path):
     path = tmp_path / "good.jsonl"
     path.write_text(VALID_RECORD + "\n" + NEXT_RECORD + "\n")
     assert [record.step for record in cli.read_trace(str(path)).records] == [0, 1]
+    path.write_text(VALID_RECORD + "\n" + with_slot(NEXT_RECORD) + "\n")
+    assert cli.read_trace(str(path)).records[1].schedule.slots == (
+        CacheSlot(0, Orientation.FORWARD, 0),)
 
 
 @pytest.mark.parametrize("line", [
     VALID_RECORD.replace('"schedule":[]', '"schedule":5'),
     VALID_RECORD.replace('"mean":0.0', '"mean":"x"'),
-], ids=["schedule-int", "mean-string"])
+    with_slot(VALID_RECORD, '{"content":"x","orient":"F","index":null}').replace(
+        '"seed":0', '"seed":"abc"'),
+], ids=["schedule-int", "mean-string", "untyped-slot-and-seed"])
 def test_metrics_on_malformed_trace_exits_one_without_traceback(tmp_path, capsys,
                                                                  line):
     path = tmp_path / "bad.jsonl"
@@ -188,6 +291,76 @@ def test_metrics_on_malformed_trace_exits_one_without_traceback(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: trace line 1: malformed record")
     assert "Traceback" not in err
+
+
+# A valid two-record trace whose second line the property test mutates.
+FIRST_LINE = ('{"step":0,"schedule":[],"frame_stats":{"mean":0.5,"var":1.0},'
+              '"frames":[[0.0,1.0]],"seed":3}')
+SECOND_LINE = ('{"step":1,"schedule":[{"content":0,"orient":"F","index":0}],'
+               '"frame_stats":{"mean":0.25,"var":2.0},"frames":[[1.0,-1.0]],"seed":3}')
+
+
+def json_paths(obj, prefix=()):
+    """The key path of every value in obj, obj itself included."""
+    yield prefix
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+SECOND_PATHS = list(json_paths(json.loads(SECOND_LINE)))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4),
+                                                                inner, max_size=3),
+    max_leaves=6,
+)
+RETYPES = [json.dumps, lambda v: [v], lambda v: {"v": v}, lambda v: None, bool,
+           lambda v: float(v) if type(v) is int else v]
+
+
+@st.composite
+def mutated_second_lines(draw) -> str:
+    """SECOND_LINE with one value replaced, one key dropped, one value's
+    type changed, or cut short."""
+    op = draw(st.sampled_from(["replace", "drop", "retype", "truncate"]))
+    if op == "truncate":
+        return SECOND_LINE[:draw(st.integers(0, len(SECOND_LINE) - 1))]
+    # the line's object sits in a one-item list, so every path has a parent
+    holder = [json.loads(SECOND_LINE)]
+    path = (0,) + draw(st.sampled_from(SECOND_PATHS[1:] if op == "drop" else SECOND_PATHS))
+    parent = holder
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "drop":
+        del parent[path[-1]]
+    elif op == "replace":
+        parent[path[-1]] = draw(JSON_VALUES)
+    else:
+        parent[path[-1]] = draw(st.sampled_from(RETYPES))(parent[path[-1]])
+    return json.dumps(holder[0], separators=(",", ":"))
+
+
+@given(line=mutated_second_lines())
+def test_mutated_trace_line_reads_or_exits_one(line):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        path.write_text(FIRST_LINE + "\n" + line + "\n")
+        try:
+            cli.read_trace(str(path))
+            readable = True
+        except cli.UsageError:
+            readable = False
+        err = StringIO()
+        with redirect_stderr(err), np.errstate(all="ignore"):
+            rc = cli.main(["metrics", str(path), "--out", str(Path(tmp) / "m.csv")])
+    if readable:
+        assert (rc, err.getvalue()) == (0, "")
+    else:
+        assert rc == 1 and err.getvalue().startswith("error: ")
 
 
 # --------------------------------------------------------------------------

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from blockroll.denoisers import AnalyticGaussianDenoiser
-from blockroll.engine import RolloutConfig, run
+from blockroll.denoisers import (
+    AnalyticGaussianDenoiser,
+    ContextMeanDenoiser,
+    TinyAttentionDenoiser,
+)
+from blockroll.engine import RolloutConfig, RolloutTrace, TraceRecord, run
 from blockroll.metrics import MetricSeries, flicker_proxy, mean_drift, repetition_score
 from blockroll.sampler import TimestepSchedule
-from blockroll.schedule import Policy, PolicyConfig
+from blockroll.schedule import Policy, PolicyConfig, Schedule
+from metric_oracle import oracle_flicker_proxy, oracle_repetition_score
 
 
 class ConstantDenoiser:
@@ -168,3 +175,65 @@ def test_timestep_schedule_override_is_honored():
         timesteps=TimestepSchedule.uniform(1),
     )
     assert len(run(cfg)) == 3
+
+
+# --------------------------------------------------------------------------
+# whole-array metrics against their block-by-block oracles
+# --------------------------------------------------------------------------
+
+def frames_trace(frames):
+    """A trace of the given (steps, rows, width) frames, steps from 0."""
+    return RolloutTrace(records=tuple(
+        TraceRecord(i, Schedule(i, ()), float(block.mean()), float(block.var()),
+                    block, 0)
+        for i, block in enumerate(np.asarray(frames, dtype=np.float64))
+    ))
+
+
+def reprs(values):
+    return [(step, repr(value)) for step, value in values]
+
+
+def assert_matches_oracles(trace, window):
+    assert reprs(flicker_proxy(trace).values) == reprs(oracle_flicker_proxy(trace))
+    assert (reprs(repetition_score(trace, window).values)
+            == reprs(oracle_repetition_score(trace, window)))
+
+
+def random_frames(seed, steps, rows, width):
+    return np.random.default_rng(seed).standard_normal((steps, rows, width))
+
+
+@pytest.mark.parametrize("frames, window", [
+    (random_frames(1, 12, 3, 4) * (np.arange(12) != 5)[:, None, None], 8),
+    (np.zeros((6, 3, 4)), 3),
+    (random_frames(2, 10, 3, 4), 1),
+    (random_frames(3, 7, 2, 5), 50),
+    (random_frames(4, 1, 3, 4), 8),
+    (np.repeat(random_frames(5, 1, 3, 4), 9, axis=0), 4),
+], ids=["zero-block", "all-zero", "window-1", "window-past-trace", "one-record",
+        "exact-repeats"])
+def test_metrics_match_oracles_on_edge_traces(frames, window):
+    assert_matches_oracles(frames_trace(frames), window)
+
+
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 30),
+       rows=st.integers(1, 4), width=st.sampled_from([1, 2, 3, 4, 7, 8, 9, 16, 33, 64]),
+       zero_blocks=st.sets(st.integers(0, 29), max_size=4),
+       window=st.integers(1, 40))
+def test_metrics_match_oracles_on_random_traces(seed, steps, rows, width,
+                                                zero_blocks, window):
+    frames = random_frames(seed, steps, rows, width)
+    frames[[b for b in zero_blocks if b < steps]] = 0.0
+    assert_matches_oracles(frames_trace(frames), window)
+
+
+@pytest.mark.parametrize("denoiser, policy", [
+    (AnalyticGaussianDenoiser(rho=0.9), Policy.SLIDING_WINDOW),
+    (ContextMeanDenoiser(bias=0.05, innovation_scale=0.1), Policy.ROLLING_SINK),
+    (TinyAttentionDenoiser(frame_dim=4), Policy.ROLLING_SINK),
+], ids=["analytic", "context-mean", "tiny-attention"])
+def test_metrics_match_oracles_on_rollouts(denoiser, policy):
+    cfg = RolloutConfig(policy=PolicyConfig(policy=policy, S=5), denoiser=denoiser,
+                        horizon=60, seed=5, frame_dim=4)
+    assert_matches_oracles(run(cfg), 8)
