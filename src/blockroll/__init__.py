@@ -29,11 +29,7 @@ from .schedule import (
     Schedule,
     frame_expand,
     roll_slot,
-    rolling_sink_schedule,
     schedule_for,
-    sink_schedule,
-    sliding_index_schedule,
-    window_schedule,
 )
 
 __all__ = [
@@ -65,13 +61,9 @@ __all__ = [
     "mean_drift",
     "repetition_score",
     "roll_slot",
-    "rolling_sink_schedule",
     "rotate",
     "run",
     "sample_block",
     "schedule_for",
     "sigma",
-    "sink_schedule",
-    "sliding_index_schedule",
-    "window_schedule",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from itertools import chain
 from math import isfinite
 
@@ -51,19 +52,26 @@ class UsageError(ValueError):
 # config file format
 # --------------------------------------------------------------------------
 
-_INT_KEYS = {"K", "S", "block_size", "T", "horizon", "seed", "frame_dim",
-             "model_dim", "head_count", "layer_count", "weight_seed"}
-_FLOAT_KEYS = {"rho", "anchor_weight", "innovation_scale", "bias"}
-_DENOISER_KEYS = {
-    "analytic-gaussian": {"rho"},
-    "context-mean": {"anchor_weight", "innovation_scale", "bias"},
-    "tiny-attention": {"model_dim", "head_count", "layer_count", "weight_seed"},
+def _boolean(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+# How each key's text is read; the enums and timesteps are read afterwards.
+# A key left out of a file takes its default from the constructor it feeds.
+_KEYS = {"K": int, "S": int, "block_size": int, "T": int, "horizon": int, "seed": int,
+         "frame_dim": int, "record_frames": _boolean, "policy": str, "convention": str,
+         "denoiser": str, "timesteps": str}
+_DENOISERS = {
+    "analytic-gaussian": (AnalyticGaussianDenoiser, {"rho": float}),
+    "context-mean": (ContextMeanDenoiser, {"anchor_weight": float,
+                                           "innovation_scale": float, "bias": float}),
+    "tiny-attention": (TinyAttentionDenoiser, {"model_dim": int, "head_count": int,
+                                               "layer_count": int, "weight_seed": int}),
 }
-_KNOWN_KEYS = (
-    {"policy", "convention", "denoiser", "timesteps", "record_frames"}
-    | _INT_KEYS
-    | _FLOAT_KEYS
-)
+_READERS = {**_KEYS, **{key: read for _, keys in _DENOISERS.values()
+                        for key, read in keys.items()}}
 
 
 def parse_config_text(text: str) -> RolloutConfig:
@@ -76,7 +84,7 @@ def parse_config_text(text: str) -> RolloutConfig:
         if "=" not in stripped:
             raise UsageError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _READERS:
             raise UsageError(f"unknown config key: {key}")
         if key in raw:
             raise UsageError(f"duplicate config key: {key}")
@@ -85,85 +93,57 @@ def parse_config_text(text: str) -> RolloutConfig:
     values: dict[str, object] = {}
     for key, text_value in raw.items():
         try:
-            if key in _INT_KEYS:
-                values[key] = int(text_value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(text_value)
-            elif key == "record_frames":
-                if text_value.lower() not in ("true", "false"):
-                    raise ValueError
-                values[key] = text_value.lower() == "true"
-            else:
-                values[key] = text_value
+            values[key] = _READERS[key](text_value)
         except ValueError:
             raise UsageError(f"config key {key}: cannot parse value {text_value!r}")
 
-    try:
-        policy_cfg = PolicyConfig(
-            K=values.get("K", 6),
-            S=values.get("S", 5),
-            block_size=values.get("block_size", 3),
-            policy=_parse_enum(Policy, values.get("policy", "rolling-sink"), "policy"),
-            roll_convention=_parse_enum(
-                RollConvention, values.get("convention", "palindrome"), "convention"
-            ),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
+    policy_cfg = _policy_config(values)
     if "timesteps" in values and "T" in values:
         raise UsageError("set either T or timesteps, not both")
+    rollout = {key: values[key] for key in ("seed", "frame_dim", "record_frames")
+               if key in values}
     if "timesteps" in values:
         try:
-            steps = tuple(float(x) for x in str(values["timesteps"]).split(","))
-            timesteps = TimestepSchedule(steps)
+            steps = tuple(float(x) for x in values["timesteps"].split(","))
+            rollout["timesteps"] = TimestepSchedule(steps)
         except ValueError as exc:
             raise UsageError(f"config key timesteps: {exc}")
-    else:
+    elif "T" in values:
         try:
-            timesteps = TimestepSchedule.uniform(values.get("T", 4))
+            rollout["timesteps"] = TimestepSchedule.uniform(values["T"])
         except ValueError as exc:
             raise UsageError(f"config key T: {exc}")
 
-    denoiser_kind = values.get("denoiser", "context-mean")
-    if denoiser_kind not in _DENOISER_KEYS:
-        raise UsageError(
-            f"unknown denoiser {denoiser_kind!r}; valid: "
-            + ", ".join(sorted(_DENOISER_KEYS))
-        )
-    allowed = _DENOISER_KEYS[denoiser_kind]
+    kind = values.get("denoiser", "context-mean")
+    if kind not in _DENOISERS:
+        raise UsageError(f"unknown denoiser {kind!r}; valid: "
+                         + ", ".join(sorted(_DENOISERS)))
+    denoiser_cls, denoiser_keys = _DENOISERS[kind]
     for key in values:
-        if key in _FLOAT_KEYS | {"model_dim", "head_count", "layer_count", "weight_seed"}:
-            if key not in allowed:
-                raise UsageError(f"config key {key} is not valid for denoiser {denoiser_kind}")
-
-    frame_dim = values.get("frame_dim", 4)
+        if key not in _KEYS and key not in denoiser_keys:
+            raise UsageError(f"config key {key} is not valid for denoiser {kind}")
+    params = {key: values[key] for key in denoiser_keys if key in values}
+    if denoiser_cls is TinyAttentionDenoiser:  # sizes its weights by the frame width
+        params["frame_dim"] = values.get("frame_dim", RolloutConfig.frame_dim)
     try:
-        if denoiser_kind == "analytic-gaussian":
-            denoiser = AnalyticGaussianDenoiser(rho=values.get("rho", 0.9))
-        elif denoiser_kind == "context-mean":
-            denoiser = ContextMeanDenoiser(
-                anchor_weight=values.get("anchor_weight", 1.0),
-                innovation_scale=values.get("innovation_scale", 0.0),
-                bias=values.get("bias", 0.0),
-            )
-        else:
-            denoiser = TinyAttentionDenoiser(
-                frame_dim=frame_dim,
-                model_dim=values.get("model_dim", 32),
-                head_count=values.get("head_count", 4),
-                layer_count=values.get("layer_count", 2),
-                weight_seed=values.get("weight_seed", 0),
-            )
-        return RolloutConfig(
-            policy=policy_cfg,
-            denoiser=denoiser,
-            horizon=values.get("horizon", 10),
-            seed=values.get("seed", 0),
-            frame_dim=frame_dim,
-            timesteps=timesteps,
-            record_frames=values.get("record_frames", True),
-        )
+        return RolloutConfig(policy=policy_cfg, denoiser=denoiser_cls(**params),
+                             horizon=values.get("horizon", 10), **rollout)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
+def _policy_config(values: dict) -> PolicyConfig:
+    """A PolicyConfig from the entries of `values` that are set and not None;
+    PolicyConfig's own defaults fill the rest."""
+    params = {key: values[key] for key in ("K", "S", "block_size")
+              if values.get(key) is not None}
+    if values.get("policy") is not None:
+        params["policy"] = _parse_enum(Policy, values["policy"], "policy")
+    if values.get("convention") is not None:
+        params["roll_convention"] = _parse_enum(RollConvention, values["convention"],
+                                                "convention")
+    try:
+        return PolicyConfig(**params)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -302,7 +282,7 @@ def write_trace(trace: RolloutTrace, path: str) -> None:
 
 
 def read_trace(path: str) -> RolloutTrace:
-    records = []
+    records, linenos = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -314,8 +294,16 @@ def read_trace(path: str) -> RolloutTrace:
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise UsageError(f"trace line {lineno}: malformed record ({exc})")
             records.append(record)
+            linenos.append(lineno)
     if not records:
         raise UsageError("trace file contains no records")
+    # a literal such as 1e400 decodes to inf; one check over every record's
+    # frames, which _check_follows has given one shape
+    if records[0].frames is not None:
+        finite = np.isfinite(np.stack([r.frames for r in records])).all(axis=(1, 2))
+        if not finite.all():
+            raise UsageError(f"trace line {linenos[finite.argmin()]}: malformed record "
+                             "(frames hold a number that is not finite)")
     return RolloutTrace(records=tuple(records))
 
 
@@ -343,13 +331,7 @@ def _write_csv(rows: list[list], header: list[str], path: str | None) -> None:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    cfg = PolicyConfig(
-        K=args.K,
-        S=args.S,
-        block_size=args.block_size,
-        policy=_parse_enum(Policy, args.policy, "policy"),
-        roll_convention=_parse_enum(RollConvention, args.convention, "convention"),
-    )
+    cfg = _policy_config(vars(args))
     rows = []
     try:
         steps = _parse_step_range(args.step)
@@ -439,23 +421,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     rows = []
     for ratio, sink, horizon, variant, seed in cells:
-        policy = PolicyConfig(
-            K=base.policy.K,
-            S=sink,
-            block_size=base.policy.block_size,
-            policy=variant,
-            roll_convention=base.policy.roll_convention,
-        )
-        cfg = RolloutConfig(
-            policy=policy,
-            denoiser=base.denoiser,
-            horizon=horizon,
-            seed=seed,
-            frame_dim=base.frame_dim,
-            timesteps=base.timesteps,
-            record_frames=True,
-        )
-        trace = run(cfg)
+        policy = replace(base.policy, S=sink, policy=variant)
+        trace = run(replace(base, policy=policy, horizon=horizon, seed=seed,
+                            record_frames=True))
         rows.append(
             [ratio, sink, base.policy.K, variant.value, horizon, seed,
              repr(METRICS["mean_drift"](trace).terminal()),
@@ -482,11 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sched = sub.add_parser("schedule", help="print conditioning schedules")
-    p_sched.add_argument("--policy", default="rolling-sink")
-    p_sched.add_argument("-K", type=int, default=6)
-    p_sched.add_argument("-S", type=int, default=5)
-    p_sched.add_argument("--block-size", type=int, default=3, dest="block_size")
-    p_sched.add_argument("--convention", default="palindrome")
+    # unset flags take PolicyConfig's defaults
+    p_sched.add_argument("--policy")
+    p_sched.add_argument("-K", type=int)
+    p_sched.add_argument("-S", type=int)
+    p_sched.add_argument("--block-size", type=int, dest="block_size")
+    p_sched.add_argument("--convention")
     p_sched.add_argument("-i", "--step", required=True,
                          help="step index N, or half-open range LO:HI")
     p_sched.add_argument("--out", default=None, help="write CSV instead of a table")
@@ -526,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:  # UsageError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalInvariantError as exc:

@@ -111,8 +111,9 @@ class AnalyticGaussianDenoiser:
 
     The frame at in-block offset k is modeled as lying k+1 steps after the
     most recent context frame; with no context the prior is the stationary
-    N(0, 1). `posterior` returns the exact posterior mean and variance of
-    the clean frame given the noisy observation at level sigma(t).
+    N(0, 1). `posterior` returns the exact posterior mean, variance and
+    standard deviation of the clean frame given the noisy observation at
+    level sigma(t).
 
     Only the prior mean depends on the context values. rho**gaps and tau2
     are built once per (block_size, context empty or not), and each
@@ -121,7 +122,7 @@ class AnalyticGaussianDenoiser:
     by one entry per distinct timestep the caller uses.
     """
 
-    def __init__(self, rho: float):
+    def __init__(self, rho: float = 0.9):
         if not -1.0 < rho < 1.0:
             raise ValueError(f"rho must lie in (-1, 1) (got {rho})")
         self.rho = rho
@@ -144,7 +145,7 @@ class AnalyticGaussianDenoiser:
             mu = powers * context.values[-1]
         return GaussianPrior(context, mu, tau2, levels)
 
-    def _posterior(self, noisy: np.ndarray, t: float, state: GaussianPrior):
+    def posterior(self, noisy: np.ndarray, t: float, state: GaussianPrior):
         """Posterior mean, and the (block_size, 1) posterior variance and
         standard deviation, of the clean block at level t."""
         level = state.levels.get(t)
@@ -162,16 +163,6 @@ class AnalyticGaussianDenoiser:
         mu = state.mu
         return mu + gain * (noisy - (1.0 - s) * mu), var, std
 
-    def posterior(self, noisy: np.ndarray, t: float,
-                  state: GaussianPrior) -> tuple[np.ndarray, np.ndarray]:
-        mean, var, _ = self._posterior(noisy, t, state)
-        return mean, np.broadcast_to(var, mean.shape).copy()
-
-    def posterior_mean(self, noisy: np.ndarray, t: float,
-                       state: GaussianPrior) -> np.ndarray:
-        """Deterministic MMSE estimate (exact posterior mean)."""
-        return self._posterior(noisy, t, state)[0]
-
     def estimate(self, noisy: np.ndarray, t: float, state: GaussianPrior,
                  rng: NoiseSource | None = None) -> np.ndarray:
         """Posterior draw when rng is supplied, posterior mean otherwise.
@@ -182,7 +173,7 @@ class AnalyticGaussianDenoiser:
         long rollouts reproduce the stationary statistics. The bare
         posterior mean would systematically under-disperse.
         """
-        mean, _, std = self._posterior(noisy, t, state)
+        mean, _, std = self.posterior(noisy, t, state)
         if rng is None:
             return mean
         return mean + std * rng.standard_normal(mean.shape)

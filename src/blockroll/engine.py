@@ -62,11 +62,9 @@ class HistoryStore:
         self.count = 0  # blocks put so far; the next id put must be this
 
     @property
-    def retained(self) -> int:
+    def peak_retained(self) -> int:
         """Blocks held. It never falls, so it is also the peak."""
         return min(self.count, self._ring + self.capacity)
-
-    peak_retained = retained
 
     def row(self, block_id: int) -> int:
         """First row of a retained block in `frames`; KeyError for a block
@@ -104,7 +102,6 @@ class TraceRecord:
 @dataclass(eq=False)
 class RolloutTrace:
     records: tuple[TraceRecord, ...]
-    config: RolloutConfig | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -176,7 +173,7 @@ class Rollout:
         return block
 
     def trace(self) -> RolloutTrace:
-        return RolloutTrace(records=tuple(self.records), config=self.cfg)
+        return RolloutTrace(records=tuple(self.records))
 
 
 def run(cfg: RolloutConfig) -> RolloutTrace:

@@ -22,17 +22,14 @@ class MetricSeries:
     name: str
     values: tuple[tuple[int, float], ...]
 
-    def __post_init__(self) -> None:
-        steps = [s for s, _ in self.values]
-        if any(a >= b for a, b in zip(steps, steps[1:])):
-            raise ValueError("step indices must be strictly increasing")
-
     def terminal(self) -> float:
         return self.values[-1][1]
 
 
 def _stacked_frames(trace: RolloutTrace, metric: str) -> np.ndarray:
     """Every record's frames as one (steps, rows, width) array."""
+    if not trace.records:
+        raise ValueError("trace is empty")
     frames = [r.frames for r in trace.records]
     if any(f is None for f in frames):
         raise ValueError(
@@ -61,8 +58,6 @@ def mean_drift(trace: RolloutTrace) -> MetricSeries:
 def flicker_proxy(trace: RolloutTrace) -> MetricSeries:
     """Mean absolute jump between the last frame of block i-1 and the first
     frame of block i."""
-    if not trace.records:
-        raise ValueError("trace is empty")
     frames = _stacked_frames(trace, "flicker_proxy")
     jumps = np.empty(len(frames))
     jumps[1:] = np.abs(frames[1:, 0] - frames[:-1, -1]).mean(axis=1)
@@ -75,8 +70,6 @@ def repetition_score(trace: RolloutTrace, window: int = 8) -> MetricSeries:
     every other."""
     if window < 1:
         raise ValueError(f"window must be >= 1 (got {window})")
-    if not trace.records:
-        raise ValueError("trace is empty")
     flat = _stacked_frames(trace, "repetition_score").reshape(len(trace.records), -1)
     n = len(flat)
     width = max(1, min(window, n - 1))

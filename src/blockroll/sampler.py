@@ -38,15 +38,11 @@ class TimestepSchedule:
             )
 
     @classmethod
-    def uniform(cls, count: int = 4) -> "TimestepSchedule":
+    def uniform(cls, count: int) -> "TimestepSchedule":
         """`count` denoising applications at uniformly spaced levels."""
         if count < 1:
             raise ValueError(f"count must be >= 1 (got {count})")
         return cls(tuple(T_MAX * (count - j) / count for j in range(count + 1)))
-
-    @property
-    def count(self) -> int:
-        return len(self.steps) - 1
 
 
 # numpy's SeedSequence hash and mix constants and PCG64's 128-bit LCG
@@ -76,19 +72,16 @@ class NoiseSource:
 
     Stream `stream` of `seed` is numpy's
     Generator(PCG64(SeedSequence(seed mod 2^64, spawn_key=stream))).
-    `seek(stream)` moves this source's one generator to the exact state that
-    stream starts in, so a caller that needs many streams of one seed builds
-    one source and re-seats it; NoiseSource(seed, stream) is NoiseSource(seed)
-    followed by seek(stream).
+    NoiseSource(seed) starts at stream (); `seek(stream)` moves its one
+    generator to the exact state that stream starts in, so a caller that
+    needs many streams of one seed builds one source and re-seats it.
     """
 
-    def __init__(self, seed: int, stream: tuple[int, ...] = ()):
-        self.seed = seed
+    def __init__(self, seed: int):
         seq = np.random.SeedSequence(seed & _MASK64)
         self._pool = tuple(int(word) for word in seq.pool)
         self._bitgen = np.random.PCG64(seq)
         self._gen = np.random.Generator(self._bitgen)
-        self.seek(stream)
 
     def seek(self, stream: tuple[int, ...]) -> None:
         """Re-seat the generator at the start of stream `stream`, as numpy
@@ -133,7 +126,6 @@ class NoiseSource:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self.stream = stream
 
     def standard_normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)

@@ -101,42 +101,6 @@ class Schedule:
         return len(self.slots)
 
 
-def window_schedule(cfg: PolicyConfig, i: int) -> Schedule:
-    """Last-K window: blocks [max(0, i-K), i), forward, native indices."""
-    if i < 0:
-        raise ValueError(f"step index must be >= 0 (got {i})")
-    slots = tuple(
-        CacheSlot(b, Orientation.FORWARD, b) for b in range(max(0, i - cfg.K), i)
-    )
-    return Schedule(step=i, slots=slots)
-
-
-def sink_schedule(cfg: PolicyConfig, i: int) -> Schedule:
-    """Static prefix of the first S blocks, then the last K-S recent blocks,
-    everything at native indices."""
-    if i <= cfg.K:
-        return window_schedule(cfg, i)
-    sink = tuple(CacheSlot(b, Orientation.FORWARD, b) for b in range(cfg.S))
-    recent = tuple(
-        CacheSlot(b, Orientation.FORWARD, b) for b in range(i - (cfg.K - cfg.S), i)
-    )
-    return Schedule(step=i, slots=sink + recent)
-
-
-def sliding_index_schedule(cfg: PolicyConfig, i: int) -> Schedule:
-    """Sink content stays the first S blocks, but sink slot l is re-embedded
-    at index i-K+l, so assigned indices cover the contiguous range [i-K, i)."""
-    if i <= cfg.K:
-        return window_schedule(cfg, i)
-    sink = tuple(
-        CacheSlot(l, Orientation.FORWARD, i - cfg.K + l) for l in range(cfg.S)
-    )
-    recent = tuple(
-        CacheSlot(b, Orientation.FORWARD, b) for b in range(i - (cfg.K - cfg.S), i)
-    )
-    return Schedule(step=i, slots=sink + recent)
-
-
 def roll_slot(cfg: PolicyConfig, l: int) -> CacheSlot:
     """Slot l of the infinite rolling walk over blocks [0, K).
 
@@ -156,29 +120,31 @@ def roll_slot(cfg: PolicyConfig, l: int) -> CacheSlot:
     return CacheSlot(content, Orientation.REVERSED, l)
 
 
-def rolling_sink_schedule(cfg: PolicyConfig, i: int) -> Schedule:
-    """Sink slots are the rolling-walk slots for l in [i-K, i-(K-S)), then
-    the last K-S recent blocks at native indices."""
-    if i <= cfg.K:
-        return window_schedule(cfg, i)
-    sink = tuple(roll_slot(cfg, l) for l in range(i - cfg.K, i - (cfg.K - cfg.S)))
-    recent = tuple(
-        CacheSlot(b, Orientation.FORWARD, b) for b in range(i - (cfg.K - cfg.S), i)
-    )
-    return Schedule(step=i, slots=sink + recent)
-
-
-_DISPATCH = {
-    Policy.SLIDING_WINDOW: window_schedule,
-    Policy.ATTENTION_SINK: sink_schedule,
-    Policy.SLIDING_INDICES: sliding_index_schedule,
-    Policy.ROLLING_SINK: rolling_sink_schedule,
-}
-
-
 def schedule_for(cfg: PolicyConfig, i: int) -> Schedule:
-    """Build the conditioning schedule for step i under cfg.policy."""
-    return _DISPATCH[cfg.policy](cfg, i)
+    """The conditioning schedule for step i under cfg.policy.
+
+    Up to step K, and always under SLIDING_WINDOW, the slots are blocks
+    [max(0, i-K), i), forward, at native indices. Later the policy fills the
+    S sink slots, and the last K-S blocks follow at native indices:
+    ATTENTION_SINK pins blocks [0, S) at native indices; SLIDING_INDICES
+    pins the same blocks at indices [i-K, i-K+S); ROLLING_SINK takes the
+    rolling-walk slots l in [i-K, i-K+S).
+    """
+    if i < 0:
+        raise ValueError(f"step index must be >= 0 (got {i})")
+    if i <= cfg.K or cfg.policy is Policy.SLIDING_WINDOW:
+        sink, first = (), max(0, i - cfg.K)
+    else:
+        first = i - cfg.K + cfg.S
+        if cfg.policy is Policy.ATTENTION_SINK:
+            sink = tuple(CacheSlot(b, Orientation.FORWARD, b) for b in range(cfg.S))
+        elif cfg.policy is Policy.SLIDING_INDICES:
+            sink = tuple(CacheSlot(b, Orientation.FORWARD, i - cfg.K + b)
+                         for b in range(cfg.S))
+        else:
+            sink = tuple(roll_slot(cfg, l) for l in range(i - cfg.K, first))
+    recent = tuple(CacheSlot(b, Orientation.FORWARD, b) for b in range(first, i))
+    return Schedule(step=i, slots=sink + recent)
 
 
 def frame_ranges(slot: CacheSlot, block_size: int, first: int) -> tuple[range, range]:

@@ -1,0 +1,34 @@
+"""The benchmark's layer hooks install on this tree.
+
+perfbench/tracer.py wraps package names by attribute (HistoryStore.get,
+HistoryStore.peak_retained, engine.frame_expand, denoisers.rotate, ...), so
+removing or renaming one of them breaks the traced benchmark, not any other
+test. This enters and leaves the hooks around a short rollout.
+"""
+
+from __future__ import annotations
+
+import importlib
+from pathlib import Path
+
+from blockroll import engine
+from blockroll.cli import parse_config_text
+from blockroll.engine import Rollout
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_layer_hooks_install_and_restore(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    originals = (engine.schedule_for, engine.frame_expand, Rollout.__dict__["step"])
+    t = tracer.Tracer()
+    with t.installed(tracer.all_layers(t)):
+        rollout = Rollout(parse_config_text("horizon = 3\ndenoiser = analytic-gaussian"))
+        for _ in range(3):
+            rollout.step()
+    spans = t.summary()
+    assert spans[tracer.STEP]["calls"] == 3
+    assert spans["schedule.schedule_for"]["calls"] == 3
+    assert t.peaks["peak_retained"] == 3
+    assert (engine.schedule_for, engine.frame_expand, Rollout.__dict__["step"]) == originals

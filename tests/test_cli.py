@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import re
 import tempfile
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from blockroll import cli
 from blockroll.denoisers import AnalyticGaussianDenoiser, TinyAttentionDenoiser
-from blockroll.engine import RolloutTrace, TraceRecord, run
+from blockroll.engine import RolloutConfig, RolloutTrace, TraceRecord, run
 from blockroll.schedule import (
     CacheSlot,
     Orientation,
@@ -56,7 +56,7 @@ def write_config(tmp_path, text=BASE_CONFIG, name="rollout.cfg"):
 def test_config_defaults_mirror_the_contract():
     cfg = cli.parse_config_text("")
     assert (cfg.policy.K, cfg.policy.S, cfg.policy.block_size) == (6, 5, 3)
-    assert cfg.timesteps.count == 4
+    assert cfg.timesteps.steps == (1000.0, 750.0, 500.0, 250.0, 0.0)
     assert cfg.seed == 0
 
 
@@ -108,6 +108,144 @@ def test_analytic_and_attention_denoisers_are_constructible():
     )
     assert isinstance(cfg.denoiser, TinyAttentionDenoiser)
     assert cfg.denoiser.model_dim == 16
+
+
+TINY = "denoiser = tiny-attention\n"
+
+
+# Each document's full message, so a rewrite of the parser keeps every text
+# and the order in which the checks run.
+@pytest.mark.parametrize("text, message", [
+    ("K 6", "config line 1: expected 'key = value'"),
+    ("K = 6\nsink_ratio = 83", "unknown config key: sink_ratio"),
+    ("K = 6\nK = 7", "duplicate config key: K"),
+    ("K = six", "config key K: cannot parse value 'six'"),
+    ("rho = x\ndenoiser = analytic-gaussian", "config key rho: cannot parse value 'x'"),
+    ("record_frames = yes", "config key record_frames: cannot parse value 'yes'"),
+    ("policy = lru", "unknown policy 'lru'; valid: sliding-window, attention-sink, "
+                     "sliding-indices, rolling-sink"),
+    ("convention = zigzag", "unknown convention 'zigzag'; valid: palindrome, literal-mod"),
+    ("denoiser = unet", "unknown denoiser 'unet'; valid: analytic-gaussian, "
+                        "context-mean, tiny-attention"),
+    ("K = 6\nS = 6", "S must be < K and >= 0 (got S=6, K=6); at least one recent "
+                     "slot is required"),
+    ("K = 0\nS = 0", "K must be >= 1 (got K=0)"),
+    ("block_size = 0", "block_size must be >= 1 (got 0)"),
+    ("T = 2\ntimesteps = 1000,0", "set either T or timesteps, not both"),
+    ("timesteps = 1000,0,500", "config key timesteps: timesteps must be strictly "
+                               "decreasing: (1000.0, 0.0, 500.0)"),
+    ("timesteps = a,0", "config key timesteps: could not convert string to float: 'a'"),
+    ("T = 0", "config key T: count must be >= 1 (got 0)"),
+    ("denoiser = context-mean\nrho = 0.5",
+     "config key rho is not valid for denoiser context-mean"),
+    ("model_dim = 16", "config key model_dim is not valid for denoiser context-mean"),
+    ("denoiser = analytic-gaussian\nrho = 1", "rho must lie in (-1, 1) (got 1.0)"),
+    ("anchor_weight = 1.5", "anchor_weight must lie in [0, 1] (got 1.5)"),
+    (TINY + "model_dim = 30", "model_dim 30 not divisible by head_count 4"),
+    (TINY + "model_dim = 12\nhead_count = 4", "head dim 3 must be even for rotation"),
+    ("horizon = 0", "horizon must be >= 1 (got 0)"),
+    ("frame_dim = 0", "frame_dim must be >= 1 (got 0)"),
+    (TINY + "frame_dim = 0", "frame_dim, model_dim, head_count, layer_count must be >= 1"),
+    # value parsing runs before the enums, the enums before the geometry, the
+    # timesteps before the denoiser, and the denoiser before horizon
+    ("policy = lru\nK = six", "config key K: cannot parse value 'six'"),
+    ("S = 9\npolicy = lru", "unknown policy 'lru'; valid: sliding-window, "
+                            "attention-sink, sliding-indices, rolling-sink"),
+    ("denoiser = unet\nT = 0", "config key T: count must be >= 1 (got 0)"),
+    ("horizon = 0\nanchor_weight = 2", "anchor_weight must lie in [0, 1] (got 2.0)"),
+])
+def test_config_error_messages(text, message):
+    with pytest.raises(cli.UsageError) as excinfo:
+        cli.parse_config_text(text)
+    assert str(excinfo.value) == message
+
+
+SMALL_INTS = st.integers(-2, 64).map(str)
+FLOATS = st.sampled_from(["0", "0.5", "-0.1", "1.0", "0.9", "2.5", "1e400", "nan", "-inf"])
+# Each key's well-typed values, some of them out of range. Integers stay small:
+# a frame_dim of 10**12 or a T of 10**9 would allocate at scale before any
+# check could refuse it.
+TYPED_VALUES = {
+    **dict.fromkeys(["K", "S", "block_size", "T", "horizon", "seed", "frame_dim",
+                     "model_dim", "head_count", "layer_count", "weight_seed"], SMALL_INTS),
+    **dict.fromkeys(["rho", "anchor_weight", "innovation_scale", "bias"], FLOATS),
+    "policy": st.sampled_from([p.value for p in Policy] + ["lru"]),
+    "convention": st.sampled_from(["palindrome", "literal-mod", "zigzag"]),
+    "denoiser": st.sampled_from(["analytic-gaussian", "context-mean", "tiny-attention",
+                                 "unet"]),
+    "timesteps": st.sampled_from(["1000,0", "1000,500,0", "1000,0,500", "900,0",
+                                  "1000", "1000,a"]),
+    "record_frames": st.sampled_from(["true", "false", "True", "yes"]),
+}
+JUNK_VALUES = st.sampled_from(["", "x", "six", "1,2", "-"]) | st.text(max_size=4)
+
+
+DENOISER_KEYS = {
+    "analytic-gaussian": {"rho"},
+    "context-mean": {"anchor_weight", "innovation_scale", "bias"},
+    "tiny-attention": {"model_dim", "head_count", "layer_count", "weight_seed"},
+}
+
+
+@st.composite
+def config_documents(draw) -> str:
+    """Distinct keys of the full vocabulary, mostly with well-typed values
+    and only the selected denoiser's keys, plus the odd junk value, junk key,
+    duplicate key, comment, blank line or line without '='."""
+    keys = draw(st.lists(st.sampled_from(sorted(TYPED_VALUES)), unique=True, max_size=8))
+    values = {key: draw(TYPED_VALUES[key] if draw(st.integers(0, 9)) else JUNK_VALUES)
+              for key in keys}
+    own = DENOISER_KEYS.get(values.get("denoiser", "context-mean"), set())
+    if draw(st.integers(0, 9)):
+        values = {key: value for key, value in values.items()
+                  if key in own or not any(key in k for k in DENOISER_KEYS.values())}
+    lines = [f"{key} = {value}" for key, value in values.items()]
+    for _ in range(draw(st.integers(0, 2)) // 2):
+        junk = draw(st.sampled_from(["sink_ratio = 1", "Rho = 0.5", "= 1", "K 6", "",
+                                     "# comment = x"] + lines[:1]))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines)
+
+
+@given(config_documents())
+def test_config_document_parses_or_is_a_usage_error(text):
+    try:
+        cfg = cli.parse_config_text(text)
+    except cli.UsageError:
+        return
+    assert isinstance(cfg, RolloutConfig)
+
+
+SCHEDULE_FLAGS = {"--policy": TYPED_VALUES["policy"], "-K": SMALL_INTS, "-S": SMALL_INTS,
+                  "--block-size": SMALL_INTS, "--convention": TYPED_VALUES["convention"],
+                  "-i": SMALL_INTS | st.builds("{}:{}".format, st.integers(-2, 64),
+                                               st.integers(-2, 64))}
+
+
+@st.composite
+def schedule_argv(draw) -> list[str]:
+    """`blockroll schedule` with distinct flags, mostly with well-typed
+    values, plus the odd junk value or unknown flag."""
+    flags = draw(st.lists(st.sampled_from(sorted(SCHEDULE_FLAGS)), unique=True,
+                          max_size=6))
+    argv = ["schedule"]
+    for flag in flags:
+        value = draw(SCHEDULE_FLAGS[flag] if draw(st.integers(0, 9)) else JUNK_VALUES)
+        argv += [flag, value]
+    if not draw(st.integers(0, 9)):
+        argv.append("--bogus")
+    return argv
+
+
+@given(schedule_argv())
+def test_schedule_command_exits_zero_or_one(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(argv)
+    if rc == 0:
+        assert err.getvalue() == ""
+    else:
+        assert rc == 1 and err.getvalue().startswith("error:")
 
 
 # --------------------------------------------------------------------------
@@ -252,6 +390,8 @@ def test_int_stats_read_back_are_written_as_ints(tmp_path):
     (NEXT_RECORD.replace('"mean":0.0', '"mean":1e400'), "mean inf is not a finite number"),
     (NEXT_RECORD.replace('"mean":0.0', '"mean":1' + "0" * 400), "int too large"),
     (NEXT_RECORD.replace('[[0.0,1.0]]', '[[0.0,1' + "0" * 400 + ']]'), "int too large"),
+    (NEXT_RECORD.replace('[[0.0,1.0]]', '[[1e400,1.0]]'),
+     "frames hold a number that is not finite"),
 ], ids=["missing-keys", "schedule-int", "slot-int", "frame-stats-list",
         "frames-object", "line-is-list", "line-is-number", "mean-string",
         "var-bool", "mean-nan", "var-infinity", "step-bool", "step-gap",
@@ -259,12 +399,22 @@ def test_int_stats_read_back_are_written_as_ints(tmp_path):
         "frames-bool", "frames-infinity", "frames-1d", "frames-ragged",
         "content-string", "content-negative", "index-null", "index-bool",
         "orient-unknown", "seed-string", "mean-overflow-literal", "mean-huge-int",
-        "frames-huge-int"])
+        "frames-huge-int", "frames-overflow-literal"])
 def test_malformed_trace_is_rejected(tmp_path, line, reason):
     path = tmp_path / "bad.jsonl"
     path.write_text(VALID_RECORD + "\n" + line + "\n")
     with pytest.raises(cli.UsageError,
                        match=r"trace line 2: malformed record \(.*" + reason):
+        cli.read_trace(str(path))
+
+
+def test_first_overflowing_frames_line_is_named(tmp_path):
+    overflow = NEXT_RECORD.replace('[[0.0,1.0]]', '[[0.0,-1e400]]')
+    later = overflow.replace('"step":1', '"step":2')
+    path = tmp_path / "bad.jsonl"
+    path.write_text(VALID_RECORD + "\n\n" + overflow + "\n" + later + "\n")
+    message = "trace line 3: malformed record (frames hold a number that is not finite)"
+    with pytest.raises(cli.UsageError, match="^" + re.escape(message) + "$"):
         cli.read_trace(str(path))
 
 
@@ -481,6 +631,17 @@ def test_non_finite_rollout_exits_one_and_writes_no_trace(tmp_path, capsys):
     assert err.startswith("error: trace record for step ")
     assert "inf or NaN" in err
     assert not out.exists()
+
+
+def test_memory_error_exits_one_without_traceback(tmp_path, monkeypatch, capsys):
+    def boom(cfg):
+        raise MemoryError("Unable to allocate 87.3 TiB for an array")
+
+    monkeypatch.setattr(cli, "run", boom)
+    config = write_config(tmp_path)
+    rc = cli.main(["rollout", config, "--out", str(tmp_path / "t.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 87.3 TiB for an array\n"
 
 
 def test_internal_invariant_maps_to_exit_code_two(tmp_path, monkeypatch, capsys):

@@ -31,7 +31,14 @@ def estimate(den, noisy, t, ctx, rng=None):
 
 
 def posterior_mean(den, noisy, t, ctx):
-    return den.posterior_mean(noisy, t, den.condition(ctx, len(noisy)))
+    return den.posterior(noisy, t, den.condition(ctx, len(noisy)))[0]
+
+
+def noise_at(seed, stream):
+    """A NoiseSource of `seed` seated at the start of `stream`."""
+    noise = NoiseSource(seed)
+    noise.seek(stream)
+    return noise
 
 
 def _trapezoid(ys, dx):
@@ -136,7 +143,7 @@ def test_posterior_draw_is_calibrated():
     ctx = make_context([[1.0]])
     noisy = np.zeros((1, 1))
     state = den.condition(ctx, 1)
-    mean, var = den.posterior(noisy, 500.0, state)
+    mean, var, _ = den.posterior(noisy, 500.0, state)
     rng = NoiseSource(5)
     draws = np.array([den.estimate(noisy, 500.0, state, rng=rng)[0, 0]
                       for _ in range(20000)])
@@ -150,7 +157,7 @@ def test_estimate_without_rng_degrades_to_posterior_mean():
     noisy = np.array([[0.2]])
     state = den.condition(ctx, 1)
     assert np.array_equal(den.estimate(noisy, 300.0, state),
-                          den.posterior_mean(noisy, 300.0, state))
+                          den.posterior(noisy, 300.0, state)[0])
 
 
 def closed_form_posterior(rho, ctx, noisy, t):
@@ -186,14 +193,15 @@ def test_level_table_is_exact_across_block_sizes_contexts_and_timesteps():
                 noisy = gen.standard_normal((block_size, frame_dim))
                 fresh = AnalyticGaussianDenoiser(rho)
                 fresh_state = fresh.condition(ctx, block_size)
-                got = shared.estimate(noisy, t, state, rng=NoiseSource(7, (draw,)))
-                want = fresh.estimate(noisy, t, fresh_state, rng=NoiseSource(7, (draw,)))
+                got = shared.estimate(noisy, t, state, rng=noise_at(7, (draw,)))
+                want = fresh.estimate(noisy, t, fresh_state, rng=noise_at(7, (draw,)))
                 assert np.array_equal(got, want)
-                mean, var = shared.posterior(noisy, t, state)
+                mean, var, std = shared.posterior(noisy, t, state)
                 want_mean, want_var = closed_form_posterior(rho, ctx, noisy, t)
                 assert np.array_equal(mean, want_mean)
-                assert np.array_equal(var, want_var)
-                z = NoiseSource(7, (draw,)).standard_normal(noisy.shape)
+                assert np.array_equal(np.broadcast_to(var, mean.shape), want_var)
+                assert np.array_equal(std, np.sqrt(var))
+                z = noise_at(7, (draw,)).standard_normal(noisy.shape)
                 assert np.array_equal(got, mean + np.sqrt(var) * z)
                 assert np.array_equal(shared.estimate(noisy, t, state), mean)
                 draw += 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from blockroll.schedule import (
     PolicyConfig,
     RollConvention,
     frame_expand,
-    rolling_sink_schedule,
     schedule_for,
 )
 
@@ -62,7 +63,8 @@ def test_first_step_conditions_on_nothing():
 def test_trace_schedules_come_from_the_policy():
     cfg = make_config(horizon=8)
     trace = run(cfg)
-    assert trace.records[7].schedule == rolling_sink_schedule(cfg.policy, 7)
+    assert trace.records[7].schedule == schedule_for(
+        replace(cfg.policy, policy=Policy.ROLLING_SINK), 7)
     for record in trace.records:
         assert record.schedule == schedule_for(cfg.policy, record.step)
 
@@ -153,7 +155,7 @@ def test_history_store_without_pinning_keeps_only_the_ring():
     store = HistoryStore(capacity=3, block_size=2, frame_dim=1, keep_permanent=False)
     for i in range(8):
         store.put(i, np.full((2, 1), float(i)))
-    assert store.retained == 3
+    assert store.peak_retained == 3
     assert store.frames.shape == (6, 1)
     assert store.get(7).tolist() == [[7.0], [7.0]]
     with pytest.raises(KeyError):
@@ -168,7 +170,7 @@ def test_history_store_rejects_out_of_order_puts():
     for block_id in (0, 2, -1):
         with pytest.raises(ValueError, match="in id order"):
             store.put(block_id, np.ones((1, 1)))
-    assert store.retained == 1
+    assert store.peak_retained == 1
     assert store.get(0)[0, 0] == 0.0
 
 

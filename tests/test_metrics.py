@@ -13,7 +13,7 @@ from blockroll.denoisers import (
     TinyAttentionDenoiser,
 )
 from blockroll.engine import RolloutConfig, RolloutTrace, TraceRecord, run
-from blockroll.metrics import MetricSeries, flicker_proxy, mean_drift, repetition_score
+from blockroll.metrics import flicker_proxy, mean_drift, repetition_score
 from blockroll.sampler import TimestepSchedule
 from blockroll.schedule import Policy, PolicyConfig, Schedule
 from metric_oracle import oracle_flicker_proxy, oracle_repetition_score
@@ -56,11 +56,6 @@ def constant_trace(horizon=10):
 
 def series_values(series):
     return np.array([v for _, v in series.values])
-
-
-def test_metric_series_requires_increasing_steps():
-    with pytest.raises(ValueError):
-        MetricSeries("bad", ((0, 0.0), (0, 1.0)))
 
 
 def test_constant_trace_has_zero_drift_and_flicker():

@@ -12,11 +12,7 @@ from blockroll.schedule import (
     RollConvention,
     frame_expand,
     roll_slot,
-    rolling_sink_schedule,
     schedule_for,
-    sink_schedule,
-    sliding_index_schedule,
-    window_schedule,
 )
 from walk_oracle import oracle_boustrophedon
 
@@ -69,22 +65,30 @@ def test_defaults_match_contract():
 # --------------------------------------------------------------------------
 
 def test_window_empty_at_step_zero():
-    assert window_schedule(cfg(), 0).slots == ()
+    assert schedule_for(cfg(policy=Policy.SLIDING_WINDOW), 0).slots == ()
 
 
 def test_window_clamps_to_available_history():
-    assert as_tuples(window_schedule(cfg(), 3)) == [(0, F, 0), (1, F, 1), (2, F, 2)]
+    assert as_tuples(schedule_for(cfg(policy=Policy.SLIDING_WINDOW), 3)) == [
+        (0, F, 0), (1, F, 1), (2, F, 2),
+    ]
 
 
 def test_window_keeps_last_k_blocks():
-    assert as_tuples(window_schedule(cfg(), 10)) == [
+    assert as_tuples(schedule_for(cfg(policy=Policy.SLIDING_WINDOW), 10)) == [
         (b, F, b) for b in range(4, 10)
     ]
 
 
 def test_window_rejects_negative_step():
     with pytest.raises(ValueError):
-        window_schedule(cfg(), -1)
+        schedule_for(cfg(policy=Policy.SLIDING_WINDOW), -1)
+
+
+def test_every_policy_rejects_negative_step():
+    for policy in Policy:
+        with pytest.raises(ValueError, match="step index must be >= 0"):
+            schedule_for(cfg(policy=policy), -1)
 
 
 # --------------------------------------------------------------------------
@@ -92,17 +96,18 @@ def test_window_rejects_negative_step():
 # --------------------------------------------------------------------------
 
 def test_sink_pins_prefix_at_native_indices():
-    assert as_tuples(sink_schedule(cfg(K=6, S=2), 10)) == [
+    assert as_tuples(schedule_for(cfg(K=6, S=2, policy=Policy.ATTENTION_SINK), 10)) == [
         (0, F, 0), (1, F, 1), (6, F, 6), (7, F, 7), (8, F, 8), (9, F, 9),
     ]
 
 
 def test_sink_with_zero_sink_degenerates_to_window():
-    assert sink_schedule(cfg(K=6, S=0), 10) == window_schedule(cfg(K=6, S=0), 10)
+    assert (schedule_for(cfg(K=6, S=0, policy=Policy.ATTENTION_SINK), 10)
+            == schedule_for(cfg(K=6, S=0, policy=Policy.SLIDING_WINDOW), 10))
 
 
 def test_sink_at_capacity_boundary_is_full_history():
-    assert as_tuples(sink_schedule(cfg(K=6, S=2), 6)) == [
+    assert as_tuples(schedule_for(cfg(K=6, S=2, policy=Policy.ATTENTION_SINK), 6)) == [
         (b, F, b) for b in range(6)
     ]
 
@@ -112,19 +117,20 @@ def test_sink_at_capacity_boundary_is_full_history():
 # --------------------------------------------------------------------------
 
 def test_sliding_indices_remaps_sink_positions():
-    assert as_tuples(sliding_index_schedule(cfg(K=6, S=2), 10)) == [
+    assert as_tuples(schedule_for(cfg(K=6, S=2, policy=Policy.SLIDING_INDICES), 10)) == [
         (0, F, 4), (1, F, 5), (6, F, 6), (7, F, 7), (8, F, 8), (9, F, 9),
     ]
 
 
 def test_sliding_indices_one_past_capacity():
-    assert as_tuples(sliding_index_schedule(cfg(K=6, S=2), 7)) == [
+    assert as_tuples(schedule_for(cfg(K=6, S=2, policy=Policy.SLIDING_INDICES), 7)) == [
         (0, F, 1), (1, F, 2), (3, F, 3), (4, F, 4), (5, F, 5), (6, F, 6),
     ]
 
 
 def test_sliding_indices_matches_sink_at_capacity():
-    assert sliding_index_schedule(cfg(K=6, S=2), 6) == sink_schedule(cfg(K=6, S=2), 6)
+    assert (schedule_for(cfg(K=6, S=2, policy=Policy.SLIDING_INDICES), 6)
+            == schedule_for(cfg(K=6, S=2, policy=Policy.ATTENTION_SINK), 6))
 
 
 # --------------------------------------------------------------------------
@@ -189,19 +195,19 @@ def test_walk_oracle_even_cycle_is_convention_independent():
 # --------------------------------------------------------------------------
 
 def test_rolling_sink_even_cycle_coincides_with_window():
-    assert as_tuples(rolling_sink_schedule(cfg(K=6, S=2), 10)) == [
+    assert as_tuples(schedule_for(cfg(K=6, S=2, policy=Policy.ROLLING_SINK), 10)) == [
         (4, F, 4), (5, F, 5), (6, F, 6), (7, F, 7), (8, F, 8), (9, F, 9),
     ]
 
 
 def test_rolling_sink_odd_cycle_reverses_content():
-    assert as_tuples(rolling_sink_schedule(cfg(K=6, S=2), 14)) == [
+    assert as_tuples(schedule_for(cfg(K=6, S=2, policy=Policy.ROLLING_SINK), 14)) == [
         (3, R, 8), (2, R, 9), (10, F, 10), (11, F, 11), (12, F, 12), (13, F, 13),
     ]
 
 
 def test_rolling_sink_default_ratio_one_past_capacity():
-    assert as_tuples(rolling_sink_schedule(cfg(K=6, S=5), 7)) == [
+    assert as_tuples(schedule_for(cfg(K=6, S=5, policy=Policy.ROLLING_SINK), 7)) == [
         (1, F, 1), (2, F, 2), (3, F, 3), (4, F, 4), (5, F, 5), (6, F, 6),
     ]
 
@@ -322,9 +328,8 @@ def test_reversed_orientation_only_under_rolling_sink():
 def test_all_policies_agree_during_warmup():
     for K in range(1, 9):
         for S in range(K):
-            reference = [
-                window_schedule(cfg(K=K, S=S), i) for i in range(K + 1)
-            ]
+            window = cfg(K=K, S=S, policy=Policy.SLIDING_WINDOW)
+            reference = [schedule_for(window, i) for i in range(K + 1)]
             for policy in ALL_POLICIES:
                 c = cfg(K=K, S=S, policy=policy)
                 assert [schedule_for(c, i) for i in range(K + 1)] == reference
