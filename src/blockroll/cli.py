@@ -424,11 +424,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         policy = replace(base.policy, S=sink, policy=variant)
         trace = run(replace(base, policy=policy, horizon=horizon, seed=seed,
                             record_frames=True))
+        # A terminal value reads only the trailing records: the last jump, and
+        # the last block against the `window` blocks before it.
+        records = trace.records
         rows.append(
             [ratio, sink, base.policy.K, variant.value, horizon, seed,
              repr(METRICS["mean_drift"](trace).terminal()),
-             repr(METRICS["flicker_proxy"](trace).terminal()),
-             repr(repetition_score(trace, window=args.window).terminal())]
+             repr(METRICS["flicker_proxy"](RolloutTrace(records[-2:])).terminal()),
+             repr(repetition_score(RolloutTrace(records[-(args.window + 1):]),
+                                   window=args.window).terminal())]
         )
     header = ["ratio", "S", "K", "policy", "horizon", "seed",
               "mean_drift", "flicker_proxy", "repetition_score"]
@@ -494,7 +498,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # numpy's floating-point warnings would break the stderr contract; a
+        # non-finite result is refused where it is written
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

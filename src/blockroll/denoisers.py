@@ -5,9 +5,10 @@ estimate of the clean block, in two calls. Each step the engine expands
 its schedule into one `Context`: an (n, frame_dim) float64 array of latent
 frames and their (n,) frame positions, ascending. `condition(context,
 block_size)` runs once per step and returns a state holding that Context
-plus everything derived from it alone; `estimate(noisy, t, state, rng)`
-runs once per denoising level. The state lives for one step. Three
-implementations:
+plus everything derived from it alone; `estimate(noisy, t, state, eps)`
+runs once per denoising level, with `draws_per_level` standard-normal
+blocks of noise (eps, or None when it is 0). The state lives for one step.
+Three implementations:
 
 * AnalyticGaussianDenoiser — closed-form oracle for a synthetic AR(1)
   data model; lets the sampler be checked against an exact stationary law.
@@ -30,7 +31,7 @@ from typing import Protocol
 import numpy as np
 
 from .rope import RotaryConfig, apply_rotation, rotate, rotation
-from .sampler import NoiseSource, sigma
+from .sampler import sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +42,16 @@ class Context:
 
     values: np.ndarray
     positions: np.ndarray
+
+    @classmethod
+    def unchecked(cls, values: np.ndarray, positions: np.ndarray) -> "Context":
+        """A Context of `values` and `positions` as they are, without the
+        checks: the caller guarantees a float64 (n, frame_dim) array and a
+        strictly ascending int64 (n,) array, as the engine's gather builds."""
+        context = object.__new__(cls)
+        object.__setattr__(context, "values", values)
+        object.__setattr__(context, "positions", positions)
+        return context
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -78,14 +89,19 @@ class DenoiserInterface(Protocol):
     depends only on the step's context, not on the noise level or the
     noisy block. estimate() runs once per denoising level and returns the
     intermediate clean prediction for `noisy` (block_size, frame_dim) at
-    timestep `t` from that state. Implementations needing randomness draw
-    from `rng`, so results are deterministic under a fixed seed.
+    timestep `t` from that state. A denoiser that needs randomness states
+    draws_per_level = 1 and takes it from `eps`, a standard-normal array of
+    noisy's shape that the sampler draws from the step's noise stream, so
+    results are deterministic under a fixed seed; with draws_per_level = 0
+    the sampler passes eps=None.
     """
+
+    draws_per_level: int
 
     def condition(self, context: Context, block_size: int) -> Conditioned: ...
 
     def estimate(self, noisy: np.ndarray, t: float, state: Conditioned,
-                 rng: NoiseSource | None = None) -> np.ndarray: ...
+                 eps: np.ndarray | None = None) -> np.ndarray: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +137,8 @@ class AnalyticGaussianDenoiser:
     timestep; later blocks reuse these read-only arrays. The table grows
     by one entry per distinct timestep the caller uses.
     """
+
+    draws_per_level = 1
 
     def __init__(self, rho: float = 0.9):
         if not -1.0 < rho < 1.0:
@@ -164,8 +182,9 @@ class AnalyticGaussianDenoiser:
         return mu + gain * (noisy - (1.0 - s) * mu), var, std
 
     def estimate(self, noisy: np.ndarray, t: float, state: GaussianPrior,
-                 rng: NoiseSource | None = None) -> np.ndarray:
-        """Posterior draw when rng is supplied, posterior mean otherwise.
+                 eps: np.ndarray | None = None) -> np.ndarray:
+        """Posterior draw mean + std*eps when eps is supplied, posterior
+        mean otherwise.
 
         Drawing from the exact posterior keeps the denoise/re-noise loop
         calibrated: composed over any timestep schedule, the sampled block
@@ -174,9 +193,9 @@ class AnalyticGaussianDenoiser:
         posterior mean would systematically under-disperse.
         """
         mean, _, std = self.posterior(noisy, t, state)
-        if rng is None:
+        if eps is None:
             return mean
-        return mean + std * rng.standard_normal(mean.shape)
+        return mean + std * eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,18 +212,24 @@ class ContextMeanDenoiser:
     source) and an optional fresh-noise innovation.
 
     With an empty context the anchor weight is renormalized onto the noisy
-    term, so the estimate degrades to noisy + bias.
+    term, so the estimate degrades to noisy + bias. The innovation is
+    innovation_scale * eps, so it takes one draw per level when
+    innovation_scale > 0 and none otherwise.
     """
 
     def __init__(self, anchor_weight: float = 1.0, innovation_scale: float = 0.0,
                  bias: float = 0.0):
         if not 0.0 <= anchor_weight <= 1.0:
             raise ValueError(f"anchor_weight must lie in [0, 1] (got {anchor_weight})")
-        if innovation_scale < 0.0:
+        if not innovation_scale >= 0.0:  # also refuses NaN
             raise ValueError(f"innovation_scale must be >= 0 (got {innovation_scale})")
         self.anchor_weight = anchor_weight
         self.innovation_scale = innovation_scale
         self.bias = bias
+
+    @property
+    def draws_per_level(self) -> int:
+        return 1 if self.innovation_scale > 0.0 else 0
 
     def condition(self, context: Context, block_size: int) -> ContextMean:
         if not len(context):
@@ -212,7 +237,7 @@ class ContextMeanDenoiser:
         return ContextMean(context, self.anchor_weight * context.values.mean(axis=0))
 
     def estimate(self, noisy: np.ndarray, t: float, state: ContextMean,
-                 rng: NoiseSource | None = None) -> np.ndarray:
+                 eps: np.ndarray | None = None) -> np.ndarray:
         sigma(t)  # range check only
         noisy = np.asarray(noisy, dtype=np.float64)
         if state.anchored is not None:
@@ -221,9 +246,9 @@ class ContextMeanDenoiser:
             est = noisy.copy()
         est = est + self.bias
         if self.innovation_scale > 0.0:
-            if rng is None:
-                raise ValueError("innovation_scale > 0 requires a NoiseSource")
-            est = est + self.innovation_scale * rng.standard_normal(noisy.shape)
+            if eps is None:
+                raise ValueError("innovation_scale > 0 requires eps")
+            est = est + self.innovation_scale * eps
         return est
 
 
@@ -258,8 +283,10 @@ class TinyAttentionDenoiser:
     representations are fixed input embeddings across layers, so their
     keys and values depend on the context alone: condition() computes them
     once per step as a K/V cache, and each estimate() projects and rotates
-    only the block_size current rows.
+    only the block_size current rows. It draws no noise.
     """
+
+    draws_per_level = 0
 
     def __init__(self, frame_dim: int, model_dim: int = 32, head_count: int = 4,
                  layer_count: int = 2, weight_seed: int = 0,
@@ -313,7 +340,7 @@ class TinyAttentionDenoiser:
         )
 
     def estimate(self, noisy: np.ndarray, t: float, state: KVCache,
-                 rng: NoiseSource | None = None) -> np.ndarray:
+                 eps: np.ndarray | None = None) -> np.ndarray:
         noisy = np.asarray(noisy, dtype=np.float64)
         block_size = len(state.rot)
         if noisy.shape != (block_size, self.frame_dim):

@@ -7,6 +7,13 @@ the bounded history, and emits a replayable trace record. Noise for step
 i is drawn from the stream (i,) of the seed, which the rollout's one
 NoiseSource is re-seated to at the start of the step, so traces depend
 only on the config and seed.
+
+From step 2K on, the store rows a step gathers depend only on i mod 2K:
+recent block b sits in ring slot b mod K, and the rolling walk repeats
+with period 2K. A Rollout keeps each such phase's row array once it has
+checked it slot by slot, so it holds at most 2K arrays of K*block_size
+indices whatever the horizon. Before step 2K recent blocks below K may sit
+in pinned rows, so those steps are gathered slot by slot.
 """
 
 from __future__ import annotations
@@ -119,13 +126,14 @@ class Rollout:
         self.step_index = 0
         self.records: list[TraceRecord] = []
         self.noise: NoiseSource | None = None  # one generator, re-seated per step
+        self.plan: dict[int, np.ndarray] = {}  # phase i mod 2K -> store rows
+        self._frame_offsets = np.arange(cfg.policy.block_size, dtype=np.int64)
 
-    def _expand(self, schedule: Schedule) -> Context:
-        """Gather the schedule's frames, in frame_ranges' order and at its
-        positions, with one row index into the history store."""
+    def _rows(self, schedule: Schedule) -> np.ndarray:
+        """The store rows of the schedule's frames in frame_ranges' order,
+        each slot's block checked against the history store."""
         store = self.store
-        block_size = store.block_size
-        rows, positions = [], []
+        rows = []
         for slot in schedule.slots:
             try:
                 first = store.row(slot.content_id)
@@ -134,11 +142,32 @@ class Rollout:
                     f"schedule for step {schedule.step} references block "
                     f"{slot.content_id}, which is absent from the history store"
                 ) from None
-            slot_rows, slot_positions = frame_ranges(slot, block_size, first)
-            rows.extend(slot_rows)
-            positions.extend(slot_positions)
-        return Context(store.frames.take(rows, axis=0),
-                       np.array(positions, dtype=np.int64))
+            rows.extend(frame_ranges(slot, store.block_size, first)[0])
+        return np.array(rows, dtype=np.intp)
+
+    def _expand(self, schedule: Schedule) -> Context:
+        """Gather the schedule's frames, in frame_ranges' order and at its
+        positions, with one row index into the history store."""
+        store = self.store
+        i = schedule.step
+        if store.count != i:  # the plan's rows hold step i's blocks only then
+            raise InternalInvariantError(
+                f"history store holds {store.count} blocks at step {i}, so the "
+                f"blocks its schedule references are absent from the history store"
+            )
+        period = 2 * store.capacity
+        if i < period:
+            rows = self._rows(schedule)
+        else:
+            rows = self.plan.get(i % period)
+            if rows is None:
+                rows = self.plan[i % period] = self._rows(schedule)
+        block_size = store.block_size
+        first = np.array([slot.assigned_index * block_size for slot in schedule.slots],
+                         dtype=np.int64)
+        positions = (first[:, None] + self._frame_offsets).ravel()
+        # float64 (n, frame_dim) rows and ascending positions by construction
+        return Context.unchecked(store.frames.take(rows, axis=0), positions)
 
     def step(self) -> np.ndarray:
         """Generate the next block and append its trace record."""

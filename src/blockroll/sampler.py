@@ -3,8 +3,8 @@
 One autoregressive step conditions the denoiser once on the step's
 Context (the (n, frame_dim) frames and ascending (n,) positions the
 schedule expands to): condition(context, block_size) returns a state that
-lives for this step only. The step then draws a pure-noise block and
-alternates estimate(noisy, t, state, rng) with forward re-noising at the
+lives for this step only. The step then starts from a pure-noise block and
+alternates estimate(noisy, t, state, eps) with forward re-noising at the
 next-lower level until the noise level reaches zero. The noise level is
 linear in the timestep, sigma(t) = t/1000, so t=1000 is pure noise and
 t=0 is clean.
@@ -30,7 +30,8 @@ class TimestepSchedule:
     def __post_init__(self) -> None:
         if len(self.steps) < 2:
             raise ValueError("need at least two timesteps (t_T and t_0)")
-        if any(a <= b for a, b in zip(self.steps, self.steps[1:])):
+        # `not a > b` rather than `a <= b`, so that a NaN level is refused
+        if not all(a > b for a, b in zip(self.steps, self.steps[1:])):
             raise ValueError(f"timesteps must be strictly decreasing: {self.steps}")
         if self.steps[0] != T_MAX or self.steps[-1] != 0.0:
             raise ValueError(
@@ -152,15 +153,21 @@ def sample_block(denoiser, timesteps: TimestepSchedule, context, noise: NoiseSou
     step's expanded conditioning schedule, a denoisers.Context that is
     empty for the first block. The denoiser conditions on it once, with
     condition(context, block_size), and every level then calls
-    estimate(noisy, t, state, rng) with that state. A fresh eps is drawn
-    at every re-noising step, including the final one at t=0 where it is
-    weighted by zero.
+    estimate(noisy, t, state, eps) with that state.
+
+    The block's noise is one draw of 1 + L*(1 + d) blocks, L the number of
+    levels and d the denoiser's draws_per_level (0 or 1). It is handed out
+    in the order separate draws would take it: the pure-noise block first,
+    then per level the estimate's eps (None when d is 0) and the re-noising
+    eps, including the final one at t=0, where it is weighted by zero.
     """
     state = denoiser.condition(context, shape[0])
-    y = noise.standard_normal(shape)
     ts = timesteps.steps
-    for j in range(len(ts) - 1):
-        x_hat = denoiser.estimate(y, ts[j], state, rng=noise)
-        eps = noise.standard_normal(shape)
-        y = forward_noise(x_hat, eps, ts[j + 1])
+    levels, d = len(ts) - 1, denoiser.draws_per_level
+    draws = noise.standard_normal((1 + levels * (1 + d), *shape))
+    y = draws[0]
+    for j in range(levels):
+        k = 1 + j * (1 + d)
+        x_hat = denoiser.estimate(y, ts[j], state, draws[k] if d else None)
+        y = forward_noise(x_hat, draws[k + d], ts[j + 1])
     return y

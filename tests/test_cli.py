@@ -5,19 +5,22 @@ from __future__ import annotations
 import json
 import re
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from dataclasses import replace
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blockroll import cli
 from blockroll.denoisers import AnalyticGaussianDenoiser, TinyAttentionDenoiser
 from blockroll.engine import RolloutConfig, RolloutTrace, TraceRecord, run
+from blockroll.metrics import flicker_proxy, mean_drift, repetition_score
 from blockroll.schedule import (
     CacheSlot,
     Orientation,
@@ -135,12 +138,15 @@ TINY = "denoiser = tiny-attention\n"
     ("timesteps = 1000,0,500", "config key timesteps: timesteps must be strictly "
                                "decreasing: (1000.0, 0.0, 500.0)"),
     ("timesteps = a,0", "config key timesteps: could not convert string to float: 'a'"),
+    ("timesteps = 1000,nan,0", "config key timesteps: timesteps must be strictly "
+                               "decreasing: (1000.0, nan, 0.0)"),
     ("T = 0", "config key T: count must be >= 1 (got 0)"),
     ("denoiser = context-mean\nrho = 0.5",
      "config key rho is not valid for denoiser context-mean"),
     ("model_dim = 16", "config key model_dim is not valid for denoiser context-mean"),
     ("denoiser = analytic-gaussian\nrho = 1", "rho must lie in (-1, 1) (got 1.0)"),
     ("anchor_weight = 1.5", "anchor_weight must lie in [0, 1] (got 1.5)"),
+    ("innovation_scale = nan", "innovation_scale must be >= 0 (got nan)"),
     (TINY + "model_dim = 30", "model_dim 30 not divisible by head_count 4"),
     (TINY + "model_dim = 12\nhead_count = 4", "head dim 3 must be even for rotation"),
     ("horizon = 0", "horizon must be >= 1 (got 0)"),
@@ -764,6 +770,25 @@ def test_sweep_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_terminal_metrics_are_those_of_the_full_series(tmp_path):
+    # the sweep reads them from the trailing records; windows below, at and
+    # past the horizon, and horizons of one and two blocks
+    config = write_config(tmp_path, SWEEP_CONFIG + "innovation_scale = 0.2\n")
+    base = cli.load_config(config)
+    for window in (1, 3, 40):
+        out = tmp_path / f"w{window}.csv"
+        assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "1,2,9",
+                         "--seeds", "2", "--window", str(window), "--out", str(out)]) == 0
+        for line in out.read_text().splitlines()[1:]:
+            _, S, _, policy, horizon, seed, *terminal = line.split(",")
+            trace = run(replace(base, policy=replace(base.policy, S=int(S),
+                                                     policy=Policy(policy)),
+                                horizon=int(horizon), seed=int(seed)))
+            assert terminal == [repr(mean_drift(trace).terminal()),
+                                repr(flicker_proxy(trace).terminal()),
+                                repr(repetition_score(trace, window=window).terminal())]
+
+
 def test_sink_size_for_ratio_round_trip():
     for K in range(1, 9):
         for S in range(K):
@@ -774,3 +799,125 @@ def test_sink_size_for_ratio_round_trip():
 def test_orientation_serialization_is_stable():
     assert Orientation.FORWARD.value == "F"
     assert Orientation.REVERSED.value == "R"
+
+
+# --------------------------------------------------------------------------
+# rollout, metrics and sweep argv
+# --------------------------------------------------------------------------
+
+def mostly(valid, junk=JUNK_VALUES):
+    """`valid` nine times in ten, else `junk`."""
+    return st.integers(0, 9).flatmap(lambda k: valid if k else junk)
+
+
+@st.composite
+def short_rollout_documents(draw) -> str:
+    """Half config_documents(), half documents of the valid geometry with
+    the selected denoiser's keys drawn from their typed values (NaN and
+    infinities included); horizon at most 12 and T at most 8 in both, so
+    that a rollout, and a sweep of a few cells, stays short."""
+    if draw(st.booleans()):
+        lines = [line for line in draw(config_documents()).splitlines()
+                 if not re.match(r"\s*(horizon|T)\s*=", line)]
+    else:
+        K = draw(st.integers(1, 8))
+        denoiser = draw(st.sampled_from(sorted(DENOISER_KEYS)))
+        lines = [f"K = {K}", f"S = {draw(st.integers(0, K - 1))}",
+                 f"denoiser = {denoiser}", f"policy = {draw(TYPED_VALUES['policy'])}",
+                 f"block_size = {draw(st.integers(1, 3))}",
+                 f"frame_dim = {draw(st.integers(1, 4))}"]
+        lines += [f"{key} = {draw(TYPED_VALUES[key])}"
+                  for key in sorted(DENOISER_KEYS[denoiser]) if draw(st.booleans())]
+    lines.append(f"horizon = {draw(mostly(st.integers(1, 12), st.integers(-1, 0)))}")
+    if draw(st.booleans()):
+        lines.append(f"T = {draw(mostly(st.integers(1, 8), st.just(0)))}")
+    return "\n".join(draw(st.permutations(lines)))
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """cli.main's exit code and stderr. A warning would reach stderr in a
+    real run, so it is raised here and fails the property."""
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+def assert_exit_contract(rc: int, err: str) -> None:
+    assert rc in (0, 1, 2)
+    assert err == "" or err.startswith(("error:", "internal invariant violation:"))
+    assert (rc == 0) == (err == "")
+    assert "Traceback" not in err
+
+
+WINDOWS = mostly(st.integers(-2, 16).map(str))
+
+
+@given(text=short_rollout_documents(), seed=st.none() | mostly(SMALL_INTS),
+       out_dir_exists=mostly(st.just(True), st.just(False)))
+@example(text="bias = 1e400", seed=None, out_dir_exists=True)  # inf - inf in a step
+def test_rollout_argv_keeps_the_exit_contract(text, seed, out_dir_exists):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "r.cfg"
+        config.write_text(text)
+        out = Path(tmp) / ("" if out_dir_exists else "missing") / "t.jsonl"
+        argv = ["rollout", str(config), "--out", str(out)]
+        if seed is not None:
+            argv += ["--seed", seed]
+        rc, err = run_main(argv)
+        assert out.exists() == (rc == 0)
+    assert_exit_contract(rc, err)
+
+
+METRIC_NAMES = mostly(st.lists(st.sampled_from(["mean_drift", "flicker_proxy",
+                                                "repetition_score"]),
+                               min_size=1, max_size=3),
+                      st.lists(st.sampled_from(["drift", "", "mean_drift"]), max_size=2))
+
+
+@given(text=short_rollout_documents(), names=st.none() | METRIC_NAMES.map(",".join),
+       window=st.none() | WINDOWS,
+       damage=mostly(st.just("none"), st.sampled_from(["missing", "empty", "truncated"])))
+def test_metrics_argv_keeps_the_exit_contract(text, names, window, damage):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, trace = Path(tmp) / "r.cfg", Path(tmp) / "t.jsonl"
+        config.write_text(text)
+        run_main(["rollout", str(config), "--out", str(trace)])
+        if damage == "missing":
+            trace.unlink(missing_ok=True)
+        elif damage == "empty":
+            trace.write_text("")
+        elif damage == "truncated" and trace.exists():
+            trace.write_text(trace.read_text()[:-7])
+        argv = ["metrics", str(trace), "--out", str(Path(tmp) / "m.csv")]
+        if names is not None:
+            argv += ["--metrics", names]
+        if window is not None:
+            argv += ["--window", window]
+        rc, err = run_main(argv)
+    assert_exit_contract(rc, err)
+
+
+RATIOS = mostly(st.sampled_from(["0", "17", "33", "50", "67", "83"]),
+                st.sampled_from(["25", "-1", "x", ""]))
+
+
+@given(text=short_rollout_documents(),
+       ratios=st.none() | st.lists(RATIOS, min_size=1, max_size=2).map(",".join),
+       horizons=st.lists(mostly(st.integers(1, 12).map(str), st.just("0") | JUNK_VALUES),
+                         min_size=1, max_size=2).map(",".join),
+       seeds=st.none() | mostly(st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "x"])),
+       window=st.none() | WINDOWS)
+def test_sweep_argv_keeps_the_exit_contract(text, ratios, horizons, seeds, window):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "r.cfg"
+        config.write_text(text)
+        argv = ["sweep", str(config), "--horizons", horizons,
+                "--out", str(Path(tmp) / "s.csv")]
+        for flag, value in (("--ratios", ratios), ("--seeds", seeds),
+                            ("--window", window)):
+            if value is not None:
+                argv += [flag, value]
+        rc, err = run_main(argv)
+    assert_exit_contract(rc, err)

@@ -25,9 +25,9 @@ def empty_context(frame_dim):
     return Context(np.zeros((0, frame_dim)), np.zeros(0, dtype=int))
 
 
-def estimate(den, noisy, t, ctx, rng=None):
+def estimate(den, noisy, t, ctx, eps=None):
     """One denoising level: condition on ctx for this block, then estimate."""
-    return den.estimate(noisy, t, den.condition(ctx, len(noisy)), rng=rng)
+    return den.estimate(noisy, t, den.condition(ctx, len(noisy)), eps)
 
 
 def posterior_mean(den, noisy, t, ctx):
@@ -84,7 +84,8 @@ def test_clean_observation_is_returned_unchanged():
     noisy = np.array([[0.3, -0.7], [1.1, 0.0]])
     ctx = make_context([[1.0, 1.0]])
     assert np.array_equal(posterior_mean(den, noisy, 0.0, ctx), noisy)
-    assert np.array_equal(estimate(den, noisy, 0.0, ctx, rng=NoiseSource(0)), noisy)
+    eps = NoiseSource(0).standard_normal(noisy.shape)
+    assert np.array_equal(estimate(den, noisy, 0.0, ctx, eps), noisy)
 
 
 def test_pure_noise_with_no_context_yields_prior_mean_zero():
@@ -144,14 +145,13 @@ def test_posterior_draw_is_calibrated():
     noisy = np.zeros((1, 1))
     state = den.condition(ctx, 1)
     mean, var, _ = den.posterior(noisy, 500.0, state)
-    rng = NoiseSource(5)
-    draws = np.array([den.estimate(noisy, 500.0, state, rng=rng)[0, 0]
-                      for _ in range(20000)])
+    eps = NoiseSource(5).standard_normal((20000, 1, 1))
+    draws = np.array([den.estimate(noisy, 500.0, state, e)[0, 0] for e in eps])
     assert abs(draws.mean() - mean[0, 0]) < 4 * np.sqrt(var[0, 0] / len(draws))
     assert abs(draws.var() - var[0, 0]) < 0.05 * var[0, 0]
 
 
-def test_estimate_without_rng_degrades_to_posterior_mean():
+def test_estimate_without_eps_degrades_to_posterior_mean():
     den = AnalyticGaussianDenoiser(rho=0.7)
     ctx = make_context([[0.4]])
     noisy = np.array([[0.2]])
@@ -193,15 +193,15 @@ def test_level_table_is_exact_across_block_sizes_contexts_and_timesteps():
                 noisy = gen.standard_normal((block_size, frame_dim))
                 fresh = AnalyticGaussianDenoiser(rho)
                 fresh_state = fresh.condition(ctx, block_size)
-                got = shared.estimate(noisy, t, state, rng=noise_at(7, (draw,)))
-                want = fresh.estimate(noisy, t, fresh_state, rng=noise_at(7, (draw,)))
+                z = noise_at(7, (draw,)).standard_normal(noisy.shape)
+                got = shared.estimate(noisy, t, state, z)
+                want = fresh.estimate(noisy, t, fresh_state, z)
                 assert np.array_equal(got, want)
                 mean, var, std = shared.posterior(noisy, t, state)
                 want_mean, want_var = closed_form_posterior(rho, ctx, noisy, t)
                 assert np.array_equal(mean, want_mean)
                 assert np.array_equal(np.broadcast_to(var, mean.shape), want_var)
                 assert np.array_equal(std, np.sqrt(var))
-                z = noise_at(7, (draw,)).standard_normal(noisy.shape)
                 assert np.array_equal(got, mean + np.sqrt(var) * z)
                 assert np.array_equal(shared.estimate(noisy, t, state), mean)
                 draw += 1
@@ -240,12 +240,12 @@ def test_anchor_mixes_context_mean_and_noisy():
     )
 
 
-def test_innovation_requires_a_noise_source():
+def test_innovation_requires_eps():
     den = ContextMeanDenoiser(innovation_scale=0.1)
-    with pytest.raises(ValueError, match="NoiseSource"):
+    with pytest.raises(ValueError, match="requires eps"):
         estimate(den, np.zeros((1, 1)), 500.0, empty_context(1))
-    out = estimate(den, np.zeros((1, 1)), 500.0, empty_context(1), rng=NoiseSource(0))
-    assert out.shape == (1, 1)
+    out = estimate(den, np.zeros((1, 1)), 500.0, empty_context(1), np.full((1, 1), 2.0))
+    assert out.tolist() == [[0.2]]
 
 
 def test_context_mean_parameter_validation():
@@ -253,6 +253,15 @@ def test_context_mean_parameter_validation():
         ContextMeanDenoiser(anchor_weight=1.5)
     with pytest.raises(ValueError):
         ContextMeanDenoiser(innovation_scale=-0.1)
+    with pytest.raises(ValueError):
+        ContextMeanDenoiser(innovation_scale=float("nan"))
+
+
+def test_each_denoiser_states_its_draws_per_level():
+    assert AnalyticGaussianDenoiser().draws_per_level == 1
+    assert ContextMeanDenoiser().draws_per_level == 0
+    assert ContextMeanDenoiser(innovation_scale=0.1).draws_per_level == 1
+    assert TinyAttentionDenoiser(frame_dim=4).draws_per_level == 0
 
 
 # --------------------------------------------------------------------------

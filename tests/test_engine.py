@@ -189,23 +189,25 @@ class ContextRecorder:
 
     def __init__(self, inner):
         self.inner = inner
+        self.draws_per_level = inner.draws_per_level
         self.contexts = []
 
     def condition(self, context, block_size):
         self.contexts.append(context)
         return self.inner.condition(context, block_size)
 
-    def estimate(self, noisy, t, state, rng=None):
-        return self.inner.estimate(noisy, t, state, rng=rng)
+    def estimate(self, noisy, t, state, eps=None):
+        return self.inner.estimate(noisy, t, state, eps)
 
 
 @pytest.mark.parametrize("block_size", [1, 2, 3])
 @pytest.mark.parametrize("convention", list(RollConvention))
 @pytest.mark.parametrize("policy", list(Policy))
 def test_context_is_frame_expand_of_the_stored_blocks(policy, convention, block_size):
-    # horizon 30 covers the fill steps (i <= K) and more than a full
-    # 2K-slot period of the rolling walk at S=3; block_size 1 takes a
-    # reversed slot's rows from a range that ends at row -1
+    # horizon 6K covers the fill steps (i <= K), the steps before 2K that
+    # gather slot by slot, the first 2K-step period that fills the gather
+    # plan, and two periods served from it; block_size 1 takes a reversed
+    # slot's rows from a range that ends at row -1
     K, frame_dim = 6, 4
     recorder = ContextRecorder(ContextMeanDenoiser(anchor_weight=0.5,
                                                    innovation_scale=0.1))
@@ -213,7 +215,7 @@ def test_context_is_frame_expand_of_the_stored_blocks(policy, convention, block_
         policy=PolicyConfig(K=K, S=3, block_size=block_size, policy=policy,
                             roll_convention=convention),
         denoiser=recorder,
-        horizon=30,
+        horizon=6 * K,
         frame_dim=frame_dim,
     )
     trace = run(cfg)
@@ -242,6 +244,52 @@ def test_rollout_builds_one_noise_source(monkeypatch):
     trace = run(make_config(horizon=50, seed=4))
     assert len(trace) == 50
     assert built == [(4,)]
+
+
+def test_rollout_draws_noise_once_per_step(monkeypatch):
+    shapes = []
+    draw = NoiseSource.standard_normal
+
+    def counting_draw(self, shape):
+        shapes.append(shape)
+        return draw(self, shape)
+
+    monkeypatch.setattr(NoiseSource, "standard_normal", counting_draw)
+    for denoiser, per_level in ((AnalyticGaussianDenoiser(), 2),
+                                (ContextMeanDenoiser(innovation_scale=0.1), 2),
+                                (ContextMeanDenoiser(), 1)):
+        shapes.clear()
+        run(make_config(horizon=20, denoiser=denoiser))
+        # the pure-noise block, then per level (4) the estimate's and the
+        # re-noising draws
+        assert shapes == [(1 + 4 * per_level, 3, 4)] * 20
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_gather_plan_holds_one_row_array_per_phase(policy):
+    K = 6
+    rollout = Rollout(make_config(policy=policy, K=K, S=3, horizon=20 * K,
+                                  record_frames=False))
+    for _ in range(10 * K):
+        rollout.step()
+    assert sorted(rollout.plan) == list(range(2 * K))
+    arrays = dict(rollout.plan)
+    for _ in range(10 * K):
+        rollout.step()
+    assert rollout.plan.keys() == arrays.keys()
+    assert all(rollout.plan[phase] is rows for phase, rows in arrays.items())
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_missing_history_is_caught_on_a_planned_phase(policy):
+    K = 3
+    rollout = Rollout(make_config(policy=policy, K=K, S=2, horizon=10 * K))
+    for _ in range(4 * K):  # steps 2K..4K-1 plan every phase
+        rollout.step()
+    assert len(rollout.plan) == 2 * K
+    rollout.store = HistoryStore(capacity=K, block_size=3, frame_dim=4)
+    with pytest.raises(InternalInvariantError, match="absent from the history"):
+        rollout.step()
 
 
 def test_analytic_rollout_tracks_its_context():

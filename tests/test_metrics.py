@@ -20,13 +20,15 @@ from metric_oracle import oracle_flicker_proxy, oracle_repetition_score
 
 
 class ConstantDenoiser:
+    draws_per_level = 0
+
     def __init__(self, block):
         self.block = block
 
     def condition(self, context, block_size):
         return context
 
-    def estimate(self, noisy, t, state, rng=None):
+    def estimate(self, noisy, t, state, eps=None):
         return self.block
 
 

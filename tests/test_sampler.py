@@ -22,19 +22,23 @@ EMPTY = Context(np.zeros((0, SHAPE[1])), np.zeros(0, dtype=int))
 
 
 class ConstantDenoiser:
+    draws_per_level = 0
+
     def __init__(self, block):
         self.block = block
 
     def condition(self, context, block_size):
         return context
 
-    def estimate(self, noisy, t, state, rng=None):
+    def estimate(self, noisy, t, state, eps=None):
         return self.block
 
 
 class RecordingDenoiser:
     """Returns noisy unchanged, remembering every (t, noisy) it saw, and
     every (context, block_size) it was conditioned on."""
+
+    draws_per_level = 0
 
     def __init__(self):
         self.calls = []
@@ -45,7 +49,8 @@ class RecordingDenoiser:
         self.conditioned.append((context, block_size))
         return object()
 
-    def estimate(self, noisy, t, state, rng=None):
+    def estimate(self, noisy, t, state, eps=None):
+        assert eps is None
         self.calls.append((t, noisy.copy()))
         self.states.append(state)
         return noisy
@@ -180,6 +185,40 @@ def test_sampling_is_deterministic_under_a_fixed_seed():
     c = sample_block(RecordingDenoiser(), TimestepSchedule(), EMPTY,
                      NoiseSource(43), SHAPE)
     assert not np.array_equal(a, c)
+
+
+class EpsRecorder:
+    """Takes one draw per level and returns noisy + eps, remembering every
+    eps it was handed."""
+
+    draws_per_level = 1
+
+    def __init__(self):
+        self.eps = []
+
+    def condition(self, context, block_size):
+        return context
+
+    def estimate(self, noisy, t, state, eps=None):
+        self.eps.append(eps.copy())
+        return noisy + eps
+
+
+def test_one_draw_hands_out_the_noise_of_separate_draws_in_their_order():
+    # y, then per level the estimate's eps and the re-noising eps, as if
+    # each were drawn on its own
+    ts = TimestepSchedule()
+    separate = NoiseSource(8)
+    y = separate.standard_normal(SHAPE)
+    levels = []
+    for t in ts.steps[1:]:
+        levels.append((separate.standard_normal(SHAPE), separate.standard_normal(SHAPE)))
+        y = forward_noise(y + levels[-1][0], levels[-1][1], t)
+    den = EpsRecorder()
+    out = sample_block(den, ts, EMPTY, NoiseSource(8), SHAPE)
+    assert all(np.array_equal(got, want) for got, (want, _) in zip(den.eps, levels))
+    assert len(den.eps) == 4
+    assert np.array_equal(out, y)
 
 
 def test_denoiser_conditions_once_per_block():
