@@ -11,13 +11,13 @@ from .denoisers import (
 from .engine import (
     HistoryStore,
     InternalInvariantError,
+    NonFiniteBlockError,
     Rollout,
     RolloutConfig,
-    RolloutTrace,
     TraceRecord,
     run,
 )
-from .metrics import MetricSeries, flicker_proxy, mean_drift, repetition_score
+from .metrics import flicker_proxy, mean_drift, repetition_score
 from .rope import RotaryConfig, rotate
 from .sampler import NoiseSource, TimestepSchedule, forward_noise, sample_block, sigma
 from .schedule import (
@@ -41,15 +41,14 @@ __all__ = [
     "DenoiserInterface",
     "HistoryStore",
     "InternalInvariantError",
-    "MetricSeries",
     "NoiseSource",
+    "NonFiniteBlockError",
     "Orientation",
     "Policy",
     "PolicyConfig",
     "RollConvention",
     "Rollout",
     "RolloutConfig",
-    "RolloutTrace",
     "RotaryConfig",
     "Schedule",
     "TimestepSchedule",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import replace
 from itertools import chain
 from math import isfinite
@@ -26,7 +27,7 @@ from .denoisers import (
     ContextMeanDenoiser,
     TinyAttentionDenoiser,
 )
-from .engine import InternalInvariantError, RolloutConfig, RolloutTrace, TraceRecord, run
+from .engine import InternalInvariantError, RolloutConfig, TraceRecord, run
 from .metrics import METRICS, repetition_score
 from .sampler import TimestepSchedule
 from .schedule import (
@@ -252,12 +253,12 @@ def _non_finite(record: TraceRecord) -> UsageError:
                       "which JSON cannot represent")
 
 
-def trace_to_lines(trace: RolloutTrace) -> list[str]:
+def trace_to_lines(records: Sequence[TraceRecord]) -> list[str]:
     """One JSON line per record, byte for byte what json.dumps with compact
     separators writes; UsageError at the first record holding an inf or NaN,
     which JSON cannot represent."""
     lines = []
-    for record in trace.records:
+    for record in records:
         mean, var, frames = record.mean, record.var, record.frames
         if not (isfinite(mean) and isfinite(var)):
             raise _non_finite(record)
@@ -274,14 +275,14 @@ def trace_to_lines(trace: RolloutTrace) -> list[str]:
     return lines
 
 
-def write_trace(trace: RolloutTrace, path: str) -> None:
-    lines = trace_to_lines(trace)  # before opening, so a failure leaves no file
+def write_trace(records: Sequence[TraceRecord], path: str) -> None:
+    lines = trace_to_lines(records)  # before opening, so a failure leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
 
 
-def read_trace(path: str) -> RolloutTrace:
+def read_trace(path: str) -> tuple[TraceRecord, ...]:
     records, linenos = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -304,7 +305,7 @@ def read_trace(path: str) -> RolloutTrace:
         if not finite.all():
             raise UsageError(f"trace line {linenos[finite.argmin()]}: malformed record "
                              "(frames hold a number that is not finite)")
-    return RolloutTrace(records=tuple(records))
+    return tuple(records)
 
 
 # --------------------------------------------------------------------------
@@ -372,22 +373,19 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"unknown metric {name!r}; valid: " + ", ".join(sorted(METRICS))
             )
-    trace = read_trace(args.trace)
+    records = read_trace(args.trace)
     try:
-        series = {
-            name: (
-                repetition_score(trace, window=args.window)
+        columns = [
+            (
+                repetition_score(records, window=args.window)
                 if name == "repetition_score"
-                else METRICS[name](trace)
-            )
+                else METRICS[name](records)
+            ).tolist()  # floats, which str() writes as repr() does
             for name in names
-        }
+        ]
     except ValueError as exc:
         raise UsageError(str(exc))
-    steps = [step for step, _ in series[names[0]].values]
-    rows = []
-    for idx, step in enumerate(steps):
-        rows.append([step] + [repr(series[name].values[idx][1]) for name in names])
+    rows = [[record.step, *values] for record, *values in zip(records, *columns)]
     _write_csv(rows, ["step"] + names, args.out)
     return 0
 
@@ -422,18 +420,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for ratio, sink, horizon, variant, seed in cells:
         policy = replace(base.policy, S=sink, policy=variant)
-        trace = run(replace(base, policy=policy, horizon=horizon, seed=seed,
-                            record_frames=True))
+        records = run(replace(base, policy=policy, horizon=horizon, seed=seed,
+                              record_frames=True))
         # A terminal value reads only the trailing records: the last jump, and
         # the last block against the `window` blocks before it.
-        records = trace.records
-        rows.append(
-            [ratio, sink, base.policy.K, variant.value, horizon, seed,
-             repr(METRICS["mean_drift"](trace).terminal()),
-             repr(METRICS["flicker_proxy"](RolloutTrace(records[-2:])).terminal()),
-             repr(repetition_score(RolloutTrace(records[-(args.window + 1):]),
-                                   window=args.window).terminal())]
-        )
+        terminal = (METRICS["mean_drift"](records),
+                    METRICS["flicker_proxy"](records[-2:]),
+                    repetition_score(records[-(args.window + 1):], window=args.window))
+        rows.append([ratio, sink, base.policy.K, variant.value, horizon, seed,
+                     *(series[-1].item() for series in terminal)])
     header = ["ratio", "S", "K", "policy", "horizon", "seed",
               "mean_drift", "flicker_proxy", "repetition_score"]
     _write_csv(rows, header, args.out)
@@ -499,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         # numpy's floating-point warnings would break the stderr contract; a
-        # non-finite result is refused where it is written
+        # non-finite block is refused at its step
         with np.errstate(all="ignore"):
             return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:  # UsageError is a ValueError

@@ -223,6 +223,8 @@ class ContextMeanDenoiser:
             raise ValueError(f"anchor_weight must lie in [0, 1] (got {anchor_weight})")
         if not innovation_scale >= 0.0:  # also refuses NaN
             raise ValueError(f"innovation_scale must be >= 0 (got {innovation_scale})")
+        if not math.isfinite(bias):
+            raise ValueError(f"bias must be a finite number (got {bias})")
         self.anchor_weight = anchor_weight
         self.innovation_scale = innovation_scale
         self.bias = bias
@@ -289,8 +291,7 @@ class TinyAttentionDenoiser:
     draws_per_level = 0
 
     def __init__(self, frame_dim: int, model_dim: int = 32, head_count: int = 4,
-                 layer_count: int = 2, weight_seed: int = 0,
-                 rope_base: float = 10000.0):
+                 layer_count: int = 2, weight_seed: int = 0):
         if frame_dim < 1 or model_dim < 1 or head_count < 1 or layer_count < 1:
             raise ValueError("frame_dim, model_dim, head_count, layer_count must be >= 1")
         if model_dim % head_count != 0:
@@ -305,8 +306,7 @@ class TinyAttentionDenoiser:
         self.head_count = head_count
         self.head_dim = head_dim
         self.layer_count = layer_count
-        self.weight_seed = weight_seed
-        self.rotary = RotaryConfig(dim=head_dim, base=rope_base)
+        self.rotary = RotaryConfig(dim=head_dim)
 
         gen = np.random.default_rng(weight_seed & 0xFFFF_FFFF_FFFF_FFFF)
         self.w_in = gen.standard_normal((frame_dim, model_dim)) / np.sqrt(frame_dim)

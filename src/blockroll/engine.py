@@ -19,6 +19,7 @@ in pinned rows, so those steps are gathered slot by slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -34,6 +35,10 @@ from .schedule import (  # noqa: F401
 class InternalInvariantError(Exception):
     """A schedule referenced history the store no longer holds; unreachable
     unless the retention invariants are broken."""
+
+
+class NonFiniteBlockError(ValueError):
+    """A step's block went to inf or NaN; the rollout stops at that step."""
 
 
 @dataclass(eq=False)
@@ -106,14 +111,6 @@ class TraceRecord:
     seed: int
 
 
-@dataclass(eq=False)
-class RolloutTrace:
-    records: tuple[TraceRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 class Rollout:
     """Single-threaded rollout state machine; one instance per rollout."""
 
@@ -170,7 +167,9 @@ class Rollout:
         return Context.unchecked(store.frames.take(rows, axis=0), positions)
 
     def step(self) -> np.ndarray:
-        """Generate the next block and append its trace record."""
+        """Generate the next block and append its trace record. A block whose
+        mean or var is inf or NaN raises NonFiniteBlockError and is neither
+        stored nor recorded, so the rollout stays at that step."""
         cfg = self.cfg
         i = self.step_index
         schedule = schedule_for(cfg.policy, i)
@@ -183,17 +182,21 @@ class Rollout:
             cfg.denoiser, cfg.timesteps, context, noise,
             shape=(cfg.policy.block_size, cfg.frame_dim),
         )
-        self.store.put(i, block)
         # np.mean and np.var of the block, by the reductions they run inside
         n = block.size
         mean = float(np.add.reduce(block, axis=None)) / n
         deviation = block - mean
+        var = float(np.add.reduce(deviation * deviation, axis=None)) / n
+        if not (isfinite(mean) and isfinite(var)):
+            raise NonFiniteBlockError(f"trace record for step {i} holds inf or NaN, "
+                                      "so the rollout stops at that step")
+        self.store.put(i, block)
         self.records.append(
             TraceRecord(
                 step=i,
                 schedule=schedule,
                 mean=mean,
-                var=float(np.add.reduce(deviation * deviation, axis=None)) / n,
+                var=var,
                 frames=block.copy() if cfg.record_frames else None,
                 seed=cfg.seed,
             )
@@ -201,12 +204,12 @@ class Rollout:
         self.step_index += 1
         return block
 
-    def trace(self) -> RolloutTrace:
-        return RolloutTrace(records=tuple(self.records))
+    def trace(self) -> tuple[TraceRecord, ...]:
+        return tuple(self.records)
 
 
-def run(cfg: RolloutConfig) -> RolloutTrace:
-    """Execute cfg.horizon steps and return the complete trace."""
+def run(cfg: RolloutConfig) -> tuple[TraceRecord, ...]:
+    """Execute cfg.horizon steps and return the trace, one record per step."""
     rollout = Rollout(cfg)
     for _ in range(cfg.horizon):
         rollout.step()

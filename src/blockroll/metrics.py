@@ -3,34 +3,26 @@
 These are declared proxies for the long-horizon failure modes of
 autoregressive rollouts: per-block mean drift (saturation proxy), block
 boundary discontinuity (flicker proxy), and windowed cosine similarity
-(repetition proxy). All are pure functions of the trace; step 0, having
-no history to compare against, is defined as 0 for every metric so that
-series stay aligned step-for-step.
+(repetition proxy). All are pure functions of a sequence of trace
+records, and each returns one float64 value per record; record 0, having
+no history to compare against, is 0 for every metric so that the arrays
+stay aligned with the records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 
-from .engine import RolloutTrace
+from .engine import TraceRecord
 
 
-@dataclass(frozen=True)
-class MetricSeries:
-    name: str
-    values: tuple[tuple[int, float], ...]
-
-    def terminal(self) -> float:
-        return self.values[-1][1]
-
-
-def _stacked_frames(trace: RolloutTrace, metric: str) -> np.ndarray:
+def _stacked_frames(records: Sequence[TraceRecord], metric: str) -> np.ndarray:
     """Every record's frames as one (steps, rows, width) array."""
-    if not trace.records:
+    if not records:
         raise ValueError("trace is empty")
-    frames = [r.frames for r in trace.records]
+    frames = [r.frames for r in records]
     if any(f is None for f in frames):
         raise ValueError(
             f"{metric} needs per-frame values; rerun the rollout with frame "
@@ -39,38 +31,30 @@ def _stacked_frames(trace: RolloutTrace, metric: str) -> np.ndarray:
     return np.stack(frames)
 
 
-def _series(name: str, trace: RolloutTrace, values: np.ndarray) -> MetricSeries:
-    """Pair values[i] with record i's step; step 0's value is 0 by definition."""
-    values[0] = 0.0
-    return MetricSeries(name, tuple(zip([r.step for r in trace.records],
-                                        values.tolist())))
-
-
-def mean_drift(trace: RolloutTrace) -> MetricSeries:
-    """|mean(block i) - mean(block 0)| per step; 0 at step 0 by definition."""
-    if not trace.records:
+def mean_drift(records: Sequence[TraceRecord]) -> np.ndarray:
+    """|mean(block i) - mean(block 0)| per record."""
+    if not records:
         raise ValueError("trace is empty")
-    base = trace.records[0].mean
-    values = tuple((r.step, abs(r.mean - base)) for r in trace.records)
-    return MetricSeries("mean_drift", values)
+    means = np.array([r.mean for r in records], dtype=np.float64)
+    return np.abs(means - means[0])
 
 
-def flicker_proxy(trace: RolloutTrace) -> MetricSeries:
+def flicker_proxy(records: Sequence[TraceRecord]) -> np.ndarray:
     """Mean absolute jump between the last frame of block i-1 and the first
     frame of block i."""
-    frames = _stacked_frames(trace, "flicker_proxy")
-    jumps = np.empty(len(frames))
+    frames = _stacked_frames(records, "flicker_proxy")
+    jumps = np.zeros(len(frames))
     jumps[1:] = np.abs(frames[1:, 0] - frames[:-1, -1]).mean(axis=1)
-    return _series("flicker_proxy", trace, jumps)
+    return jumps
 
 
-def repetition_score(trace: RolloutTrace, window: int = 8) -> MetricSeries:
+def repetition_score(records: Sequence[TraceRecord], window: int = 8) -> np.ndarray:
     """Max cosine similarity between block i and the previous `window`
     blocks (1.0 = exact repetition); a block of norm 0 scores 0 against
     every other."""
     if window < 1:
         raise ValueError(f"window must be >= 1 (got {window})")
-    flat = _stacked_frames(trace, "repetition_score").reshape(len(trace.records), -1)
+    flat = _stacked_frames(records, "repetition_score").reshape(len(records), -1)
     n = len(flat)
     width = max(1, min(window, n - 1))
     # Row i - 1 compares block i with blocks i - width .. i - 1; the columns
@@ -87,9 +71,9 @@ def repetition_score(trace: RolloutTrace, window: int = 8) -> MetricSeries:
     denom = norms[np.where(valid, earlier, 0)] * norms[1:, None]
     positive = denom > 0
     sims = np.where(positive, dots / np.where(positive, denom, 1.0), 0.0)
-    scores = np.empty(n)
+    scores = np.zeros(n)
     scores[1:] = np.where(valid, sims, -np.inf).max(axis=1)
-    return _series("repetition_score", trace, scores)
+    return scores
 
 
 METRICS = {

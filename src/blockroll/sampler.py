@@ -155,19 +155,20 @@ def sample_block(denoiser, timesteps: TimestepSchedule, context, noise: NoiseSou
     condition(context, block_size), and every level then calls
     estimate(noisy, t, state, eps) with that state.
 
-    The block's noise is one draw of 1 + L*(1 + d) blocks, L the number of
+    The block's noise is one draw of L*(1 + d) blocks, L the number of
     levels and d the denoiser's draws_per_level (0 or 1). It is handed out
     in the order separate draws would take it: the pure-noise block first,
-    then per level the estimate's eps (None when d is 0) and the re-noising
-    eps, including the final one at t=0, where it is weighted by zero.
+    then per level the estimate's eps (None when d is 0) and, for every
+    level but the last, the re-noising eps. The block is the last level's
+    estimate itself: re-noising it to t=0 would weigh its eps by zero.
     """
     state = denoiser.condition(context, shape[0])
     ts = timesteps.steps
     levels, d = len(ts) - 1, denoiser.draws_per_level
-    draws = noise.standard_normal((1 + levels * (1 + d), *shape))
+    draws = noise.standard_normal((levels * (1 + d), *shape))
     y = draws[0]
-    for j in range(levels):
+    for j in range(levels - 1):
         k = 1 + j * (1 + d)
         x_hat = denoiser.estimate(y, ts[j], state, draws[k] if d else None)
         y = forward_noise(x_hat, draws[k + d], ts[j + 1])
-    return y
+    return denoiser.estimate(y, ts[-2], state, draws[-1] if d else None)

@@ -97,9 +97,6 @@ class Schedule:
     step: int
     slots: tuple[CacheSlot, ...] = field(default=())
 
-    def __len__(self) -> int:
-        return len(self.slots)
-
 
 def roll_slot(cfg: PolicyConfig, l: int) -> CacheSlot:
     """Slot l of the infinite rolling walk over blocks [0, K).

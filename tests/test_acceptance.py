@@ -146,7 +146,7 @@ def test_sampler_statistics():
         frame_dim=1,
         record_frames=False,
     )
-    values = np.array([r.mean for r in run(cfg).records])
+    values = np.array([r.mean for r in run(cfg)])
     variance = values.var()
     assert abs(variance - 1.0) < 0.05, f"variance {variance:.4f} not within 5% of 1"
     standard_error = np.sqrt(((1 + rho) / (1 - rho)) / horizon)
@@ -177,7 +177,7 @@ def test_drift_separation():
                 frame_dim=4,
                 record_frames=False,
             )
-            terminal[policy] = mean_drift(run(cfg)).terminal()
+            terminal[policy] = mean_drift(run(cfg))[-1]
         ratios.append(terminal[Policy.SLIDING_WINDOW]
                       / terminal[Policy.ROLLING_SINK])
     median = float(np.median(ratios))

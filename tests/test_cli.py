@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from blockroll import cli
 from blockroll.denoisers import AnalyticGaussianDenoiser, TinyAttentionDenoiser
-from blockroll.engine import RolloutConfig, RolloutTrace, TraceRecord, run
+from blockroll.engine import RolloutConfig, TraceRecord, run
 from blockroll.metrics import flicker_proxy, mean_drift, repetition_score
 from blockroll.schedule import (
     CacheSlot,
@@ -147,6 +147,8 @@ TINY = "denoiser = tiny-attention\n"
     ("denoiser = analytic-gaussian\nrho = 1", "rho must lie in (-1, 1) (got 1.0)"),
     ("anchor_weight = 1.5", "anchor_weight must lie in [0, 1] (got 1.5)"),
     ("innovation_scale = nan", "innovation_scale must be >= 0 (got nan)"),
+    ("bias = nan", "bias must be a finite number (got nan)"),
+    ("bias = 1e400", "bias must be a finite number (got inf)"),
     (TINY + "model_dim = 30", "model_dim 30 not divisible by head_count 4"),
     (TINY + "model_dim = 12\nhead_count = 4", "head dim 3 must be even for rotation"),
     ("horizon = 0", "horizon must be >= 1 (got 0)"),
@@ -264,8 +266,8 @@ def test_trace_round_trips_exactly(tmp_path):
     path = tmp_path / "trace.jsonl"
     cli.write_trace(trace, str(path))
     parsed = cli.read_trace(str(path))
-    assert len(parsed.records) == len(trace.records)
-    for original, reread in zip(trace.records, parsed.records):
+    assert len(parsed) == len(trace)
+    for original, reread in zip(trace, parsed):
         assert reread.step == original.step
         assert reread.schedule == original.schedule
         assert reread.mean == original.mean
@@ -285,7 +287,7 @@ def test_records_omit_frames_when_not_recorded(tmp_path):
     assert all("frames" not in json.loads(line) for line in lines)
     path = tmp_path / "nf.jsonl"
     cli.write_trace(trace, str(path))
-    assert cli.read_trace(str(path)).records[0].frames is None
+    assert cli.read_trace(str(path))[0].frames is None
 
 
 VALID_RECORD = ('{"step":0,"schedule":[],"frame_stats":{"mean":0.0,"var":1.0},'
@@ -324,7 +326,7 @@ def reference_line(record: TraceRecord) -> str:
 
 @given(st.lists(RECORDS, max_size=4))
 def test_trace_lines_are_json_dumps_of_the_reference_object(records):
-    lines = cli.trace_to_lines(RolloutTrace(records=tuple(records)))
+    lines = cli.trace_to_lines(records)
     assert lines == [reference_line(record) for record in records]
 
 
@@ -345,7 +347,7 @@ def test_non_finite_record_is_refused_and_writes_no_file(records, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
         with pytest.raises(cli.UsageError, match=re.escape(message) + "$"):
-            cli.write_trace(RolloutTrace(records=tuple(records)), str(path))
+            cli.write_trace(records, str(path))
         assert not path.exists()
 
 
@@ -354,8 +356,8 @@ def test_int_stats_read_back_are_written_as_ints(tmp_path):
     path = tmp_path / "ints.jsonl"
     path.write_text(line + "\n")
     trace = cli.read_trace(str(path))
-    assert type(trace.records[0].mean) is int and type(trace.records[0].var) is int
-    assert cli.trace_to_lines(trace) == [reference_line(trace.records[0])] == [line]
+    assert type(trace[0].mean) is int and type(trace[0].var) is int
+    assert cli.trace_to_lines(trace) == [reference_line(trace[0])] == [line]
 
 
 # Each bad line follows VALID_RECORD and differs from its valid successor,
@@ -427,9 +429,9 @@ def test_first_overflowing_frames_line_is_named(tmp_path):
 def test_valid_successor_is_accepted(tmp_path):
     path = tmp_path / "good.jsonl"
     path.write_text(VALID_RECORD + "\n" + NEXT_RECORD + "\n")
-    assert [record.step for record in cli.read_trace(str(path)).records] == [0, 1]
+    assert [record.step for record in cli.read_trace(str(path))] == [0, 1]
     path.write_text(VALID_RECORD + "\n" + with_slot(NEXT_RECORD) + "\n")
-    assert cli.read_trace(str(path)).records[1].schedule.slots == (
+    assert cli.read_trace(str(path))[1].schedule.slots == (
         CacheSlot(0, Orientation.FORWARD, 0),)
 
 
@@ -639,6 +641,33 @@ def test_non_finite_rollout_exits_one_and_writes_no_trace(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_bias_exits_one_naming_bias(tmp_path, capsys):
+    config = write_config(tmp_path, BASE_CONFIG.replace("bias = 0.01", "bias = 1e400"))
+    out = tmp_path / "t.jsonl"
+    assert cli.main(["rollout", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: bias must be a finite number (got inf)\n"
+    assert not out.exists()
+
+
+def test_diverging_rollout_exits_one_at_its_step(tmp_path):
+    # Tiny attention with the default weights (K=6, seed 0) diverges under the
+    # sliding window and goes non-finite at step 953; rolling-sink stays
+    # finite over the same horizon.
+    def rollout(policy):
+        config = write_config(tmp_path, "denoiser = tiny-attention\nhorizon = 1200\n"
+                                        f"policy = {policy}\n", name=f"{policy}.cfg")
+        out = tmp_path / f"{policy}.jsonl"
+        return run_main(["rollout", config, "--out", str(out)]), out
+
+    (rc, err), out = rollout("sliding-window")
+    assert (rc, err) == (1, "error: trace record for step 953 holds inf or NaN, so the "
+                            "rollout stops at that step\n")
+    assert not out.exists()
+    (rc, err), out = rollout("rolling-sink")
+    assert (rc, err) == (0, "")
+    assert len(out.read_text().splitlines()) == 1200
+
+
 def test_memory_error_exits_one_without_traceback(tmp_path, monkeypatch, capsys):
     def boom(cfg):
         raise MemoryError("Unable to allocate 87.3 TiB for an array")
@@ -784,9 +813,9 @@ def test_sweep_terminal_metrics_are_those_of_the_full_series(tmp_path):
             trace = run(replace(base, policy=replace(base.policy, S=int(S),
                                                      policy=Policy(policy)),
                                 horizon=int(horizon), seed=int(seed)))
-            assert terminal == [repr(mean_drift(trace).terminal()),
-                                repr(flicker_proxy(trace).terminal()),
-                                repr(repetition_score(trace, window=window).terminal())]
+            assert terminal == [repr(series.tolist()[-1]) for series in (
+                mean_drift(trace), flicker_proxy(trace),
+                repetition_score(trace, window=window))]
 
 
 def test_sink_size_for_ratio_round_trip():
@@ -856,7 +885,8 @@ WINDOWS = mostly(st.integers(-2, 16).map(str))
 
 @given(text=short_rollout_documents(), seed=st.none() | mostly(SMALL_INTS),
        out_dir_exists=mostly(st.just(True), st.just(False)))
-@example(text="bias = 1e400", seed=None, out_dir_exists=True)  # inf - inf in a step
+@example(text="bias = 1e400", seed=None, out_dir_exists=True)  # refused as inf
+@example(text="bias = 1e308", seed=None, out_dir_exists=True)  # inf - inf in a step
 def test_rollout_argv_keeps_the_exit_contract(text, seed, out_dir_exists):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "r.cfg"

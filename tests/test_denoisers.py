@@ -255,6 +255,10 @@ def test_context_mean_parameter_validation():
         ContextMeanDenoiser(innovation_scale=-0.1)
     with pytest.raises(ValueError):
         ContextMeanDenoiser(innovation_scale=float("nan"))
+    for bias in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="bias must be a finite number"):
+            ContextMeanDenoiser(bias=bias)
+    assert ContextMeanDenoiser(bias=1e308).bias == 1e308  # finite: overflows later
 
 
 def test_each_denoiser_states_its_draws_per_level():

@@ -11,6 +11,7 @@ from blockroll.denoisers import AnalyticGaussianDenoiser, ContextMeanDenoiser
 from blockroll.engine import (
     HistoryStore,
     InternalInvariantError,
+    NonFiniteBlockError,
     Rollout,
     RolloutConfig,
     run,
@@ -39,9 +40,9 @@ def make_config(policy=Policy.ROLLING_SINK, K=6, S=5, horizon=10, seed=0,
 
 
 def traces_equal(a, b) -> bool:
-    if len(a.records) != len(b.records):
+    if len(a) != len(b):
         return False
-    for ra, rb in zip(a.records, b.records):
+    for ra, rb in zip(a, b):
         if (ra.step, ra.schedule, ra.mean, ra.var, ra.seed) != (
             rb.step, rb.schedule, rb.mean, rb.var, rb.seed
         ):
@@ -56,16 +57,16 @@ def traces_equal(a, b) -> bool:
 def test_first_step_conditions_on_nothing():
     trace = run(make_config(horizon=1))
     assert len(trace) == 1
-    assert trace.records[0].schedule.slots == ()
-    assert trace.records[0].frames.shape == (3, 4)
+    assert trace[0].schedule.slots == ()
+    assert trace[0].frames.shape == (3, 4)
 
 
 def test_trace_schedules_come_from_the_policy():
     cfg = make_config(horizon=8)
     trace = run(cfg)
-    assert trace.records[7].schedule == schedule_for(
+    assert trace[7].schedule == schedule_for(
         replace(cfg.policy, policy=Policy.ROLLING_SINK), 7)
-    for record in trace.records:
+    for record in trace:
         assert record.schedule == schedule_for(cfg.policy, record.step)
 
 
@@ -80,8 +81,8 @@ def test_identical_config_and_seed_replay_identically():
 def test_conditioning_size_is_exactly_min_step_capacity():
     for policy in Policy:
         trace = run(make_config(policy=policy, horizon=20, K=6, S=3))
-        for record in trace.records:
-            assert len(record.schedule) == min(record.step, 6)
+        for record in trace:
+            assert len(record.schedule.slots) == min(record.step, 6)
 
 
 def test_all_policies_share_the_warmup_trace():
@@ -89,7 +90,7 @@ def test_all_policies_share_the_warmup_trace():
     reference = None
     for policy in Policy:
         trace = run(make_config(policy=policy, K=K, S=5, horizon=K + 1, seed=4))
-        head = trace.records[: K + 1]
+        head = trace[: K + 1]
         if reference is None:
             reference = head
         else:
@@ -106,16 +107,16 @@ def test_policies_diverge_after_warmup():
     window = run(make_config(policy=Policy.SLIDING_WINDOW, K=K, S=5, horizon=K + 5))
     sink = run(make_config(policy=Policy.ATTENTION_SINK, K=K, S=5, horizon=K + 5))
     rolling = run(make_config(policy=Policy.ROLLING_SINK, K=K, S=5, horizon=K + 5))
-    assert not np.array_equal(window.records[K + 1].frames,
-                              sink.records[K + 1].frames)
-    assert not np.array_equal(window.records[K + 4].frames,
-                              rolling.records[K + 4].frames)
+    assert not np.array_equal(window[K + 1].frames,
+                              sink[K + 1].frames)
+    assert not np.array_equal(window[K + 4].frames,
+                              rolling[K + 4].frames)
 
 
 def test_rolling_sink_slots_always_reference_retainable_blocks():
     cfg = make_config(horizon=100, K=6, S=5)
     trace = run(cfg)
-    for record in trace.records:
+    for record in trace:
         if record.step <= 6:
             continue
         for slot in record.schedule.slots[:5]:
@@ -219,17 +220,47 @@ def test_context_is_frame_expand_of_the_stored_blocks(policy, convention, block_
         frame_dim=frame_dim,
     )
     trace = run(cfg)
-    assert len(recorder.contexts) == len(trace.records)
-    for record, context in zip(trace.records, recorder.contexts):
+    assert len(recorder.contexts) == len(trace)
+    for record, context in zip(trace, recorder.contexts):
         rows, positions = [], []
         for slot in record.schedule.slots:
-            block = trace.records[slot.content_id].frames
+            block = trace[slot.content_id].frames
             for content_frame, position in frame_expand(slot, block_size):
                 rows.append(block[content_frame - block_size * slot.content_id])
                 positions.append(position)
         assert context.positions.tolist() == positions
         assert np.array_equal(context.values,
                               np.reshape(rows, (len(rows), frame_dim)))
+
+
+class NaNAtStep:
+    """Returns noisy unchanged, and a NaN block from step `bad` on."""
+
+    draws_per_level = 0
+
+    def __init__(self, bad):
+        self.bad, self.steps = bad, -1
+
+    def condition(self, context, block_size):
+        self.steps += 1
+        return context
+
+    def estimate(self, noisy, t, state, eps=None):
+        return noisy * np.nan if self.steps >= self.bad else noisy
+
+
+def test_non_finite_block_stops_the_rollout_at_its_step():
+    rollout = Rollout(make_config(horizon=10, denoiser=NaNAtStep(4)))
+    for _ in range(4):
+        rollout.step()
+    with pytest.raises(NonFiniteBlockError, match="^trace record for step 4 holds inf "
+                                                  "or NaN, so the rollout stops at that "
+                                                  "step$"):
+        rollout.step()
+    # neither stored nor recorded; the records so far stay as they were
+    assert rollout.step_index == rollout.store.count == len(rollout.records) == 4
+    with pytest.raises(ValueError, match="step 0 "):  # NonFiniteBlockError is one
+        run(make_config(denoiser=NaNAtStep(0)))
 
 
 def test_rollout_builds_one_noise_source(monkeypatch):
@@ -260,9 +291,9 @@ def test_rollout_draws_noise_once_per_step(monkeypatch):
                                 (ContextMeanDenoiser(), 1)):
         shapes.clear()
         run(make_config(horizon=20, denoiser=denoiser))
-        # the pure-noise block, then per level (4) the estimate's and the
-        # re-noising draws
-        assert shapes == [(1 + 4 * per_level, 3, 4)] * 20
+        # per level (4) the level's input (the pure-noise block or the
+        # previous level's re-noising draw) and the estimate's draw
+        assert shapes == [(4 * per_level, 3, 4)] * 20
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -298,7 +329,7 @@ def test_analytic_rollout_tracks_its_context():
                       frame_dim=1, seed=2)
     trace = run(cfg)
     jumps = [abs(b.mean - a.mean)
-             for a, b in zip(trace.records, trace.records[1:])]
+             for a, b in zip(trace, trace[1:])]
     assert np.mean(jumps) < 0.5
 
 

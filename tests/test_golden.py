@@ -99,6 +99,6 @@ def test_trace_bytes_match_golden(tmp_path, denoiser, policy, convention):
 def test_attention_frames_match_golden(policy, convention):
     golden = json.loads(FRAMES_FILE.read_text())[f"{policy.value}/{convention.value}"]
     trace = golden_run("tiny-attention", policy, convention)
-    frames = np.array([record.frames for record in trace.records])
+    frames = np.array([record.frames for record in trace])
     assert frames.shape == np.shape(golden)
     assert np.abs(frames - np.array(golden)).max() <= ATTENTION_TOLERANCE

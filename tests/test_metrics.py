@@ -12,7 +12,7 @@ from blockroll.denoisers import (
     ContextMeanDenoiser,
     TinyAttentionDenoiser,
 )
-from blockroll.engine import RolloutConfig, RolloutTrace, TraceRecord, run
+from blockroll.engine import RolloutConfig, TraceRecord, run
 from blockroll.metrics import flicker_proxy, mean_drift, repetition_score
 from blockroll.sampler import TimestepSchedule
 from blockroll.schedule import Policy, PolicyConfig, Schedule
@@ -56,24 +56,28 @@ def constant_trace(horizon=10):
     return run(cfg)
 
 
-def series_values(series):
-    return np.array([v for _, v in series.values])
-
-
 def test_constant_trace_has_zero_drift_and_flicker():
     trace = constant_trace()
-    assert np.all(series_values(mean_drift(trace)) == 0.0)
-    assert np.all(series_values(flicker_proxy(trace)) == 0.0)
+    assert np.all(mean_drift(trace) == 0.0)
+    assert np.all(flicker_proxy(trace) == 0.0)
 
 
 def test_mean_drift_starts_at_zero_by_definition():
     trace = analytic_trace(rho=0.5, horizon=20, frame_dim=2)
-    assert mean_drift(trace).values[0] == (0, 0.0)
+    assert mean_drift(trace)[0] == 0.0
+
+
+def test_each_metric_is_one_float64_value_per_record():
+    trace = analytic_trace(rho=0.5, horizon=20, frame_dim=2)
+    for values in (mean_drift(trace), flicker_proxy(trace), repetition_score(trace)):
+        assert values.dtype == np.float64 and values.shape == (20,)
+        assert values[0] == 0.0
+    assert mean_drift(list(trace[:5])).tolist() == mean_drift(trace)[:5].tolist()
 
 
 def test_verbatim_repetition_scores_one():
     trace = constant_trace()
-    values = series_values(repetition_score(trace, window=4))
+    values = repetition_score(trace, window=4)
     assert values[0] == 0.0
     assert np.all(values[1:] == 1.0)
 
@@ -83,7 +87,7 @@ def test_flicker_concentrates_on_the_folded_gaussian_mean():
     # block-boundary jump is |N(0,2)| per coordinate. Reference computed by
     # direct Monte Carlo, independent of the sampler.
     trace = analytic_trace(rho=0.0, horizon=400, frame_dim=8)
-    observed = series_values(flicker_proxy(trace))[1:].mean()
+    observed = flicker_proxy(trace)[1:].mean()
     rng = np.random.default_rng(123)
     reference = np.abs(rng.standard_normal(400_000)
                        - rng.standard_normal(400_000)).mean()
@@ -91,10 +95,8 @@ def test_flicker_concentrates_on_the_folded_gaussian_mean():
 
 
 def test_strong_correlation_reduces_flicker():
-    smooth = series_values(flicker_proxy(
-        analytic_trace(rho=0.99, horizon=300, frame_dim=8)))[1:].mean()
-    rough = series_values(flicker_proxy(
-        analytic_trace(rho=0.0, horizon=300, frame_dim=8)))[1:].mean()
+    smooth = flicker_proxy(analytic_trace(rho=0.99, horizon=300, frame_dim=8))[1:].mean()
+    rough = flicker_proxy(analytic_trace(rho=0.0, horizon=300, frame_dim=8))[1:].mean()
     assert smooth < 0.3 * rough
 
 
@@ -103,7 +105,7 @@ def test_independent_blocks_score_near_zero_with_dimension_shrinking_spread():
     # around 0 at scale ~1/sqrt(dim). The bound is a Monte-Carlo quantile of
     # the max-of-window statistic, computed on fresh Gaussians.
     trace = analytic_trace(rho=0.0, horizon=300, frame_dim=16, block_size=4)
-    observed = series_values(repetition_score(trace, window=8))[1:]
+    observed = repetition_score(trace, window=8)[1:]
     rng = np.random.default_rng(7)
     sims = rng.standard_normal((20_000, 8, 64))
     ref_blocks = rng.standard_normal((20_000, 64))
@@ -113,31 +115,27 @@ def test_independent_blocks_score_near_zero_with_dimension_shrinking_spread():
     assert observed.mean() < bound
     assert observed.max() < 1.8 * bound
 
-    wide = series_values(repetition_score(
-        analytic_trace(rho=0.0, horizon=300, frame_dim=64, block_size=4),
-        window=8))[1:]
-    narrow = series_values(repetition_score(
-        analytic_trace(rho=0.0, horizon=300, frame_dim=4, block_size=4),
-        window=8))[1:]
+    wide = repetition_score(
+        analytic_trace(rho=0.0, horizon=300, frame_dim=64, block_size=4), window=8)[1:]
+    narrow = repetition_score(
+        analytic_trace(rho=0.0, horizon=300, frame_dim=4, block_size=4), window=8)[1:]
     assert wide.std() < narrow.std()
     assert wide.mean() < narrow.mean()
 
 
 def test_correlated_rollout_sits_between_the_extremes():
-    iid = series_values(repetition_score(
-        analytic_trace(rho=0.0, horizon=300, frame_dim=16, block_size=4),
-        window=8))[1:].mean()
-    correlated = series_values(repetition_score(
-        analytic_trace(rho=0.9, horizon=300, frame_dim=16, block_size=4),
-        window=8))[1:].mean()
+    iid, correlated = (
+        repetition_score(analytic_trace(rho=rho, horizon=300, frame_dim=16, block_size=4),
+                         window=8)[1:].mean()
+        for rho in (0.0, 0.9))
     assert iid < correlated < 1.0
 
 
 def test_metrics_are_idempotent():
     trace = analytic_trace(rho=0.5, horizon=30, frame_dim=4)
-    assert mean_drift(trace) == mean_drift(trace)
-    assert flicker_proxy(trace) == flicker_proxy(trace)
-    assert repetition_score(trace, 5) == repetition_score(trace, 5)
+    assert np.array_equal(mean_drift(trace), mean_drift(trace))
+    assert np.array_equal(flicker_proxy(trace), flicker_proxy(trace))
+    assert np.array_equal(repetition_score(trace, 5), repetition_score(trace, 5))
 
 
 def test_frame_metrics_require_recorded_frames():
@@ -180,20 +178,20 @@ def test_timestep_schedule_override_is_honored():
 
 def frames_trace(frames):
     """A trace of the given (steps, rows, width) frames, steps from 0."""
-    return RolloutTrace(records=tuple(
+    return tuple(
         TraceRecord(i, Schedule(i, ()), float(block.mean()), float(block.var()),
                     block, 0)
         for i, block in enumerate(np.asarray(frames, dtype=np.float64))
-    ))
+    )
 
 
 def reprs(values):
-    return [(step, repr(value)) for step, value in values]
+    return [repr(value) for value in values]
 
 
 def assert_matches_oracles(trace, window):
-    assert reprs(flicker_proxy(trace).values) == reprs(oracle_flicker_proxy(trace))
-    assert (reprs(repetition_score(trace, window).values)
+    assert reprs(flicker_proxy(trace).tolist()) == reprs(oracle_flicker_proxy(trace))
+    assert (reprs(repetition_score(trace, window).tolist())
             == reprs(oracle_repetition_score(trace, window)))
 
 

@@ -221,6 +221,29 @@ def test_one_draw_hands_out_the_noise_of_separate_draws_in_their_order():
     assert np.array_equal(out, y)
 
 
+class SignedZeroLastEstimate:
+    """Returns noisy + eps, and at the last level (t = 250) a fixed block
+    that holds -0.0."""
+
+    draws_per_level = 1
+    last = np.array([[-0.0, 0.0, -0.0, 1.5]] * 3)
+
+    def condition(self, context, block_size):
+        return context
+
+    def estimate(self, noisy, t, state, eps=None):
+        return self.last.copy() if t == 250.0 else noisy + eps
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_block_is_the_last_estimate_bit_for_bit(seed):
+    # re-noising to t = 0 would add 0.0 * eps, which turns -0.0 into 0.0
+    # wherever eps > 0
+    out = sample_block(SignedZeroLastEstimate(), TimestepSchedule(), EMPTY,
+                       NoiseSource(seed), SHAPE)
+    assert out.tobytes() == SignedZeroLastEstimate.last.tobytes()
+
+
 def test_denoiser_conditions_once_per_block():
     den = RecordingDenoiser()
     sample_block(den, TimestepSchedule(), EMPTY, NoiseSource(0), SHAPE)

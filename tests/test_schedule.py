@@ -268,7 +268,7 @@ def test_slot_count_is_min_step_capacity():
             for S in range(K):
                 c = cfg(K=K, S=S, policy=policy)
                 for i in range(0, 20 * K + 1):
-                    assert len(schedule_for(c, i)) == min(i, K)
+                    assert len(schedule_for(c, i).slots) == min(i, K)
 
 
 def test_assigned_indices_strictly_increase_and_are_unique():
