@@ -18,7 +18,7 @@ from .engine import (
     run,
 )
 from .metrics import flicker_proxy, mean_drift, repetition_score
-from .rope import RotaryConfig, rotate
+from .rope import pair_frequencies, rotate
 from .sampler import NoiseSource, TimestepSchedule, forward_noise, sample_block, sigma
 from .schedule import (
     CacheSlot,
@@ -49,7 +49,6 @@ __all__ = [
     "RollConvention",
     "Rollout",
     "RolloutConfig",
-    "RotaryConfig",
     "Schedule",
     "TimestepSchedule",
     "TinyAttentionDenoiser",
@@ -58,6 +57,7 @@ __all__ = [
     "forward_noise",
     "frame_expand",
     "mean_drift",
+    "pair_frequencies",
     "repetition_score",
     "roll_slot",
     "rotate",

@@ -222,9 +222,9 @@ def record_from_obj(obj: dict) -> TraceRecord:
     slots = tuple(map(_slot, obj["schedule"]))
     frames = obj.get("frames")
     if frames is not None:
-        if (type(frames) is not list or set(map(type, frames)) != {list}
+        if (type(frames) is not list or set(map(type, frames)) != {list} or [] in frames
                 or not set(map(type, chain.from_iterable(frames))) <= _NUMBER_TYPES):
-            raise TypeError("frames must be a list of rows of numbers")
+            raise TypeError("frames must be a list of rows of numbers, none empty")
         frames = np.asarray(frames, dtype=np.float64)  # ValueError if ragged
     stats = obj["frame_stats"]
     seed = obj["seed"]
@@ -403,22 +403,26 @@ def sink_size_for_ratio(ratio: int, capacity: int) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = load_config(args.config)
+    K = base.policy.K
     try:
-        ratios = sorted(int(r) for r in args.ratios.split(","))
+        ratios = (None if args.ratios is None
+                  else sorted(int(r) for r in args.ratios.split(",")))
         horizons = sorted(int(h) for h in args.horizons.split(","))
     except ValueError:
         raise UsageError("ratios and horizons must be comma-separated integers")
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1 (got {args.seeds})")
+    # every S by default, not via a ratio grid: for K > 100 two S round alike
+    sinks = range(K) if ratios is None else [sink_size_for_ratio(r, K) for r in ratios]
     cells = [
-        (ratio, sink_size_for_ratio(ratio, base.policy.K), horizon, variant, seed)
-        for ratio in ratios
+        (sink, horizon, variant, seed)
+        for sink in sinks
         for horizon in horizons
         for variant in _SWEEP_VARIANTS
         for seed in range(base.seed, base.seed + args.seeds)
     ]
     rows = []
-    for ratio, sink, horizon, variant, seed in cells:
+    for sink, horizon, variant, seed in cells:
         policy = replace(base.policy, S=sink, policy=variant)
         records = run(replace(base, policy=policy, horizon=horizon, seed=seed,
                               record_frames=True))
@@ -427,7 +431,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         terminal = (METRICS["mean_drift"](records),
                     METRICS["flicker_proxy"](records[-2:]),
                     repetition_score(records[-(args.window + 1):], window=args.window))
-        rows.append([ratio, sink, base.policy.K, variant.value, horizon, seed,
+        rows.append([round(100 * sink / K), sink, K, variant.value, horizon, seed,
                      *(series[-1].item() for series in terminal)])
     header = ["ratio", "S", "K", "policy", "horizon", "seed",
               "mean_drift", "flicker_proxy", "repetition_score"]
@@ -477,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sink-ratio sweep over policy variants")
     p_sweep.add_argument("config", help="base rollout config file")
-    p_sweep.add_argument("--ratios", default="0,17,33,50,67,83",
-                         help="comma-separated sink ratios in rounded percent")
+    p_sweep.add_argument("--ratios", help="comma-separated sink ratios in rounded "
+                         "percent (default: every sink size S in [0, K))")
     p_sweep.add_argument("--horizons", required=True,
                          help="comma-separated horizons in blocks")
     p_sweep.add_argument("--seeds", type=int, default=1,

@@ -30,7 +30,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .rope import RotaryConfig, apply_rotation, rotate, rotation
+from .rope import apply_rotation, pair_frequencies, rotate, rotation
 from .sampler import sigma
 
 
@@ -240,12 +240,9 @@ class ContextMeanDenoiser:
 
     def estimate(self, noisy: np.ndarray, t: float, state: ContextMean,
                  eps: np.ndarray | None = None) -> np.ndarray:
-        sigma(t)  # range check only
-        noisy = np.asarray(noisy, dtype=np.float64)
+        est = np.asarray(noisy, dtype=np.float64)
         if state.anchored is not None:
-            est = state.anchored + (1.0 - self.anchor_weight) * noisy
-        else:
-            est = noisy.copy()
+            est = state.anchored + (1.0 - self.anchor_weight) * est
         est = est + self.bias
         if self.innovation_scale > 0.0:
             if eps is None:
@@ -306,7 +303,7 @@ class TinyAttentionDenoiser:
         self.head_count = head_count
         self.head_dim = head_dim
         self.layer_count = layer_count
-        self.rotary = RotaryConfig(dim=head_dim)
+        self.freqs = pair_frequencies(head_dim)
 
         gen = np.random.default_rng(weight_seed & 0xFFFF_FFFF_FFFF_FFFF)
         self.w_in = gen.standard_normal((frame_dim, model_dim)) / np.sqrt(frame_dim)
@@ -330,13 +327,13 @@ class TinyAttentionDenoiser:
         h_ctx = context.values @ self.w_in
         kv = np.stack([h_ctx @ w_qkv[:, self.model_dim:] for w_qkv, _ in self.layers])
         kv = kv.reshape(self.layer_count, n, 2, self.head_count, self.head_dim)
-        keys = rotate(self.rotary, kv[:, :, 0], context.positions[:, None])
+        keys = rotate(self.freqs, kv[:, :, 0], context.positions[:, None])
         start = context.positions[-1] + 1 if n else 0
         return KVCache(
             context,
             keys=tuple(keys.transpose(0, 2, 3, 1)),
             values=tuple(kv[:, :, 1].transpose(0, 2, 1, 3)),
-            rot=rotation(self.rotary, start + np.arange(block_size)[:, None, None]),
+            rot=rotation(self.freqs, start + np.arange(block_size)[:, None, None]),
         )
 
     def estimate(self, noisy: np.ndarray, t: float, state: KVCache,

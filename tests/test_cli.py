@@ -384,6 +384,7 @@ def test_int_stats_read_back_are_written_as_ints(tmp_path):
     (NEXT_RECORD.replace('[[0.0,1.0]]', '[[0.0,Infinity]]'), "Infinity is not a finite"),
     (NEXT_RECORD.replace('[[0.0,1.0]]', '[0.0,1.0]'), "frames must be a list of rows"),
     (NEXT_RECORD.replace('[[0.0,1.0]]', '[[0.0,1.0],[0.0]]'), "inhomogeneous"),
+    (NEXT_RECORD.replace('[[0.0,1.0]]', '[[]]'), "rows of numbers, none empty"),
     (with_slot(NEXT_RECORD, '{"content":"x","orient":"F","index":0}'),
      "content must be a non-negative integer, got 'x'"),
     (with_slot(NEXT_RECORD, '{"content":-1,"orient":"F","index":0}'),
@@ -404,7 +405,7 @@ def test_int_stats_read_back_are_written_as_ints(tmp_path):
         "frames-object", "line-is-list", "line-is-number", "mean-string",
         "var-bool", "mean-nan", "var-infinity", "step-bool", "step-gap",
         "mixed-seeds", "frame-width-change", "frames-dropped", "frames-strings",
-        "frames-bool", "frames-infinity", "frames-1d", "frames-ragged",
+        "frames-bool", "frames-infinity", "frames-1d", "frames-ragged", "frames-empty-row",
         "content-string", "content-negative", "index-null", "index-bool",
         "orient-unknown", "seed-string", "mean-overflow-literal", "mean-huge-int",
         "frames-huge-int", "frames-overflow-literal"])
@@ -449,6 +450,19 @@ def test_metrics_on_malformed_trace_exits_one_without_traceback(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: trace line 1: malformed record")
     assert "Traceback" not in err
+
+
+def test_metrics_on_empty_frame_rows_exits_one_without_warning(tmp_path):
+    # every record agrees on the (1, 0) frame shape, so only the row check
+    # refuses it; a mean over zero columns would warn and write nan
+    path = tmp_path / "empty-rows.jsonl"
+    path.write_text("\n".join(line.replace('[[0.0,1.0]]', '[[]]')
+                              for line in (VALID_RECORD, NEXT_RECORD)) + "\n")
+    rc, err = run_main(["metrics", str(path), "--out", str(tmp_path / "m.csv")])
+    assert rc == 1
+    assert err.splitlines() == ["error: trace line 1: malformed record (frames must "
+                                "be a list of rows of numbers, none empty)"]
+    assert not (tmp_path / "m.csv").exists()
 
 
 # A valid two-record trace whose second line the property test mutates.
@@ -771,6 +785,29 @@ def test_default_ratio_grid_maps_to_every_sink_size(tmp_path):
     lines = out.read_text().strip().splitlines()[1:]
     cells = {(int(l.split(",")[0]), int(l.split(",")[1])) for l in lines}
     assert cells == {(0, 0), (17, 1), (33, 2), (50, 3), (67, 4), (83, 5)}
+
+
+def test_default_grid_is_every_sink_size_for_any_capacity(tmp_path):
+    # no ratio grid fits every K: 17% has no integer sink size with K=4
+    config = write_config(tmp_path, SWEEP_CONFIG.replace("K = 6", "K = 4")
+                          .replace("S = 5", "S = 3"))
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", config, "--horizons", "5", "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().strip().splitlines()[1:]
+    cells = [(int(l.split(",")[0]), int(l.split(",")[1])) for l in lines]
+    assert cells == [(ratio, S) for ratio, S in ((0, 0), (25, 1), (50, 2), (75, 3))
+                     for _ in range(3)]
+
+
+def test_default_grid_equals_the_explicit_k6_ratios(tmp_path):
+    config = write_config(tmp_path, SWEEP_CONFIG)
+    default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    assert cli.main(["sweep", config, "--horizons", "3,8", "--seeds", "2",
+                     "--out", str(default)]) == 0
+    assert cli.main(["sweep", config, "--ratios", "0,17,33,50,67,83", "--horizons",
+                     "3,8", "--seeds", "2", "--out", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
 
 
 def test_full_grid_row_count(tmp_path):

@@ -6,13 +6,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from blockroll import denoisers, rope
 from blockroll.denoisers import (
     AnalyticGaussianDenoiser,
     Context,
     ContextMeanDenoiser,
     TinyAttentionDenoiser,
 )
+from blockroll.engine import RolloutConfig, run
+from blockroll.rope import pair_frequencies
 from blockroll.sampler import NoiseSource, TimestepSchedule, sigma
+from blockroll.schedule import PolicyConfig
 
 
 def make_context(values):
@@ -344,6 +348,21 @@ def test_attention_rejects_mismatched_widths():
     with pytest.raises(ValueError):
         estimate(den, np.zeros((3, FRAME_DIM)), 500.0,
                  make_context(np.zeros((2, FRAME_DIM + 1))))
+
+
+def test_attention_builds_its_rotary_frequencies_once(monkeypatch):
+    calls = []
+
+    def counting(dim):
+        calls.append(dim)
+        return pair_frequencies(dim)
+
+    # both names: the denoiser's import and the one rope's own functions call
+    monkeypatch.setattr(denoisers, "pair_frequencies", counting)
+    monkeypatch.setattr(rope, "pair_frequencies", counting)
+    den = TinyAttentionDenoiser(frame_dim=4)
+    run(RolloutConfig(PolicyConfig(), den, horizon=20))
+    assert calls == [den.head_dim]
 
 
 def test_attention_configuration_validation():

@@ -5,63 +5,62 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from blockroll.rope import RotaryConfig, rotate
+from blockroll.rope import pair_frequencies, rotate
 from blockroll.schedule import CacheSlot, Orientation, frame_expand
 
-CFG = RotaryConfig(dim=16)
+DIM = 16
+FREQS = pair_frequencies(DIM)
 
 
 def test_zero_position_is_identity():
     rng = np.random.default_rng(0)
     for _ in range(5):
-        v = rng.standard_normal(CFG.dim)
-        assert np.allclose(rotate(CFG, v, 0), v, atol=0)
+        v = rng.standard_normal(DIM)
+        assert np.allclose(rotate(FREQS, v, 0), v, atol=0)
 
 
 def test_rotation_preserves_norm():
     rng = np.random.default_rng(1)
     for m in (1, 7, 1000):
-        v = rng.standard_normal(CFG.dim)
-        assert abs(np.linalg.norm(rotate(CFG, v, m)) - np.linalg.norm(v)) \
+        v = rng.standard_normal(DIM)
+        assert abs(np.linalg.norm(rotate(FREQS, v, m)) - np.linalg.norm(v)) \
             <= 1e-12 * np.linalg.norm(v)
 
 
 def test_dot_products_depend_only_on_relative_position():
     rng = np.random.default_rng(2)
-    q = rng.standard_normal(CFG.dim)
-    k = rng.standard_normal(CFG.dim)
+    q = rng.standard_normal(DIM)
+    k = rng.standard_normal(DIM)
     m, n, d = 3, 5, 11
-    lhs = rotate(CFG, q, m + d) @ rotate(CFG, k, n + d)
-    rhs = rotate(CFG, q, m) @ rotate(CFG, k, n)
+    lhs = rotate(FREQS, q, m + d) @ rotate(FREQS, k, n + d)
+    rhs = rotate(FREQS, q, m) @ rotate(FREQS, k, n)
     assert abs(lhs - rhs) < 1e-9
 
 
 def test_rotation_angles_are_additive():
     rng = np.random.default_rng(3)
-    v = rng.standard_normal(CFG.dim)
-    out = rotate(CFG, rotate(CFG, v, 123), 456)
-    assert np.abs(out - rotate(CFG, v, 579)).max() < 1e-9
+    v = rng.standard_normal(DIM)
+    out = rotate(FREQS, rotate(FREQS, v, 123), 456)
+    assert np.abs(out - rotate(FREQS, v, 579)).max() < 1e-9
 
 
 def test_batched_rotation_matches_per_row():
     rng = np.random.default_rng(4)
-    rows = rng.standard_normal((5, CFG.dim))
+    rows = rng.standard_normal((5, DIM))
     positions = np.array([0, 3, 9, 27, 81])
-    batched = rotate(CFG, rows, positions)
+    batched = rotate(FREQS, rows, positions)
     for row, pos, got in zip(rows, positions, batched):
-        assert np.allclose(got, rotate(CFG, row, int(pos)))
+        assert np.allclose(got, rotate(FREQS, row, int(pos)))
 
 
 def test_width_mismatch_is_rejected():
     with pytest.raises(ValueError, match="does not match"):
-        rotate(CFG, np.zeros(CFG.dim + 2), 1)
+        rotate(FREQS, np.zeros(DIM + 2), 1)
 
 
 def test_odd_dimension_is_rejected():
-    with pytest.raises(ValueError):
-        RotaryConfig(dim=7)
-    with pytest.raises(ValueError):
-        RotaryConfig(dim=8, base=0.0)
+    with pytest.raises(ValueError, match="positive even integer"):
+        pair_frequencies(7)
 
 
 def test_frame_positions_are_block_granular():
