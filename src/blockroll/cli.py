@@ -390,15 +390,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def sink_size_for_ratio(ratio: int, capacity: int) -> int:
-    """Map a rounded percent ratio back to its integer sink size."""
-    for s in range(capacity):
-        if round(100 * s / capacity) == ratio:
-            return s
-    raise UsageError(
-        f"ratio {ratio}% does not correspond to an integer sink size with "
-        f"K={capacity}"
-    )
+def sink_sizes_for_ratio(ratio: int, capacity: int) -> list[int]:
+    """Every S in [0, capacity) with round(100*S/capacity) == ratio."""
+    sizes = [s for s in range(capacity) if round(100 * s / capacity) == ratio]
+    if not sizes:
+        raise UsageError(f"ratio {ratio}% does not correspond to an integer sink "
+                         f"size with K={capacity}")
+    return sizes
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -412,8 +410,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("ratios and horizons must be comma-separated integers")
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1 (got {args.seeds})")
-    # every S by default, not via a ratio grid: for K > 100 two S round alike
-    sinks = range(K) if ratios is None else [sink_size_for_ratio(r, K) for r in ratios]
+    sinks = (range(K) if ratios is None
+             else [s for r in ratios for s in sink_sizes_for_ratio(r, K)])
     cells = [
         (sink, horizon, variant, seed)
         for sink in sinks

@@ -236,7 +236,9 @@ class ContextMeanDenoiser:
     def condition(self, context: Context, block_size: int) -> ContextMean:
         if not len(context):
             return ContextMean(context, None)
-        return ContextMean(context, self.anchor_weight * context.values.mean(axis=0))
+        # np.mean's own reduction and divide, without its Python wrapper
+        mean = np.add.reduce(context.values, axis=0) / len(context.values)
+        return ContextMean(context, self.anchor_weight * mean)
 
     def estimate(self, noisy: np.ndarray, t: float, state: ContextMean,
                  eps: np.ndarray | None = None) -> np.ndarray:

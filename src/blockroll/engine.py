@@ -8,23 +8,25 @@ i is drawn from the stream (i,) of the seed, which the rollout's one
 NoiseSource is re-seated to at the start of the step, so traces depend
 only on the config and seed.
 
-From step 2K on, the store rows a step gathers depend only on i mod 2K:
-recent block b sits in ring slot b mod K, and the rolling walk repeats
-with period 2K. A Rollout keeps each such phase's row array once it has
-checked it slot by slot, so it holds at most 2K arrays of K*block_size
-indices whatever the horizon. Before step 2K recent blocks below K may sit
-in pinned rows, so those steps are gathered slot by slot.
+A step's store rows and positions depend only on the policy and i, so the
+rollouts of a policy share one GatherPlan: an entry per step i < 2K, then
+per phase 2K + i mod 2K (recent block b sits in ring slot b mod K, and the
+rolling walk has period 2K), so at most 4K entries of K*block_size rows.
+A rollout fetches it in its first step and builds the entries it will read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isfinite
 
 import numpy as np
 
 from .denoisers import Context, DenoiserInterface
 from .sampler import NoiseSource, TimestepSchedule, sample_block
+# Plans use schedules.schedule_for; engine.schedule_for is the step's traced call.
+from . import schedule as schedules
 # The step never calls frame_expand; the name stays here because the
 # benchmark's tracer wraps engine.frame_expand (ROADMAP item 2).
 from .schedule import (  # noqa: F401
@@ -73,6 +75,12 @@ class HistoryStore:
         self.frames = np.zeros(((self._ring + capacity) * block_size, frame_dim))
         self.count = 0  # blocks put so far; the next id put must be this
 
+    @classmethod
+    def for_policy(cls, policy: PolicyConfig, frame_dim: int) -> HistoryStore:
+        """The store of a rollout under `policy`: the sliding window pins nothing."""
+        return cls(policy.K, policy.block_size, frame_dim,
+                   keep_permanent=policy.policy is not Policy.SLIDING_WINDOW)
+
     @property
     def peak_retained(self) -> int:
         """Blocks held. It never falls, so it is also the peak."""
@@ -81,19 +89,21 @@ class HistoryStore:
     def row(self, block_id: int) -> int:
         """First row of a retained block in `frames`; KeyError for a block
         not retained, also when its ring slot now holds a newer block."""
-        if 0 <= block_id < self.count:
-            if block_id < self._ring:
-                return block_id * self.block_size
-            if block_id >= self.count - self.capacity:
-                return (self._ring + block_id % self.capacity) * self.block_size
-        raise KeyError(block_id)
+        if (not 0 <= block_id < self.count
+                or self._ring <= block_id < self.count - self.capacity):
+            raise KeyError(block_id)
+        return self._first_row(block_id)
+
+    def _first_row(self, block_id: int) -> int:
+        slot = block_id if block_id < self._ring else self._ring + block_id % self.capacity
+        return slot * self.block_size
 
     def put(self, block_id: int, block: np.ndarray) -> None:
         if block_id != self.count:
             raise ValueError(f"blocks must be put in id order: expected block "
                              f"{self.count}, got {block_id}")
         self.count += 1
-        first = self.row(block_id)
+        first = self._first_row(block_id)
         self.frames[first:first + self.block_size] = block
 
     def get(self, block_id: int) -> np.ndarray:
@@ -111,60 +121,69 @@ class TraceRecord:
     seed: int
 
 
+class GatherPlan(dict):
+    """Per key, step i for i < 2K and 2K + i mod 2K from then on: the store
+    rows the step gathers and its positions as base + i * shift, read-only,
+    built on first read from the key's own step and the store's rows there."""
+
+    def __init__(self, policy: PolicyConfig):
+        self.policy = policy
+        self._store = HistoryStore.for_policy(policy, 0)  # row arithmetic only
+        self._held: dict[bytes, np.ndarray] = {}  # equal arrays, held once
+
+    def __missing__(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        policy, store = self.policy, self._store
+        store.count = i  # step i reads the store after i puts
+        rows, at = [], []
+        for slot in schedules.schedule_for(policy, i).slots:
+            try:
+                first = store.row(slot.content_id)
+            except KeyError:
+                raise InternalInvariantError(f"schedule for step {i} references block "
+                                             f"{slot.content_id}, which is absent from "
+                                             "the history store") from None
+            frames, positions = frame_ranges(slot, policy.block_size, first)
+            rows.extend(frames)
+            at.extend(positions)
+        # a frame slides with i if its slot's index is >= i - K: from step 2K on,
+        # every frame but those of attention-sink's pinned sinks
+        at = np.array(at, dtype=np.intp)
+        shift = np.where(at >= (i - policy.K) * policy.block_size, policy.block_size, 0)
+        entry = self[i] = tuple(map(self._frozen, (rows, at - i * shift, shift)))
+        return entry
+
+    def _frozen(self, values: list[int] | np.ndarray) -> np.ndarray:
+        data = np.array(values, dtype=np.intp).tobytes()
+        return self._held.setdefault(data, np.frombuffer(data, dtype=np.intp))
+
+
+# One plan for equal policies; blockroll sweep runs three policies in turn per S.
+gather_plan = lru_cache(maxsize=3)(GatherPlan)
+
+
 class Rollout:
     """Single-threaded rollout state machine; one instance per rollout."""
 
     def __init__(self, cfg: RolloutConfig):
         self.cfg = cfg
-        self.store = HistoryStore(
-            cfg.policy.K, cfg.policy.block_size, cfg.frame_dim,
-            keep_permanent=cfg.policy.policy is not Policy.SLIDING_WINDOW,
-        )
+        self.store = HistoryStore.for_policy(cfg.policy, cfg.frame_dim)
         self.step_index = 0
         self.records: list[TraceRecord] = []
         self.noise: NoiseSource | None = None  # one generator, re-seated per step
-        self.plan: dict[int, np.ndarray] = {}  # phase i mod 2K -> store rows
-        self._frame_offsets = np.arange(cfg.policy.block_size, dtype=np.int64)
+        self.plan: GatherPlan | None = None  # the policy's, fetched with the noise
 
-    def _rows(self, schedule: Schedule) -> np.ndarray:
-        """The store rows of the schedule's frames in frame_ranges' order,
-        each slot's block checked against the history store."""
+    def _expand(self, i: int) -> Context:
+        """Step i's frames and positions, by one lookup in the plan."""
         store = self.store
-        rows = []
-        for slot in schedule.slots:
-            try:
-                first = store.row(slot.content_id)
-            except KeyError:
-                raise InternalInvariantError(
-                    f"schedule for step {schedule.step} references block "
-                    f"{slot.content_id}, which is absent from the history store"
-                ) from None
-            rows.extend(frame_ranges(slot, store.block_size, first)[0])
-        return np.array(rows, dtype=np.intp)
-
-    def _expand(self, schedule: Schedule) -> Context:
-        """Gather the schedule's frames, in frame_ranges' order and at its
-        positions, with one row index into the history store."""
-        store = self.store
-        i = schedule.step
         if store.count != i:  # the plan's rows hold step i's blocks only then
             raise InternalInvariantError(
                 f"history store holds {store.count} blocks at step {i}, so the "
                 f"blocks its schedule references are absent from the history store"
             )
         period = 2 * store.capacity
-        if i < period:
-            rows = self._rows(schedule)
-        else:
-            rows = self.plan.get(i % period)
-            if rows is None:
-                rows = self.plan[i % period] = self._rows(schedule)
-        block_size = store.block_size
-        first = np.array([slot.assigned_index * block_size for slot in schedule.slots],
-                         dtype=np.int64)
-        positions = (first[:, None] + self._frame_offsets).ravel()
+        rows, base, shift = self.plan[i if i < period else period + i % period]
         # float64 (n, frame_dim) rows and ascending positions by construction
-        return Context.unchecked(store.frames.take(rows, axis=0), positions)
+        return Context.unchecked(store.frames.take(rows, axis=0), base + i * shift)
 
     def step(self) -> np.ndarray:
         """Generate the next block and append its trace record. A block whose
@@ -173,10 +192,13 @@ class Rollout:
         cfg = self.cfg
         i = self.step_index
         schedule = schedule_for(cfg.policy, i)
-        context = self._expand(schedule)
         noise = self.noise
-        if noise is None:  # built inside a step, so its cost counts as step time
+        if noise is None:  # set up inside a step, so their cost counts as step time
             noise = self.noise = NoiseSource(cfg.seed)
+            self.plan = gather_plan(cfg.policy)
+            for key in range(min(4 * cfg.policy.K, cfg.horizon)):  # every key it reads
+                self.plan[key]  # noqa: B018 -- a missing entry is built on reading it
+        context = self._expand(i)
         noise.seek((i,))
         block = sample_block(
             cfg.denoiser, cfg.timesteps, context, noise,

@@ -856,10 +856,23 @@ def test_sweep_terminal_metrics_are_those_of_the_full_series(tmp_path):
 
 
 def test_sink_size_for_ratio_round_trip():
-    for K in range(1, 9):
+    # up to K = 100 consecutive sink sizes differ by at least 1%, so a ratio
+    # names exactly one S
+    for K in range(1, 101):
         for S in range(K):
             ratio = round(100 * S / K)
-            assert cli.sink_size_for_ratio(ratio, K) == S
+            assert cli.sink_sizes_for_ratio(ratio, K) == [S]
+
+
+def test_a_ratio_runs_every_sink_size_that_rounds_to_it(tmp_path):
+    # with K = 150, S = 1 (0.67%) and S = 2 (1.33%) both round to 1%
+    config = write_config(tmp_path, SWEEP_CONFIG.replace("K = 6", "K = 150"))
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", config, "--ratios", "1", "--horizons", "1",
+                     "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()[1:]
+    cells = [(int(l.split(",")[0]), int(l.split(",")[1])) for l in lines]
+    assert cells == [(1, S) for S in (1, 2) for _ in range(3)]
 
 
 def test_orientation_serialization_is_stable():

@@ -8,19 +8,26 @@ import numpy as np
 import pytest
 
 from blockroll.denoisers import AnalyticGaussianDenoiser, ContextMeanDenoiser
+from blockroll import schedule
+from blockroll.cli import trace_to_lines
 from blockroll.engine import (
+    GatherPlan,
     HistoryStore,
     InternalInvariantError,
     NonFiniteBlockError,
     Rollout,
     RolloutConfig,
+    gather_plan,
     run,
 )
 from blockroll.sampler import NoiseSource
 from blockroll.schedule import (
+    CacheSlot,
+    Orientation,
     Policy,
     PolicyConfig,
     RollConvention,
+    Schedule,
     frame_expand,
     schedule_for,
 )
@@ -205,32 +212,34 @@ class ContextRecorder:
 @pytest.mark.parametrize("convention", list(RollConvention))
 @pytest.mark.parametrize("policy", list(Policy))
 def test_context_is_frame_expand_of_the_stored_blocks(policy, convention, block_size):
-    # horizon 6K covers the fill steps (i <= K), the steps before 2K that
-    # gather slot by slot, the first 2K-step period that fills the gather
-    # plan, and two periods served from it; block_size 1 takes a reversed
-    # slot's rows from a range that ends at row -1
-    K, frame_dim = 6, 4
-    recorder = ContextRecorder(ContextMeanDenoiser(anchor_weight=0.5,
-                                                   innovation_scale=0.1))
-    cfg = RolloutConfig(
-        policy=PolicyConfig(K=K, S=3, block_size=block_size, policy=policy,
-                            roll_convention=convention),
-        denoiser=recorder,
-        horizon=6 * K,
-        frame_dim=frame_dim,
-    )
-    trace = run(cfg)
-    assert len(recorder.contexts) == len(trace)
-    for record, context in zip(trace, recorder.contexts):
-        rows, positions = [], []
-        for slot in record.schedule.slots:
-            block = trace[slot.content_id].frames
-            for content_frame, position in frame_expand(slot, block_size):
-                rows.append(block[content_frame - block_size * slot.content_id])
-                positions.append(position)
-        assert context.positions.tolist() == positions
-        assert np.array_equal(context.values,
-                              np.reshape(rows, (len(rows), frame_dim)))
+    # horizon 7K+3 covers the fill steps (i <= K), the steps before 2K keyed
+    # by step, the first period of phase entries and three periods read back
+    # from them; block_size 1 takes a reversed slot's rows from a range that
+    # ends at row -1
+    frame_dim = 4
+    for K in range(1, 7):
+        for S in range(K):
+            recorder = ContextRecorder(ContextMeanDenoiser(anchor_weight=0.5,
+                                                           innovation_scale=0.1))
+            cfg = RolloutConfig(
+                policy=PolicyConfig(K=K, S=S, block_size=block_size, policy=policy,
+                                    roll_convention=convention),
+                denoiser=recorder,
+                horizon=7 * K + 3,
+                frame_dim=frame_dim,
+            )
+            trace = run(cfg)
+            assert len(recorder.contexts) == len(trace)
+            for record, context in zip(trace, recorder.contexts):
+                rows, positions = [], []
+                for slot in record.schedule.slots:
+                    block = trace[slot.content_id].frames
+                    for content_frame, position in frame_expand(slot, block_size):
+                        rows.append(block[content_frame - block_size * slot.content_id])
+                        positions.append(position)
+                assert context.positions.tolist() == positions
+                assert np.array_equal(context.values,
+                                      np.reshape(rows, (len(rows), frame_dim)))
 
 
 class NaNAtStep:
@@ -296,31 +305,93 @@ def test_rollout_draws_noise_once_per_step(monkeypatch):
         assert shapes == [(4 * per_level, 3, 4)] * 20
 
 
+def test_rollouts_of_equal_policies_share_one_gather_plan():
+    def plan_of(policy_cfg):
+        rollout = Rollout(replace(make_config(), policy=policy_cfg))
+        rollout.step()
+        return rollout.plan
+
+    plan = plan_of(PolicyConfig(K=4, S=2))
+    assert plan_of(PolicyConfig(K=4, S=2)) is plan  # equal, not the same object
+    others = [plan_of(cfg) for cfg in (
+        PolicyConfig(K=4, S=1), PolicyConfig(K=4, S=2, block_size=2),
+        PolicyConfig(K=4, S=2, policy=Policy.ATTENTION_SINK),
+        PolicyConfig(K=4, S=2, roll_convention=RollConvention.LITERAL_MOD))]
+    assert all(other is not plan and other.policy != plan.policy for other in others)
+
+
 @pytest.mark.parametrize("policy", list(Policy))
-def test_gather_plan_holds_one_row_array_per_phase(policy):
+def test_gather_plan_holds_at_most_4k_entries_of_read_only_arrays(policy):
     K = 6
-    rollout = Rollout(make_config(policy=policy, K=K, S=3, horizon=20 * K,
-                                  record_frames=False))
-    for _ in range(10 * K):
-        rollout.step()
-    assert sorted(rollout.plan) == list(range(2 * K))
-    arrays = dict(rollout.plan)
-    for _ in range(10 * K):
-        rollout.step()
-    assert rollout.plan.keys() == arrays.keys()
-    assert all(rollout.plan[phase] is rows for phase, rows in arrays.items())
+    trace = run(make_config(policy=policy, K=K, S=3, horizon=20 * K,
+                            record_frames=False))
+    assert len(trace) == 20 * K
+    plan = gather_plan(PolicyConfig(K=K, S=3, block_size=3, policy=policy))
+    assert sorted(plan) == list(range(4 * K))
+    for rows, base, shift in plan.values():
+        for array in (rows, base, shift):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
 
 
 @pytest.mark.parametrize("policy", list(Policy))
 def test_missing_history_is_caught_on_a_planned_phase(policy):
     K = 3
     rollout = Rollout(make_config(policy=policy, K=K, S=2, horizon=10 * K))
-    for _ in range(4 * K):  # steps 2K..4K-1 plan every phase
+    for _ in range(4 * K):  # steps 2K..4K-1 read the phase entries
         rollout.step()
-    assert len(rollout.plan) == 2 * K
+    assert len(rollout.plan) == 4 * K
     rollout.store = HistoryStore(capacity=K, block_size=3, frame_dim=4)
     with pytest.raises(InternalInvariantError, match="absent from the history"):
         rollout.step()
+
+
+def test_a_plan_refuses_a_block_the_store_would_not_hold(monkeypatch):
+    # a schedule naming a block evicted from the ring, built into a plan entry
+    evicted = Schedule(step=8, slots=(CacheSlot(0, Orientation.FORWARD, 0),))
+    monkeypatch.setattr(schedule, "schedule_for", lambda cfg, i: evicted)
+    plan = GatherPlan(PolicyConfig(K=3, S=1, policy=Policy.SLIDING_WINDOW))
+    with pytest.raises(InternalInvariantError, match="^schedule for step 8 references "
+                                                     "block 0, which is absent"):
+        plan[8]
+    assert 8 not in plan
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_a_warm_plan_replays_a_cold_one_byte_for_byte(policy):
+    K = 3
+    short, long = (make_config(policy=policy, K=K, S=2, horizon=h, seed=7)
+                   for h in (2 * K + 1, 6 * K + 2))
+    cold = trace_to_lines(run(long))
+    gather_plan.cache_clear()
+    warm_short = trace_to_lines(run(short))  # builds the first 2K + 1 entries
+    plan = gather_plan(long.policy)
+    assert len(plan) == 2 * K + 1
+    assert trace_to_lines(run(long)) == cold  # builds the rest at its first step
+    assert gather_plan(long.policy) is plan and len(plan) == 4 * K
+    assert warm_short == trace_to_lines(run(short)) == cold[:2 * K + 1]
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_no_step_after_the_first_reads_a_store_row(policy, monkeypatch):
+    calls = []
+    row = HistoryStore.row
+
+    def counting_row(self, block_id):
+        calls.append(block_id)
+        return row(self, block_id)
+
+    monkeypatch.setattr(HistoryStore, "row", counting_row)
+    K = 4
+    rollout = Rollout(make_config(policy=policy, K=K, S=2, horizon=7 * K))
+    rollout.step()  # builds the plan, one row per slot of every entry
+    assert len(calls) == sum(len(schedule_for(rollout.cfg.policy, i).slots)
+                             for i in range(4 * K))
+    calls.clear()
+    for _ in range(7 * K - 1):
+        rollout.step()
+    assert calls == []
 
 
 def test_analytic_rollout_tracks_its_context():
