@@ -27,7 +27,7 @@ from .denoisers import (
     ContextMeanDenoiser,
     TinyAttentionDenoiser,
 )
-from .engine import InternalInvariantError, RolloutConfig, TraceRecord, run
+from .engine import InternalInvariantError, Rollout, RolloutConfig, TraceRecord, run
 from .metrics import METRICS, repetition_score
 from .sampler import TimestepSchedule
 from .schedule import (
@@ -419,18 +419,37 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for variant in _SWEEP_VARIANTS
         for seed in range(base.seed, base.seed + args.seeds)
     ]
+    # Every policy schedules steps 0..K alike, so a seed's cells fork one run
+    # of those fill steps per fill length, made when a cell first needs it;
+    # with S = 0 the variants agree at every step and share one run.
+    prefixes: dict[tuple[int, int], Rollout] = {}
+    sinkless: dict[tuple[int, int], tuple] = {}
     rows = []
     for sink, horizon, variant, seed in cells:
-        policy = replace(base.policy, S=sink, policy=variant)
-        records = run(replace(base, policy=policy, horizon=horizon, seed=seed,
-                              record_frames=True))
-        # A terminal value reads only the trailing records: the last jump, and
-        # the last block against the `window` blocks before it.
-        terminal = (METRICS["mean_drift"](records),
-                    METRICS["flicker_proxy"](records[-2:]),
-                    repetition_score(records[-(args.window + 1):], window=args.window))
+        terminal = sinkless.get((horizon, seed)) if sink == 0 else None
+        if terminal is None:
+            policy = replace(base.policy, S=sink, policy=variant)
+            fill = min(K + 1, horizon)  # RolloutConfig refuses a horizon below 1
+            prefix = prefixes.get((seed, fill))
+            if prefix is None:
+                prefix = prefixes[seed, fill] = Rollout(replace(
+                    base, policy=policy, horizon=fill, seed=seed, record_frames=True))
+                for _ in range(fill):
+                    prefix.step()
+            rollout = prefix.fork(policy, horizon)
+            for _ in range(horizon - fill):
+                rollout.step()
+            records = rollout.records
+            # A terminal value reads only the trailing records: the last jump,
+            # and the last block against the `window` blocks before it.
+            terminal = tuple(series[-1].item() for series in (
+                METRICS["mean_drift"](records),
+                METRICS["flicker_proxy"](records[-2:]),
+                repetition_score(records[-(args.window + 1):], window=args.window)))
+            if sink == 0:
+                sinkless[horizon, seed] = terminal
         rows.append([round(100 * sink / K), sink, K, variant.value, horizon, seed,
-                     *(series[-1].item() for series in terminal)])
+                     *terminal])
     header = ["ratio", "S", "K", "policy", "horizon", "seed",
               "mean_drift", "flicker_proxy", "repetition_score"]
     _write_csv(rows, header, args.out)

@@ -9,15 +9,18 @@ NoiseSource is re-seated to at the start of the step, so traces depend
 only on the config and seed.
 
 A step's store rows and positions depend only on the policy and i, so the
-rollouts of a policy share one GatherPlan: an entry per step i < 2K, then
+rollouts of a policy share one gather plan: an entry per step i < 2K, then
 per phase 2K + i mod 2K (recent block b sits in ring slot b mod K, and the
-rolling walk has period 2K), so at most 4K entries of K*block_size rows.
-A rollout fetches it in its first step and builds the entries it will read.
+rolling walk has period 2K), so 4K entries of K*block_size rows. A rollout
+fetches it in its first step; it is built whole, by array arithmetic.
+
+Every policy schedules the fill steps 0..K alike, so a rollout that has
+run no further can fork into one of another policy with its store layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import isfinite
 
@@ -25,12 +28,10 @@ import numpy as np
 
 from .denoisers import Context, DenoiserInterface
 from .sampler import NoiseSource, TimestepSchedule, sample_block
-# Plans use schedules.schedule_for; engine.schedule_for is the step's traced call.
-from . import schedule as schedules
 # The step never calls frame_expand; the name stays here because the
 # benchmark's tracer wraps engine.frame_expand (ROADMAP item 2).
 from .schedule import (  # noqa: F401
-    Policy, PolicyConfig, Schedule, frame_expand, frame_ranges, schedule_for,
+    Policy, PolicyConfig, RollConvention, Schedule, frame_expand, schedule_for,
 )
 
 
@@ -121,44 +122,64 @@ class TraceRecord:
     seed: int
 
 
-class GatherPlan(dict):
+def _slot_grid(policy: PolicyConfig, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's block and whether it is reversed, as (len(steps), K)
+    arrays, for steps past the fill (i > K): schedule_for's slots by array
+    arithmetic."""
+    K = policy.K
+    j = np.arange(K)
+    block = steps[:, None] - K + j
+    sink = j < (0 if policy.policy is Policy.SLIDING_WINDOW else policy.S)
+    if policy.policy is not Policy.ROLLING_SINK:
+        return np.where(sink, j, block), np.zeros(block.shape, dtype=bool)
+    walk = block % (2 * K)  # the walk over l = block, forward on even cycles
+    back = walk >= K
+    if policy.roll_convention is RollConvention.PALINDROME:
+        mirror = 2 * K - 1 - walk
+    else:
+        mirror = (2 * K - walk) % K
+    return np.where(sink, np.where(back, mirror, walk), block), sink & back
+
+
+Entry = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+@lru_cache(maxsize=3)  # one plan for equal policies; a sweep runs three per S
+def gather_plan(policy: PolicyConfig) -> tuple[Entry, ...]:
     """Per key, step i for i < 2K and 2K + i mod 2K from then on: the store
-    rows the step gathers and its positions as base + i * shift, read-only,
-    built on first read from the key's own step and the store's rows there."""
-
-    def __init__(self, policy: PolicyConfig):
-        self.policy = policy
-        self._store = HistoryStore.for_policy(policy, 0)  # row arithmetic only
-        self._held: dict[bytes, np.ndarray] = {}  # equal arrays, held once
-
-    def __missing__(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        policy, store = self.policy, self._store
-        store.count = i  # step i reads the store after i puts
-        rows, at = [], []
-        for slot in schedules.schedule_for(policy, i).slots:
-            try:
-                first = store.row(slot.content_id)
-            except KeyError:
-                raise InternalInvariantError(f"schedule for step {i} references block "
-                                             f"{slot.content_id}, which is absent from "
-                                             "the history store") from None
-            frames, positions = frame_ranges(slot, policy.block_size, first)
-            rows.extend(frames)
-            at.extend(positions)
-        # a frame slides with i if its slot's index is >= i - K: from step 2K on,
-        # every frame but those of attention-sink's pinned sinks
-        at = np.array(at, dtype=np.intp)
-        shift = np.where(at >= (i - policy.K) * policy.block_size, policy.block_size, 0)
-        entry = self[i] = tuple(map(self._frozen, (rows, at - i * shift, shift)))
-        return entry
-
-    def _frozen(self, values: list[int] | np.ndarray) -> np.ndarray:
-        data = np.array(values, dtype=np.intp).tobytes()
-        return self._held.setdefault(data, np.frombuffer(data, dtype=np.intp))
-
-
-# One plan for equal policies; blockroll sweep runs three policies in turn per S.
-gather_plan = lru_cache(maxsize=3)(GatherPlan)
+    rows the step gathers and its positions as base + i * shift, read-only.
+    Fill step i <= K gathers rows 0..i*block_size at their own positions.
+    Past it, one row table holds steps K+1..2K-1, then one period of rows
+    (the walk's 2K, else the ring's K), and every key shares one base and
+    shift: frames slide with i but attention-sink's pinned sinks. A block
+    the store would not hold at its step raises InternalInvariantError."""
+    K, bs = policy.K, policy.block_size
+    period = 2 * K if policy.policy is Policy.ROLLING_SINK else K
+    ring = 0 if policy.policy is Policy.SLIDING_WINDOW else K  # HistoryStore's layout
+    steps = np.arange(K + 1, 2 * K + period)
+    content, reverse = _slot_grid(policy, steps)
+    i = steps[:, None]
+    held = (0 <= content) & (content < i) & ~((ring <= content) & (content < i - K))
+    if not held.all():
+        step, slot = np.argwhere(~held)[0]
+        raise InternalInvariantError(f"schedule for step {steps[step]} references block "
+                                     f"{content[step, slot]}, which is absent from the "
+                                     "history store")
+    # a slot's rows run up from its block's first row, or down from its last
+    table = np.multiply.outer(1 - 2 * reverse, np.arange(bs))
+    table += ((content % K + ring * (content >= ring)) * bs + reverse * (bs - 1))[:, :, None]
+    table = table.reshape(len(steps), K * bs)
+    frame = np.arange(K * bs)
+    pinned = frame < (policy.S * bs if policy.policy is Policy.ATTENTION_SINK else 0)
+    base, shift = np.where(pinned, frame, frame - K * bs), np.where(pinned, 0, bs)
+    zeros = np.zeros(K * bs, dtype=np.intp)
+    for array in (table, frame, base, shift, zeros):
+        array.flags.writeable = False
+    rows = list(table)
+    fill = [(frame[:n], frame[:n], zeros[:n]) for n in range(0, (K + 1) * bs, bs)]
+    return tuple(fill) + tuple(
+        (rows[key - K - 1 if key < 2 * K else K - 1 + (key - 2 * K) % period], base, shift)
+        for key in range(K + 1, 4 * K))
 
 
 class Rollout:
@@ -170,7 +191,25 @@ class Rollout:
         self.step_index = 0
         self.records: list[TraceRecord] = []
         self.noise: NoiseSource | None = None  # one generator, re-seated per step
-        self.plan: GatherPlan | None = None  # the policy's, fetched with the noise
+        self.plan: tuple[Entry, ...] | None = None  # the policy's, fetched in a step
+
+    def fork(self, policy: PolicyConfig, horizon: int) -> Rollout:
+        """A rollout of `policy` to `horizon` that continues from copies of
+        this one's store and records and shares its NoiseSource, which every
+        step re-seats. ValueError past the fill steps or across store layouts."""
+        fork = Rollout(replace(self.cfg, policy=policy, horizon=horizon))
+        store, ours = fork.store, self.store
+        if self.step_index > ours.capacity + 1:
+            raise ValueError(f"a rollout forks within its fill steps 0..{ours.capacity}, "
+                             f"and this one has run {self.step_index} steps")
+        if (store.capacity, store.block_size, store._ring) != (
+                ours.capacity, ours.block_size, ours._ring):
+            raise ValueError(f"the store of {policy.policy.value} is not laid out as "
+                             f"the store of {self.cfg.policy.policy.value}")
+        store.frames[...], store.count = ours.frames, ours.count
+        fork.step_index, fork.records = self.step_index, self.records.copy()
+        fork.noise = self.noise
+        return fork
 
     def _expand(self, i: int) -> Context:
         """Step i's frames and positions, by one lookup in the plan."""
@@ -192,13 +231,12 @@ class Rollout:
         cfg = self.cfg
         i = self.step_index
         schedule = schedule_for(cfg.policy, i)
-        noise = self.noise
-        if noise is None:  # set up inside a step, so their cost counts as step time
-            noise = self.noise = NoiseSource(cfg.seed)
+        if self.plan is None:  # set up inside a step, so their cost counts as step time
             self.plan = gather_plan(cfg.policy)
-            for key in range(min(4 * cfg.policy.K, cfg.horizon)):  # every key it reads
-                self.plan[key]  # noqa: B018 -- a missing entry is built on reading it
+            if self.noise is None:  # a fork shares its parent's
+                self.noise = NoiseSource(cfg.seed)
         context = self._expand(i)
+        noise = self.noise
         noise.seek((i,))
         block = sample_block(
             cfg.denoiser, cfg.timesteps, context, noise,

@@ -1,0 +1,23 @@
+"""Slot-by-slot reference for engine.gather_plan, shared by the engine
+tests: the plan builds every entry by array arithmetic and must gather the
+rows and positions this builds from schedule_for and the store's row
+arithmetic, step by step."""
+
+from __future__ import annotations
+
+from blockroll.engine import HistoryStore
+from blockroll.schedule import PolicyConfig, frame_expand, schedule_for
+
+
+def oracle_gather(policy: PolicyConfig, i: int) -> tuple[list[int], list[int]]:
+    """Step i's store rows and positions, slot by slot: each slot's block
+    checked by HistoryStore.row on a store that has taken i blocks."""
+    store = HistoryStore.for_policy(policy, 0)  # row arithmetic only
+    store.count = i  # step i reads the store after i puts
+    rows, positions = [], []
+    for slot in schedule_for(policy, i).slots:
+        first = store.row(slot.content_id)  # KeyError for a block not held
+        for frame, position in frame_expand(slot, policy.block_size):
+            rows.append(first + frame - policy.block_size * slot.content_id)
+            positions.append(position)
+    return rows, positions

@@ -855,6 +855,49 @@ def test_sweep_terminal_metrics_are_those_of_the_full_series(tmp_path):
                 repetition_score(trace, window=window))]
 
 
+SHARING_DENOISERS = {
+    "context-mean": "denoiser = context-mean\nbias = 0.05\ninnovation_scale = 0.2\n",
+    "analytic-gaussian": "denoiser = analytic-gaussian\nrho = 0.9\n",
+    "tiny-attention": "denoiser = tiny-attention\n",
+}
+
+
+@pytest.mark.parametrize("convention", ["palindrome", "literal-mod"])
+@pytest.mark.parametrize("denoiser", sorted(SHARING_DENOISERS))
+def test_sweep_rows_equal_independent_runs_of_their_cells(tmp_path, denoiser, convention):
+    # the cells of a seed fork one run of the fill steps 0..K, and the S = 0
+    # cells share one run; horizons 1, K, K+1, K+2 and 4K+3 with K = 4
+    config = write_config(tmp_path, SHARING_DENOISERS[denoiser] + "K = 4\nS = 1\n"
+                          f"frame_dim = 3\nseed = 5\nconvention = {convention}\n")
+    base = cli.load_config(config)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "1,4,5,6,19",
+                     "--seeds", "2", "--window", "3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == 2 * 5 * 3 * 2
+    for line in lines:
+        ratio, S, K, policy, horizon, seed, *terminal = line.split(",")
+        trace = run(replace(base, policy=replace(base.policy, S=int(S),
+                                                 policy=Policy(policy)),
+                            horizon=int(horizon), seed=int(seed)))
+        assert terminal == [repr(series.tolist()[-1]) for series in (
+            mean_drift(trace), flicker_proxy(trace), repetition_score(trace, window=3))]
+
+
+@pytest.mark.parametrize("text, step", [
+    ("denoiser = context-mean\nbias = 1e200\n", 0),  # in the fill steps
+    ("denoiser = tiny-attention\nweight_seed = 4\nS = 3\n", 193),  # past them
+], ids=["in-the-fill", "past-the-fill"])
+def test_a_sweep_stops_at_the_first_non_finite_cell(tmp_path, text, step):
+    config = write_config(tmp_path, text)
+    out = tmp_path / "sweep.csv"
+    rc, err = run_main(["sweep", config, "--ratios", "0,50", "--horizons", "5,200",
+                        "--seeds", "2", "--out", str(out)])
+    assert (rc, err) == (1, f"error: trace record for step {step} holds inf or NaN, "
+                            "so the rollout stops at that step\n")
+    assert not out.exists()
+
+
 def test_sink_size_for_ratio_round_trip():
     # up to K = 100 consecutive sink sizes differ by at least 1%, so a ratio
     # names exactly one S

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from blockroll.denoisers import AnalyticGaussianDenoiser, ContextMeanDenoiser
-from blockroll import schedule
+from blockroll import engine
 from blockroll.cli import trace_to_lines
 from blockroll.engine import (
-    GatherPlan,
     HistoryStore,
     InternalInvariantError,
     NonFiniteBlockError,
@@ -22,15 +21,14 @@ from blockroll.engine import (
 )
 from blockroll.sampler import NoiseSource
 from blockroll.schedule import (
-    CacheSlot,
-    Orientation,
     Policy,
     PolicyConfig,
     RollConvention,
-    Schedule,
     frame_expand,
     schedule_for,
 )
+
+from plan_oracle import oracle_gather
 
 
 def make_config(policy=Policy.ROLLING_SINK, K=6, S=5, horizon=10, seed=0,
@@ -305,6 +303,11 @@ def test_rollout_draws_noise_once_per_step(monkeypatch):
         assert shapes == [(4 * per_level, 3, 4)] * 20
 
 
+def plans_equal(a, b) -> bool:
+    return len(a) == len(b) and all(
+        np.array_equal(x, y) for ea, eb in zip(a, b) for x, y in zip(ea, eb))
+
+
 def test_rollouts_of_equal_policies_share_one_gather_plan():
     def plan_of(policy_cfg):
         rollout = Rollout(replace(make_config(), policy=policy_cfg))
@@ -317,7 +320,7 @@ def test_rollouts_of_equal_policies_share_one_gather_plan():
         PolicyConfig(K=4, S=1), PolicyConfig(K=4, S=2, block_size=2),
         PolicyConfig(K=4, S=2, policy=Policy.ATTENTION_SINK),
         PolicyConfig(K=4, S=2, roll_convention=RollConvention.LITERAL_MOD))]
-    assert all(other is not plan and other.policy != plan.policy for other in others)
+    assert all(other is not plan and not plans_equal(other, plan) for other in others)
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -327,12 +330,43 @@ def test_gather_plan_holds_at_most_4k_entries_of_read_only_arrays(policy):
                             record_frames=False))
     assert len(trace) == 20 * K
     plan = gather_plan(PolicyConfig(K=K, S=3, block_size=3, policy=policy))
-    assert sorted(plan) == list(range(4 * K))
-    for rows, base, shift in plan.values():
+    assert len(plan) == 4 * K
+    for rows, base, shift in plan:
         for array in (rows, base, shift):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_a_plan_holds_one_row_table_and_shares_its_positions(policy):
+    # rows: steps K+1..2K-1, then one period of the walk (2K) or the ring (K);
+    # the fill entries and every base and shift are views of four K*bs arrays
+    K, bs = 7, 3
+    plan = gather_plan(PolicyConfig(K=K, S=3, block_size=bs, policy=policy))
+    owners = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
+              for entry in plan for a in entry}
+    period = 2 * K if policy is Policy.ROLLING_SINK else K
+    assert sum(a.nbytes for a in owners.values()) == (K - 1 + period + 4) * K * bs * 8
+    assert len({(id(base), id(shift)) for _, base, shift in plan[K + 1:]}) == 1
+
+
+@pytest.mark.parametrize("convention", list(RollConvention))
+@pytest.mark.parametrize("policy", list(Policy))
+def test_the_plan_gathers_what_the_slot_by_slot_oracle_gathers(policy, convention):
+    # steps 0..4K-1 read every key once; steps 4K..6K-1 read the phase
+    # entries back at their second step
+    for K in range(1, 8):
+        for S in range(K):
+            for bs in (1, 2, 3):
+                cfg = PolicyConfig(K=K, S=S, block_size=bs, policy=policy,
+                                   roll_convention=convention)
+                plan = gather_plan(cfg)
+                assert len(plan) == 4 * K
+                for i in range(6 * K):
+                    rows, base, shift = plan[i if i < 2 * K else 2 * K + i % (2 * K)]
+                    assert (rows.tolist(), (base + i * shift).tolist()) == (
+                        oracle_gather(cfg, i)), (K, S, bs, i)
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -348,14 +382,19 @@ def test_missing_history_is_caught_on_a_planned_phase(policy):
 
 
 def test_a_plan_refuses_a_block_the_store_would_not_hold(monkeypatch):
-    # a schedule naming a block evicted from the ring, built into a plan entry
-    evicted = Schedule(step=8, slots=(CacheSlot(0, Orientation.FORWARD, 0),))
-    monkeypatch.setattr(schedule, "schedule_for", lambda cfg, i: evicted)
-    plan = GatherPlan(PolicyConfig(K=3, S=1, policy=Policy.SLIDING_WINDOW))
+    # a slot grid naming block 0 at step 8, evicted from the ring by then
+    grid = engine._slot_grid
+
+    def evicting(policy, steps):
+        content, reverse = grid(policy, steps)
+        return np.where(steps[:, None] == 8, 0, content), reverse
+
+    monkeypatch.setattr(engine, "_slot_grid", evicting)
+    policy = PolicyConfig(K=3, S=1, policy=Policy.SLIDING_WINDOW)
     with pytest.raises(InternalInvariantError, match="^schedule for step 8 references "
                                                      "block 0, which is absent"):
-        plan[8]
-    assert 8 not in plan
+        gather_plan(policy)
+    assert gather_plan.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -365,16 +404,16 @@ def test_a_warm_plan_replays_a_cold_one_byte_for_byte(policy):
                    for h in (2 * K + 1, 6 * K + 2))
     cold = trace_to_lines(run(long))
     gather_plan.cache_clear()
-    warm_short = trace_to_lines(run(short))  # builds the first 2K + 1 entries
+    warm_short = trace_to_lines(run(short))
     plan = gather_plan(long.policy)
-    assert len(plan) == 2 * K + 1
-    assert trace_to_lines(run(long)) == cold  # builds the rest at its first step
-    assert gather_plan(long.policy) is plan and len(plan) == 4 * K
+    assert len(plan) == 4 * K  # built whole at the short rollout's first step
+    assert trace_to_lines(run(long)) == cold
+    assert gather_plan(long.policy) is plan
     assert warm_short == trace_to_lines(run(short)) == cold[:2 * K + 1]
 
 
 @pytest.mark.parametrize("policy", list(Policy))
-def test_no_step_after_the_first_reads_a_store_row(policy, monkeypatch):
+def test_no_step_reads_a_store_row(policy, monkeypatch):
     calls = []
     row = HistoryStore.row
 
@@ -385,13 +424,54 @@ def test_no_step_after_the_first_reads_a_store_row(policy, monkeypatch):
     monkeypatch.setattr(HistoryStore, "row", counting_row)
     K = 4
     rollout = Rollout(make_config(policy=policy, K=K, S=2, horizon=7 * K))
-    rollout.step()  # builds the plan, one row per slot of every entry
-    assert len(calls) == sum(len(schedule_for(rollout.cfg.policy, i).slots)
-                             for i in range(4 * K))
-    calls.clear()
-    for _ in range(7 * K - 1):
+    for _ in range(7 * K):
         rollout.step()
     assert calls == []
+
+
+PINNED = (Policy.ATTENTION_SINK, Policy.SLIDING_INDICES, Policy.ROLLING_SINK)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 4, 5])  # K = 4: up to the fill's end
+def test_a_fork_replays_an_independent_run_of_its_policy(steps):
+    K, horizon = 4, 6 * 4 + 3
+    prefix = Rollout(make_config(K=K, S=2, seed=9))
+    for _ in range(steps):
+        prefix.step()
+    before = prefix.store.frames.copy()
+    for policy in PINNED:
+        for S in range(K):
+            cfg = make_config(policy=policy, K=K, S=S, horizon=horizon, seed=9)
+            fork = prefix.fork(cfg.policy, horizon)
+            for _ in range(horizon - steps):
+                fork.step()
+            assert trace_to_lines(fork.trace()) == trace_to_lines(run(cfg))
+    # the forks wrote their own stores and record lists
+    assert np.array_equal(prefix.store.frames, before)
+    assert len(prefix.records) == prefix.store.count == steps
+
+
+def test_a_fork_refuses_a_rollout_past_its_fill_steps():
+    K = 4
+    prefix = Rollout(make_config(K=K, S=2, horizon=K + 2))
+    for _ in range(K + 2):
+        prefix.step()
+    with pytest.raises(ValueError, match=r"^a rollout forks within its fill steps "
+                                         r"0\.\.4, and this one has run 6 steps$"):
+        prefix.fork(PolicyConfig(K=K, S=2, policy=Policy.ATTENTION_SINK), 20)
+
+
+@pytest.mark.parametrize("ours, theirs", [
+    (PolicyConfig(K=4, S=2, policy=Policy.SLIDING_WINDOW), PolicyConfig(K=4, S=2)),
+    (PolicyConfig(K=4, S=2), PolicyConfig(K=4, S=2, policy=Policy.SLIDING_WINDOW)),
+    (PolicyConfig(K=4, S=2), PolicyConfig(K=5, S=2)),
+    (PolicyConfig(K=4, S=2), PolicyConfig(K=4, S=2, block_size=2)),
+])
+def test_a_fork_refuses_a_store_of_another_layout(ours, theirs):
+    prefix = Rollout(replace(make_config(), policy=ours))
+    prefix.step()
+    with pytest.raises(ValueError, match="is not laid out as the store of"):
+        prefix.fork(theirs, 10)
 
 
 def test_analytic_rollout_tracks_its_context():
