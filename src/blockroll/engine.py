@@ -8,11 +8,11 @@ i is drawn from the stream (i,) of the seed, which the rollout's one
 NoiseSource is re-seated to at the start of the step, so traces depend
 only on the config and seed.
 
-A step's store rows and positions depend only on the policy and i, so the
-rollouts of a policy share one gather plan: an entry per step i < 2K, then
-per phase 2K + i mod 2K (recent block b sits in ring slot b mod K, and the
-rolling walk has period 2K), so 4K entries of K*block_size rows. A rollout
-fetches it in its first step; it is built whole, by array arithmetic.
+A fill step i <= K reads the first i blocks' rows from the store. Past
+it, a step's rows and positions depend only on the policy and i, so a
+policy's rollouts share one gather plan, built whole at step K+1 from an
+O(K) sink strip and an O(K) recent strip: a (K-1+P) x K*block_size intp
+table, P = 2K under rolling-sink else K (26 MB, ~8 ms at K=600, block_size 3).
 
 Every policy schedules the fill steps 0..K alike, so a rollout that has
 run no further can fork into one of another policy with its store layout.
@@ -31,7 +31,7 @@ from .sampler import NoiseSource, TimestepSchedule, sample_block
 # The step never calls frame_expand; the name stays here because the
 # benchmark's tracer wraps engine.frame_expand (ROADMAP item 2).
 from .schedule import (  # noqa: F401
-    Policy, PolicyConfig, RollConvention, Schedule, frame_expand, schedule_for,
+    Orientation, Policy, PolicyConfig, Schedule, frame_expand, roll_slot, schedule_for,
 )
 
 
@@ -90,21 +90,25 @@ class HistoryStore:
     def row(self, block_id: int) -> int:
         """First row of a retained block in `frames`; KeyError for a block
         not retained, also when its ring slot now holds a newer block."""
-        if (not 0 <= block_id < self.count
-                or self._ring <= block_id < self.count - self.capacity):
+        if not self.holds(block_id, self.count):
             raise KeyError(block_id)
-        return self._first_row(block_id)
+        return self.first_row(block_id)
 
-    def _first_row(self, block_id: int) -> int:
-        slot = block_id if block_id < self._ring else self._ring + block_id % self.capacity
-        return slot * self.block_size
+    def holds(self, block_id, count):
+        """Whether a block is held once `count` blocks are put; either may be an array."""
+        return (0 <= block_id) & (block_id < count) & (
+            (block_id < self._ring) | (count - self.capacity <= block_id))
+
+    def first_row(self, block_id):
+        """The row in `frames` of a block's first frame; ids may be an array."""
+        return (block_id % self.capacity + self._ring * (block_id >= self._ring)) * self.block_size
 
     def put(self, block_id: int, block: np.ndarray) -> None:
         if block_id != self.count:
             raise ValueError(f"blocks must be put in id order: expected block "
                              f"{self.count}, got {block_id}")
         self.count += 1
-        first = self._first_row(block_id)
+        first = self.first_row(block_id)
         self.frames[first:first + self.block_size] = block
 
     def get(self, block_id: int) -> np.ndarray:
@@ -122,64 +126,52 @@ class TraceRecord:
     seed: int
 
 
-def _slot_grid(policy: PolicyConfig, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each slot's block and whether it is reversed, as (len(steps), K)
-    arrays, for steps past the fill (i > K): schedule_for's slots by array
-    arithmetic."""
-    K = policy.K
-    j = np.arange(K)
-    block = steps[:, None] - K + j
-    sink = j < (0 if policy.policy is Policy.SLIDING_WINDOW else policy.S)
-    if policy.policy is not Policy.ROLLING_SINK:
-        return np.where(sink, j, block), np.zeros(block.shape, dtype=bool)
-    walk = block % (2 * K)  # the walk over l = block, forward on even cycles
-    back = walk >= K
-    if policy.roll_convention is RollConvention.PALINDROME:
-        mirror = 2 * K - 1 - walk
-    else:
-        mirror = (2 * K - walk) % K
-    return np.where(sink, np.where(back, mirror, walk), block), sink & back
-
-
 Entry = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=3)  # one plan for equal policies; a sweep runs three per S
 def gather_plan(policy: PolicyConfig) -> tuple[Entry, ...]:
-    """Per key, step i for i < 2K and 2K + i mod 2K from then on: the store
-    rows the step gathers and its positions as base + i * shift, read-only.
-    Fill step i <= K gathers rows 0..i*block_size at their own positions.
-    Past it, one row table holds steps K+1..2K-1, then one period of rows
-    (the walk's 2K, else the ring's K), and every key shares one base and
-    shift: frames slide with i but attention-sink's pinned sinks. A block
-    the store would not hold at its step raises InternalInvariantError."""
+    """Per key K+1..4K-1 (step i's key is i below 2K, then 2K + i mod 2K),
+    the store rows the step gathers and its positions as base + i * shift,
+    read-only. One row table holds steps K+1..2K-1, then one period of rows
+    (the walk's 2K, else the ring's K). A row is its S sinks' rows (none for
+    sliding-window), a window of the sink strip: the walk's slots l = 1, 2,
+    ..., one further per step, or else step K+1's sinks. Then its K-S recent
+    blocks' rows, a window of the store's rows of blocks S+1, S+2, .... base
+    and shift come from the schedules of steps K+1 and K+2. A sink block the
+    store would not hold at every step that reads it raises InternalInvariantError."""
     K, bs = policy.K, policy.block_size
-    period = 2 * K if policy.policy is Policy.ROLLING_SINK else K
-    ring = 0 if policy.policy is Policy.SLIDING_WINDOW else K  # HistoryStore's layout
-    steps = np.arange(K + 1, 2 * K + period)
-    content, reverse = _slot_grid(policy, steps)
-    i = steps[:, None]
-    held = (0 <= content) & (content < i) & ~((ring <= content) & (content < i - K))
+    s = 0 if policy.policy is Policy.SLIDING_WINDOW else policy.S
+    rolling = policy.policy is Policy.ROLLING_SINK
+    period = 2 * K if rolling else K
+    steps = K - 1 + period  # the table's, K+1..2K+period-1
+    store = HistoryStore.for_policy(policy, 0)  # the layout only
+    now, later = schedule_for(policy, K + 1), schedule_for(policy, K + 2)
+    sinks = [roll_slot(policy, l) for l in range(1, steps + s)] if rolling and s else now.slots[:s]
+    content = np.array([slot.content_id for slot in sinks], dtype=np.intp)
+    first = K + 1 + np.maximum(0, np.arange(len(sinks)) - s + 1)  # the step first reading it
+    held = store.holds(content, first + [[0], [period]]).all(axis=0)  # so pinned
     if not held.all():
-        step, slot = np.argwhere(~held)[0]
-        raise InternalInvariantError(f"schedule for step {steps[step]} references block "
-                                     f"{content[step, slot]}, which is absent from the "
-                                     "history store")
-    # a slot's rows run up from its block's first row, or down from its last
-    table = np.multiply.outer(1 - 2 * reverse, np.arange(bs))
-    table += ((content % K + ring * (content >= ring)) * bs + reverse * (bs - 1))[:, :, None]
-    table = table.reshape(len(steps), K * bs)
-    frame = np.arange(K * bs)
-    pinned = frame < (policy.S * bs if policy.policy is Policy.ATTENTION_SINK else 0)
-    base, shift = np.where(pinned, frame, frame - K * bs), np.where(pinned, 0, bs)
-    zeros = np.zeros(K * bs, dtype=np.intp)
-    for array in (table, frame, base, shift, zeros):
+        m = held.argmin()
+        raise InternalInvariantError(f"schedule for step {first[m]} references block "
+                                     f"{content[m]}, which is absent from the history store")
+    frames = np.arange(bs)  # a reversed slot's rows run down from its block's last
+    back = np.array([slot.orientation is Orientation.REVERSED for slot in sinks], dtype=bool)
+    sink = np.where(back[:, None], frames[::-1], frames) + store.first_row(content)[:, None]
+    recent = store.first_row(np.arange(s + 1, K + steps))[:, None] + frames
+    table = np.empty((steps, K * bs), dtype=np.intp)
+    for window, strip, move in ((table[:, :s * bs], sink, bs if rolling else 0),
+                                (table[:, s * bs:], recent, bs)):  # row w: strip[w*move:]
+        window[...] = np.ndarray(window.shape, np.intp, strip.ravel(), 0,
+                                 (move * table.itemsize, table.itemsize))
+    start, end = (np.add.outer([slot.assigned_index * bs for slot in schedule.slots],
+                               frames).ravel() for schedule in (now, later))
+    shift = end - start
+    base = start - (K + 1) * shift
+    for array in (table, base, shift):
         array.flags.writeable = False
-    rows = list(table)
-    fill = [(frame[:n], frame[:n], zeros[:n]) for n in range(0, (K + 1) * bs, bs)]
-    return tuple(fill) + tuple(
-        (rows[key - K - 1 if key < 2 * K else K - 1 + (key - 2 * K) % period], base, shift)
-        for key in range(K + 1, 4 * K))
+    return tuple((table[key - K - 1 if key < 2 * K else K - 1 + key % period], base, shift)
+                 for key in range(K + 1, 4 * K))
 
 
 class Rollout:
@@ -191,14 +183,17 @@ class Rollout:
         self.step_index = 0
         self.records: list[TraceRecord] = []
         self.noise: NoiseSource | None = None  # one generator, re-seated per step
-        self.plan: tuple[Entry, ...] | None = None  # the policy's, fetched in a step
+        self.plan: tuple[Entry, ...] | None = None  # the policy's, fetched past the fill
 
     def fork(self, policy: PolicyConfig, horizon: int) -> Rollout:
         """A rollout of `policy` to `horizon` that continues from copies of
-        this one's store and records and shares its NoiseSource, which every
-        step re-seats. ValueError past the fill steps or across store layouts."""
+        this one's store and records and shares its NoiseSource, which every step
+        re-seats. ValueError past the fill, below the steps run or across layouts."""
         fork = Rollout(replace(self.cfg, policy=policy, horizon=horizon))
         store, ours = fork.store, self.store
+        if horizon < self.step_index:
+            raise ValueError(f"a fork's horizon {horizon} is below the {self.step_index} "
+                             "steps this rollout has run")
         if self.step_index > ours.capacity + 1:
             raise ValueError(f"a rollout forks within its fill steps 0..{ours.capacity}, "
                              f"and this one has run {self.step_index} steps")
@@ -212,15 +207,21 @@ class Rollout:
         return fork
 
     def _expand(self, i: int) -> Context:
-        """Step i's frames and positions, by one lookup in the plan."""
+        """Step i's frames and positions: in a fill step (i <= K), store rows
+        and positions 0..i*block_size; past it, by one lookup in the plan."""
         store = self.store
-        if store.count != i:  # the plan's rows hold step i's blocks only then
+        if store.count != i:  # the rows hold step i's blocks only then
             raise InternalInvariantError(
                 f"history store holds {store.count} blocks at step {i}, so the "
                 f"blocks its schedule references are absent from the history store"
             )
-        period = 2 * store.capacity
-        rows, base, shift = self.plan[i if i < period else period + i % period]
+        K = store.capacity
+        if i <= K:  # blocks 0..K-1 sit in rows 0..K*block_size in either layout
+            n = i * store.block_size
+            return Context.unchecked(store.frames[:n].copy(), np.arange(n))
+        if self.plan is None:  # fetched inside a step, so its cost counts as step time
+            self.plan = gather_plan(self.cfg.policy)
+        rows, base, shift = self.plan[(i if i < 2 * K else 2 * K + i % (2 * K)) - K - 1]
         # float64 (n, frame_dim) rows and ascending positions by construction
         return Context.unchecked(store.frames.take(rows, axis=0), base + i * shift)
 
@@ -231,12 +232,10 @@ class Rollout:
         cfg = self.cfg
         i = self.step_index
         schedule = schedule_for(cfg.policy, i)
-        if self.plan is None:  # set up inside a step, so their cost counts as step time
-            self.plan = gather_plan(cfg.policy)
-            if self.noise is None:  # a fork shares its parent's
-                self.noise = NoiseSource(cfg.seed)
         context = self._expand(i)
         noise = self.noise
+        if noise is None:  # set up inside a step, so its cost counts as step time
+            noise = self.noise = NoiseSource(cfg.seed)
         noise.seek((i,))
         block = sample_block(
             cfg.denoiser, cfg.timesteps, context, noise,

@@ -1,7 +1,7 @@
-"""Slot-by-slot reference for engine.gather_plan, shared by the engine
-tests: the plan builds every entry by array arithmetic and must gather the
-rows and positions this builds from schedule_for and the store's row
-arithmetic, step by step."""
+"""Slot-by-slot reference for the engine's gather, shared by the engine
+tests: Rollout._expand reads fill steps from the store and later steps
+from the gather plan, and must gather the rows and positions this builds
+from schedule_for and the store's row arithmetic, step by step."""
 
 from __future__ import annotations
 

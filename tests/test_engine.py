@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from blockroll.schedule import (
     Policy,
     PolicyConfig,
     RollConvention,
+    Schedule,
     frame_expand,
     schedule_for,
 )
@@ -311,7 +313,8 @@ def plans_equal(a, b) -> bool:
 def test_rollouts_of_equal_policies_share_one_gather_plan():
     def plan_of(policy_cfg):
         rollout = Rollout(replace(make_config(), policy=policy_cfg))
-        rollout.step()
+        for _ in range(policy_cfg.K + 2):  # the plan is fetched past the fill
+            rollout.step()
         return rollout.plan
 
     plan = plan_of(PolicyConfig(K=4, S=2))
@@ -330,7 +333,7 @@ def test_gather_plan_holds_at_most_4k_entries_of_read_only_arrays(policy):
                             record_frames=False))
     assert len(trace) == 20 * K
     plan = gather_plan(PolicyConfig(K=K, S=3, block_size=3, policy=policy))
-    assert len(plan) == 4 * K
+    assert len(plan) == 3 * K - 1  # keys K+1..4K-1: fill steps read the store
     for rows, base, shift in plan:
         for array in (rows, base, shift):
             assert not array.flags.writeable
@@ -340,33 +343,56 @@ def test_gather_plan_holds_at_most_4k_entries_of_read_only_arrays(policy):
 
 @pytest.mark.parametrize("policy", list(Policy))
 def test_a_plan_holds_one_row_table_and_shares_its_positions(policy):
-    # rows: steps K+1..2K-1, then one period of the walk (2K) or the ring (K);
-    # the fill entries and every base and shift are views of four K*bs arrays
+    # rows: steps K+1..2K-1, then one period of the walk (2K) or the ring (K),
+    # plus one K*bs base and shift; the strips the table is cut from are not held
     K, bs = 7, 3
     plan = gather_plan(PolicyConfig(K=K, S=3, block_size=bs, policy=policy))
     owners = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
               for entry in plan for a in entry}
     period = 2 * K if policy is Policy.ROLLING_SINK else K
-    assert sum(a.nbytes for a in owners.values()) == (K - 1 + period + 4) * K * bs * 8
-    assert len({(id(base), id(shift)) for _, base, shift in plan[K + 1:]}) == 1
+    assert sum(a.nbytes for a in owners.values()) == (K - 1 + period + 2) * K * bs * 8
+    assert len({(id(base), id(shift)) for _, base, shift in plan}) == 1
+
+
+def test_a_rollout_within_its_fill_steps_builds_no_plan():
+    # fill steps read the store directly, so a horizon of K+1 needs no plan;
+    # the records are dropped as they come, as they grow with the horizon
+    K = 300
+    run(make_config(horizon=1))  # untraced: a process's first step imports modules
+    rollout = Rollout(make_config(K=K, S=K // 2, horizon=K + 1, record_frames=False))
+    tracemalloc.start()
+    try:
+        for _ in range(K + 1):
+            rollout.step()
+            rollout.records.clear()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gather_plan.cache_info().misses == 0 and rollout.plan is None
+    assert peak < 2**20  # the K = 300 rolling-sink row table alone is about 6.5 MB
 
 
 @pytest.mark.parametrize("convention", list(RollConvention))
 @pytest.mark.parametrize("policy", list(Policy))
 def test_the_plan_gathers_what_the_slot_by_slot_oracle_gathers(policy, convention):
-    # steps 0..4K-1 read every key once; steps 4K..6K-1 read the phase
-    # entries back at their second step
+    # steps 0..K read the store, K+1..4K-1 every plan key once, 4K..6K-1 the
+    # phase entries back at their second step; a store whose row r holds r
+    # shows the rows _expand gathers
     for K in range(1, 8):
         for S in range(K):
             for bs in (1, 2, 3):
                 cfg = PolicyConfig(K=K, S=S, block_size=bs, policy=policy,
                                    roll_convention=convention)
-                plan = gather_plan(cfg)
-                assert len(plan) == 4 * K
+                rollout = Rollout(replace(make_config(frame_dim=1), policy=cfg))
+                store = rollout.store
+                store.frames[:, 0] = np.arange(len(store.frames))
                 for i in range(6 * K):
-                    rows, base, shift = plan[i if i < 2 * K else 2 * K + i % (2 * K)]
-                    assert (rows.tolist(), (base + i * shift).tolist()) == (
-                        oracle_gather(cfg, i)), (K, S, bs, i)
+                    store.count = i
+                    context = rollout._expand(i)
+                    assert (context.values[:, 0].astype(int).tolist(),
+                            context.positions.tolist()) == oracle_gather(cfg, i), (
+                        K, S, bs, i)
+                assert len(rollout.plan) == 3 * K - 1
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -375,25 +401,39 @@ def test_missing_history_is_caught_on_a_planned_phase(policy):
     rollout = Rollout(make_config(policy=policy, K=K, S=2, horizon=10 * K))
     for _ in range(4 * K):  # steps 2K..4K-1 read the phase entries
         rollout.step()
-    assert len(rollout.plan) == 4 * K
+    assert len(rollout.plan) == 3 * K - 1
     rollout.store = HistoryStore(capacity=K, block_size=3, frame_dim=4)
     with pytest.raises(InternalInvariantError, match="absent from the history"):
         rollout.step()
 
 
-def test_a_plan_refuses_a_block_the_store_would_not_hold(monkeypatch):
-    # a slot grid naming block 0 at step 8, evicted from the ring by then
-    grid = engine._slot_grid
+@pytest.mark.parametrize("policy, block, step", [
+    (Policy.ROLLING_SINK, 3, 4),  # block K: held at step K+1, evicted at step 2K+1
+    (Policy.ROLLING_SINK, 9, 5),  # not yet generated at the step that reads it
+    (Policy.ATTENTION_SINK, 3, 4),  # the same two as step K+1's pinned sink
+    (Policy.ATTENTION_SINK, 4, 4),
+])
+def test_a_plan_refuses_a_block_the_store_would_not_hold(monkeypatch, policy, block, step):
+    K = 3  # and S = 1
+    if policy is Policy.ROLLING_SINK:  # step i reads walk slot l = i - K
+        roll = engine.roll_slot
 
-    def evicting(policy, steps):
-        content, reverse = grid(policy, steps)
-        return np.where(steps[:, None] == 8, 0, content), reverse
+        def misplaced(policy, l):
+            slot = roll(policy, l)
+            return slot._replace(content_id=block) if l == step - K else slot
 
-    monkeypatch.setattr(engine, "_slot_grid", evicting)
-    policy = PolicyConfig(K=3, S=1, policy=Policy.SLIDING_WINDOW)
-    with pytest.raises(InternalInvariantError, match="^schedule for step 8 references "
-                                                     "block 0, which is absent"):
-        gather_plan(policy)
+        monkeypatch.setattr(engine, "roll_slot", misplaced)
+    else:  # every step past the fill reads step K+1's sink
+        schedule = engine.schedule_for
+
+        def misplaced(policy, i):
+            slots = schedule(policy, i).slots
+            return Schedule(i, (slots[0]._replace(content_id=block),) + slots[1:])
+
+        monkeypatch.setattr(engine, "schedule_for", misplaced)
+    with pytest.raises(InternalInvariantError, match=f"^schedule for step {step} references "
+                                                     f"block {block}, which is absent"):
+        gather_plan(PolicyConfig(K=K, S=1, policy=policy))
     assert gather_plan.cache_info().currsize == 0
 
 
@@ -406,7 +446,7 @@ def test_a_warm_plan_replays_a_cold_one_byte_for_byte(policy):
     gather_plan.cache_clear()
     warm_short = trace_to_lines(run(short))
     plan = gather_plan(long.policy)
-    assert len(plan) == 4 * K  # built whole at the short rollout's first step
+    assert len(plan) == 3 * K - 1  # built whole at the short rollout's step K+1
     assert trace_to_lines(run(long)) == cold
     assert gather_plan(long.policy) is plan
     assert warm_short == trace_to_lines(run(short)) == cold[:2 * K + 1]
@@ -459,6 +499,18 @@ def test_a_fork_refuses_a_rollout_past_its_fill_steps():
     with pytest.raises(ValueError, match=r"^a rollout forks within its fill steps "
                                          r"0\.\.4, and this one has run 6 steps$"):
         prefix.fork(PolicyConfig(K=K, S=2, policy=Policy.ATTENTION_SINK), 20)
+
+
+def test_a_fork_refuses_a_horizon_below_the_steps_run():
+    K = 6
+    prefix = Rollout(make_config(K=K, S=2, horizon=K + 1))
+    for _ in range(K + 1):
+        prefix.step()
+    with pytest.raises(ValueError, match=r"^a fork's horizon 3 is below the 7 steps "
+                                         r"this rollout has run$"):
+        prefix.fork(PolicyConfig(K=K, S=2, policy=Policy.ATTENTION_SINK), 3)
+    assert prefix.fork(PolicyConfig(K=K, S=2, policy=Policy.ATTENTION_SINK),
+                       K + 1).step_index == K + 1
 
 
 @pytest.mark.parametrize("ours, theirs", [
