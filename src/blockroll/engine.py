@@ -8,11 +8,10 @@ i is drawn from the stream (i,) of the seed, which the rollout's one
 NoiseSource is re-seated to at the start of the step, so traces depend
 only on the config and seed.
 
-A fill step i <= K reads the first i blocks' rows from the store. Past
-it, a step's rows and positions depend only on the policy and i, so a
-policy's rollouts share one gather plan, built whole at step K+1 from an
-O(K) sink strip and an O(K) recent strip: a (K-1+P) x K*block_size intp
-table, P = 2K under rolling-sink else K (26 MB, ~8 ms at K=600, block_size 3).
+The store mirrors its ring, so a step's recent blocks are one slice of its
+rows: the whole context in a fill step (i <= K) and under the sliding window.
+Otherwise S sink blocks come first, a window of the rollout's sink strip,
+copied at step K+1 by the policy's gather plan, O(K) and shared by its rollouts.
 
 Every policy schedules the fill steps 0..K alike, so a rollout that has
 run no further can fork into one of another policy with its store layout.
@@ -64,16 +63,18 @@ class RolloutConfig:
 class HistoryStore:
     """Bounded block storage in one preallocated array of frame rows: with
     pinning, the first K blocks, then a ring holding the last K blocks at
-    slot block_id mod K; without pinning, the ring alone. Blocks are put in
-    id order and held once each, so retention never exceeds 2K blocks (K
-    without pinning)."""
+    slot block_id mod K and again K slots later; without pinning, the ring
+    alone. So any <= K consecutive held blocks are one slice from first_row
+    of the first. Blocks are put in id order; at most 2K (K unpinned) are held."""
 
     def __init__(self, capacity: int, block_size: int, frame_dim: int,
                  keep_permanent: bool = True):
         self.capacity = capacity
         self.block_size = block_size
         self._ring = capacity if keep_permanent else 0  # first ring slot
-        self.frames = np.zeros(((self._ring + capacity) * block_size, frame_dim))
+        self.frames = np.zeros(((self._ring + 2 * capacity) * block_size, frame_dim))
+        self._rings = self.frames[self._ring * block_size:].reshape(  # the ring, its mirror
+            2, capacity * block_size, frame_dim)
         self.count = 0  # blocks put so far; the next id put must be this
 
     @classmethod
@@ -108,8 +109,12 @@ class HistoryStore:
             raise ValueError(f"blocks must be put in id order: expected block "
                              f"{self.count}, got {block_id}")
         self.count += 1
-        first = self.first_row(block_id)
-        self.frames[first:first + self.block_size] = block
+        bs = self.block_size
+        if block_id < self._ring:  # pinned
+            self.frames[block_id * bs:(block_id + 1) * bs] = block
+        else:  # at its ring slot and K slots later
+            first = block_id % self.capacity * bs
+            self._rings[:, first:first + bs] = block
 
     def get(self, block_id: int) -> np.ndarray:
         first = self.row(block_id)
@@ -126,28 +131,21 @@ class TraceRecord:
     seed: int
 
 
-Entry = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 @lru_cache(maxsize=3)  # one plan for equal policies; a sweep runs three per S
-def gather_plan(policy: PolicyConfig) -> tuple[Entry, ...]:
-    """Per key K+1..4K-1 (step i's key is i below 2K, then 2K + i mod 2K),
-    the store rows the step gathers and its positions as base + i * shift,
-    read-only. One row table holds steps K+1..2K-1, then one period of rows
-    (the walk's 2K, else the ring's K). A row is its S sinks' rows (none for
-    sliding-window), a window of the sink strip: the walk's slots l = 1, 2,
-    ..., one further per step, or else step K+1's sinks. Then its K-S recent
-    blocks' rows, a window of the store's rows of blocks S+1, S+2, .... base
-    and shift come from the schedules of steps K+1 and K+2. A sink block the
-    store would not hold at every step that reads it raises InternalInvariantError."""
+def gather_plan(policy: PolicyConfig) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """A sink policy's sink strip rows, their move per step, base and shift,
+    read-only: step i past the fill reads S*block_size strip rows from
+    ((i - K - 1) mod 2K) * move, at positions base + i * shift. The strip is
+    the walk's slots l = 1..2K+S-1 under rolling-sink, moving a slot a step,
+    else step K+1's sinks. A sink block the store would not hold at every
+    step that reads it raises InternalInvariantError."""
     K, bs = policy.K, policy.block_size
     s = 0 if policy.policy is Policy.SLIDING_WINDOW else policy.S
     rolling = policy.policy is Policy.ROLLING_SINK
     period = 2 * K if rolling else K
-    steps = K - 1 + period  # the table's, K+1..2K+period-1
     store = HistoryStore.for_policy(policy, 0)  # the layout only
     now, later = schedule_for(policy, K + 1), schedule_for(policy, K + 2)
-    sinks = [roll_slot(policy, l) for l in range(1, steps + s)] if rolling and s else now.slots[:s]
+    sinks = [roll_slot(policy, l) for l in range(1, 2 * K + s)] if rolling else now.slots[:s]
     content = np.array([slot.content_id for slot in sinks], dtype=np.intp)
     first = K + 1 + np.maximum(0, np.arange(len(sinks)) - s + 1)  # the step first reading it
     held = store.holds(content, first + [[0], [period]]).all(axis=0)  # so pinned
@@ -157,21 +155,14 @@ def gather_plan(policy: PolicyConfig) -> tuple[Entry, ...]:
                                      f"{content[m]}, which is absent from the history store")
     frames = np.arange(bs)  # a reversed slot's rows run down from its block's last
     back = np.array([slot.orientation is Orientation.REVERSED for slot in sinks], dtype=bool)
-    sink = np.where(back[:, None], frames[::-1], frames) + store.first_row(content)[:, None]
-    recent = store.first_row(np.arange(s + 1, K + steps))[:, None] + frames
-    table = np.empty((steps, K * bs), dtype=np.intp)
-    for window, strip, move in ((table[:, :s * bs], sink, bs if rolling else 0),
-                                (table[:, s * bs:], recent, bs)):  # row w: strip[w*move:]
-        window[...] = np.ndarray(window.shape, np.intp, strip.ravel(), 0,
-                                 (move * table.itemsize, table.itemsize))
+    rows = np.where(back[:, None], frames[::-1], frames) + store.first_row(content)[:, None]
     start, end = (np.add.outer([slot.assigned_index * bs for slot in schedule.slots],
                                frames).ravel() for schedule in (now, later))
     shift = end - start
     base = start - (K + 1) * shift
-    for array in (table, base, shift):
+    for array in (rows, base, shift):
         array.flags.writeable = False
-    return tuple((table[key - K - 1 if key < 2 * K else K - 1 + key % period], base, shift)
-                 for key in range(K + 1, 4 * K))
+    return rows.ravel(), bs if rolling else 0, base, shift  # ravel: a read-only view
 
 
 class Rollout:
@@ -183,7 +174,8 @@ class Rollout:
         self.step_index = 0
         self.records: list[TraceRecord] = []
         self.noise: NoiseSource | None = None  # one generator, re-seated per step
-        self.plan: tuple[Entry, ...] | None = None  # the policy's, fetched past the fill
+        self.sink_slots = 0 if cfg.policy.policy is Policy.SLIDING_WINDOW else cfg.policy.S
+        self.sinks: tuple | None = None  # the sink strip's frames, move, base, shift
 
     def fork(self, policy: PolicyConfig, horizon: int) -> Rollout:
         """A rollout of `policy` to `horizon` that continues from copies of
@@ -207,23 +199,28 @@ class Rollout:
         return fork
 
     def _expand(self, i: int) -> Context:
-        """Step i's frames and positions: in a fill step (i <= K), store rows
-        and positions 0..i*block_size; past it, by one lookup in the plan."""
+        """Step i's frames and positions: s sink blocks from the sink strip (none
+        in a fill step, i <= K), then blocks max(0, i-K)+s..i-1, one store slice."""
         store = self.store
         if store.count != i:  # the rows hold step i's blocks only then
             raise InternalInvariantError(
                 f"history store holds {store.count} blocks at step {i}, so the "
                 f"blocks its schedule references are absent from the history store"
             )
-        K = store.capacity
-        if i <= K:  # blocks 0..K-1 sit in rows 0..K*block_size in either layout
-            n = i * store.block_size
-            return Context.unchecked(store.frames[:n].copy(), np.arange(n))
-        if self.plan is None:  # fetched inside a step, so its cost counts as step time
-            self.plan = gather_plan(self.cfg.policy)
-        rows, base, shift = self.plan[(i if i < 2 * K else 2 * K + i % (2 * K)) - K - 1]
+        K, bs = store.capacity, store.block_size
+        s = self.sink_slots if i > K else 0
+        lo = max(0, i - K) + s
+        first = store.first_row(lo)
+        recent = store.frames[first:first + (i - lo) * bs]
+        if not s:  # the whole context, at native positions
+            return Context.unchecked(recent.copy(), np.arange(lo * bs, i * bs))
+        if self.sinks is None:  # copied inside a step, so its cost counts as step time
+            rows, move, base, shift = gather_plan(self.cfg.policy)
+            self.sinks = store.frames.take(rows, axis=0), move, base, shift  # pinned rows
+        strip, move, base, shift = self.sinks
+        w = (i - K - 1) % (2 * K) * move
         # float64 (n, frame_dim) rows and ascending positions by construction
-        return Context.unchecked(store.frames.take(rows, axis=0), base + i * shift)
+        return Context.unchecked(np.concatenate((strip[w:w + s * bs], recent)), base + i * shift)
 
     def step(self) -> np.ndarray:
         """Generate the next block and append its trace record. A block whose
@@ -237,10 +234,8 @@ class Rollout:
         if noise is None:  # set up inside a step, so its cost counts as step time
             noise = self.noise = NoiseSource(cfg.seed)
         noise.seek((i,))
-        block = sample_block(
-            cfg.denoiser, cfg.timesteps, context, noise,
-            shape=(cfg.policy.block_size, cfg.frame_dim),
-        )
+        block = sample_block(cfg.denoiser, cfg.timesteps, context, noise,
+                             shape=(cfg.policy.block_size, cfg.frame_dim))
         # np.mean and np.var of the block, by the reductions they run inside
         n = block.size
         mean = float(np.add.reduce(block, axis=None)) / n
@@ -250,16 +245,9 @@ class Rollout:
             raise NonFiniteBlockError(f"trace record for step {i} holds inf or NaN, "
                                       "so the rollout stops at that step")
         self.store.put(i, block)
-        self.records.append(
-            TraceRecord(
-                step=i,
-                schedule=schedule,
-                mean=mean,
-                var=var,
-                frames=block.copy() if cfg.record_frames else None,
-                seed=cfg.seed,
-            )
-        )
+        self.records.append(TraceRecord(
+            step=i, schedule=schedule, mean=mean, var=var,
+            frames=block.copy() if cfg.record_frames else None, seed=cfg.seed))
         self.step_index += 1
         return block
 

@@ -55,6 +55,10 @@ def repetition_score(records: Sequence[TraceRecord], window: int = 8) -> np.ndar
     if window < 1:
         raise ValueError(f"window must be >= 1 (got {window})")
     flat = _stacked_frames(records, "repetition_score").reshape(len(records), -1)
+    peak = np.abs(flat).max(axis=1, initial=0.0)
+    if peak.max() > np.sqrt(np.finfo(np.float64).max / max(1, flat.shape[1])):
+        # a dot could overflow; cosine ignores scale, and powers of two scale exactly
+        flat = np.ldexp(flat, -np.frexp(peak)[1][:, None])
     n = len(flat)
     width = max(1, min(window, n - 1))
     # Row i - 1 compares block i with blocks i - width .. i - 1; the columns

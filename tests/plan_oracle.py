@@ -1,7 +1,8 @@
 """Slot-by-slot reference for the engine's gather, shared by the engine
-tests: Rollout._expand reads fill steps from the store and later steps
-from the gather plan, and must gather the rows and positions this builds
-from schedule_for and the store's row arithmetic, step by step."""
+tests: Rollout._expand takes a step's recent blocks as one store slice and
+its sinks from the rollout's sink strip, and must gather the frames at the
+rows and the positions this builds from schedule_for and the store's row
+arithmetic, step by step."""
 
 from __future__ import annotations
 

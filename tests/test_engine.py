@@ -139,7 +139,8 @@ def test_retention_is_bounded_by_twice_capacity():
             rollout.step()
         bound = 6 if policy is Policy.SLIDING_WINDOW else 12
         assert rollout.store.peak_retained == bound, policy
-        assert rollout.store.frames.shape == (bound * 3, 1), policy
+        # the ring is mirrored, so the rows are its K slots twice after any pinned
+        assert rollout.store.frames.shape == ((bound + 6) * 3, 1), policy
 
 
 def test_history_store_serves_pinned_and_recent_blocks():
@@ -164,12 +165,28 @@ def test_history_store_without_pinning_keeps_only_the_ring():
     for i in range(8):
         store.put(i, np.full((2, 1), float(i)))
     assert store.peak_retained == 3
-    assert store.frames.shape == (6, 1)
+    assert store.frames.shape == (12, 1)  # the ring and its mirror
     assert store.get(7).tolist() == [[7.0], [7.0]]
     with pytest.raises(KeyError):
         store.get(0)
     with pytest.raises(KeyError):
         store.get(4)  # its ring row holds block 7
+
+
+@pytest.mark.parametrize("bs", [1, 2])
+@pytest.mark.parametrize("keep_permanent", [True, False])
+def test_held_runs_of_up_to_k_blocks_are_one_slice_of_the_store(keep_permanent, bs):
+    K = 4
+    store = HistoryStore(capacity=K, block_size=bs, frame_dim=3, keep_permanent=keep_permanent)
+    for b in range(5 * K):
+        store.put(b, np.arange(b * bs * 3, (b + 1) * bs * 3, dtype=float).reshape(bs, 3))
+        for lo in range(b + 1):
+            for n in range(1, K + 1):
+                if not store.holds(np.arange(lo, lo + n), store.count).all():
+                    break
+                first = store.first_row(lo)
+                assert np.array_equal(store.frames[first:first + n * bs], np.concatenate(
+                    [store.get(block) for block in range(lo, lo + n)])), (b, lo, n)
 
 
 def test_history_store_rejects_out_of_order_puts():
@@ -212,10 +229,8 @@ class ContextRecorder:
 @pytest.mark.parametrize("convention", list(RollConvention))
 @pytest.mark.parametrize("policy", list(Policy))
 def test_context_is_frame_expand_of_the_stored_blocks(policy, convention, block_size):
-    # horizon 7K+3 covers the fill steps (i <= K), the steps before 2K keyed
-    # by step, the first period of phase entries and three periods read back
-    # from them; block_size 1 takes a reversed slot's rows from a range that
-    # ends at row -1
+    # horizon 7K+3 covers the fill steps (i <= K) and three periods of the
+    # rolling walk past them, with recent slices that wrap through the mirror
     frame_dim = 4
     for K in range(1, 7):
         for S in range(K):
@@ -306,8 +321,7 @@ def test_rollout_draws_noise_once_per_step(monkeypatch):
 
 
 def plans_equal(a, b) -> bool:
-    return len(a) == len(b) and all(
-        np.array_equal(x, y) for ea, eb in zip(a, b) for x, y in zip(ea, eb))
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_rollouts_of_equal_policies_share_one_gather_plan():
@@ -315,10 +329,13 @@ def test_rollouts_of_equal_policies_share_one_gather_plan():
         rollout = Rollout(replace(make_config(), policy=policy_cfg))
         for _ in range(policy_cfg.K + 2):  # the plan is fetched past the fill
             rollout.step()
-        return rollout.plan
+        plan = gather_plan(policy_cfg)
+        assert rollout.sinks[2] is plan[2] and rollout.sinks[3] is plan[3]  # base, shift
+        return plan
 
     plan = plan_of(PolicyConfig(K=4, S=2))
     assert plan_of(PolicyConfig(K=4, S=2)) is plan  # equal, not the same object
+    assert gather_plan.cache_info().misses == 1
     others = [plan_of(cfg) for cfg in (
         PolicyConfig(K=4, S=1), PolicyConfig(K=4, S=2, block_size=2),
         PolicyConfig(K=4, S=2, policy=Policy.ATTENTION_SINK),
@@ -327,31 +344,35 @@ def test_rollouts_of_equal_policies_share_one_gather_plan():
 
 
 @pytest.mark.parametrize("policy", list(Policy))
-def test_gather_plan_holds_at_most_4k_entries_of_read_only_arrays(policy):
-    K = 6
-    trace = run(make_config(policy=policy, K=K, S=3, horizon=20 * K,
-                            record_frames=False))
-    assert len(trace) == 20 * K
-    plan = gather_plan(PolicyConfig(K=K, S=3, block_size=3, policy=policy))
-    assert len(plan) == 3 * K - 1  # keys K+1..4K-1: fill steps read the store
-    for rows, base, shift in plan:
-        for array in (rows, base, shift):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
-
-
-@pytest.mark.parametrize("policy", list(Policy))
-def test_a_plan_holds_one_row_table_and_shares_its_positions(policy):
-    # rows: steps K+1..2K-1, then one period of the walk (2K) or the ring (K),
-    # plus one K*bs base and shift; the strips the table is cut from are not held
-    K, bs = 7, 3
-    plan = gather_plan(PolicyConfig(K=K, S=3, block_size=bs, policy=policy))
-    owners = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
-              for entry in plan for a in entry}
-    period = 2 * K if policy is Policy.ROLLING_SINK else K
-    assert sum(a.nbytes for a in owners.values()) == (K - 1 + period + 2) * K * bs * 8
-    assert len({(id(base), id(shift)) for _, base, shift in plan}) == 1
+def test_a_plan_and_its_sink_strip_hold_o_k_memory(policy):
+    # the plan is memoised and shared, so its arrays are read-only; at K = 600 a
+    # table of every step's rows would hold about 26 MB under rolling-sink
+    K = 600
+    run(make_config(horizon=1))  # untraced: a process's first step imports modules
+    rollout = Rollout(make_config(policy=policy, K=K, S=K // 2, horizon=K + 3,
+                                  record_frames=False))
+    for _ in range(K + 1):
+        rollout.step()
+    rollout.records.clear()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        for _ in range(2):  # step K+1 builds the plan and copies the sink strip
+            rollout.step()
+        rollout.records.clear()
+        held = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+    if policy is Policy.SLIDING_WINDOW:  # no sinks, so no plan
+        assert gather_plan.cache_info().misses == 0 and rollout.sinks is None
+        return
+    assert gather_plan.cache_info().misses == 1 and rollout.sinks is not None
+    rows, _, base, shift = gather_plan(rollout.cfg.policy)
+    for array in (rows, base, shift):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def test_a_rollout_within_its_fill_steps_builds_no_plan():
@@ -368,16 +389,16 @@ def test_a_rollout_within_its_fill_steps_builds_no_plan():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert gather_plan.cache_info().misses == 0 and rollout.plan is None
-    assert peak < 2**20  # the K = 300 rolling-sink row table alone is about 6.5 MB
+    assert gather_plan.cache_info().misses == 0 and rollout.sinks is None
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("convention", list(RollConvention))
 @pytest.mark.parametrize("policy", list(Policy))
 def test_the_plan_gathers_what_the_slot_by_slot_oracle_gathers(policy, convention):
-    # steps 0..K read the store, K+1..4K-1 every plan key once, 4K..6K-1 the
-    # phase entries back at their second step; a store whose row r holds r
-    # shows the rows _expand gathers
+    # steps 0..K are fill steps, K+1..3K the walk's first period and 3K+1..6K-1
+    # read it again; frame f of the blocks put holds f, so the values show
+    # which frames _expand gathers, and the mirror rows repeat them
     for K in range(1, 8):
         for S in range(K):
             for bs in (1, 2, 3):
@@ -385,23 +406,23 @@ def test_the_plan_gathers_what_the_slot_by_slot_oracle_gathers(policy, conventio
                                    roll_convention=convention)
                 rollout = Rollout(replace(make_config(frame_dim=1), policy=cfg))
                 store = rollout.store
-                store.frames[:, 0] = np.arange(len(store.frames))
                 for i in range(6 * K):
-                    store.count = i
                     context = rollout._expand(i)
-                    assert (context.values[:, 0].astype(int).tolist(),
-                            context.positions.tolist()) == oracle_gather(cfg, i), (
-                        K, S, bs, i)
-                assert len(rollout.plan) == 3 * K - 1
+                    rows, positions = oracle_gather(cfg, i)
+                    assert (context.values[:, 0].tolist(), context.positions.tolist()) == (
+                        store.frames[rows, 0].tolist(), positions), (K, S, bs, i)
+                    store.put(i, np.arange(i * bs, (i + 1) * bs, dtype=float)[:, None])
+                planned = policy is not Policy.SLIDING_WINDOW and S > 0
+                assert (rollout.sinks is not None) == planned
 
 
 @pytest.mark.parametrize("policy", list(Policy))
-def test_missing_history_is_caught_on_a_planned_phase(policy):
+def test_missing_history_is_caught_past_the_fill(policy):
     K = 3
     rollout = Rollout(make_config(policy=policy, K=K, S=2, horizon=10 * K))
-    for _ in range(4 * K):  # steps 2K..4K-1 read the phase entries
+    for _ in range(4 * K):
         rollout.step()
-    assert len(rollout.plan) == 3 * K - 1
+    assert (rollout.sinks is None) == (policy is Policy.SLIDING_WINDOW)
     rollout.store = HistoryStore(capacity=K, block_size=3, frame_dim=4)
     with pytest.raises(InternalInvariantError, match="absent from the history"):
         rollout.step()
@@ -445,10 +466,10 @@ def test_a_warm_plan_replays_a_cold_one_byte_for_byte(policy):
     cold = trace_to_lines(run(long))
     gather_plan.cache_clear()
     warm_short = trace_to_lines(run(short))
-    plan = gather_plan(long.policy)
-    assert len(plan) == 3 * K - 1  # built whole at the short rollout's step K+1
+    # built at the short rollout's step K+1; the sliding window builds none
+    assert gather_plan.cache_info().misses == (policy is not Policy.SLIDING_WINDOW)
     assert trace_to_lines(run(long)) == cold
-    assert gather_plan(long.policy) is plan
+    assert gather_plan.cache_info().misses == (policy is not Policy.SLIDING_WINDOW)
     assert warm_short == trace_to_lines(run(short)) == cold[:2 * K + 1]
 
 

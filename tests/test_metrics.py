@@ -232,3 +232,17 @@ def test_metrics_match_oracles_on_rollouts(denoiser, policy):
     cfg = RolloutConfig(policy=PolicyConfig(policy=policy, S=5), denoiser=denoiser,
                         horizon=60, seed=5, frame_dim=4)
     assert_matches_oracles(run(cfg), 8)
+
+
+def test_repetition_scores_blocks_near_the_float_limit_as_their_rescaled_copies():
+    # the dot products and norms of these finite blocks overflow; scaling a
+    # block by a power of two changes no cosine and is exact
+    frames = np.array([[[1e308, 1e308]], [[-1e308, 1e308]], [[1e308, 1e-300]],
+                       [[0.0, 0.0]], [[1e308, 1e308]]])
+    with np.errstate(over="ignore"):  # the records' means and vars overflow
+        trace = frames_trace(frames)
+    with np.errstate(all="raise", under="ignore"):  # numpy ignores underflow by default
+        scores = repetition_score(trace, 8)
+    rescaled = np.ldexp(frames, -np.frexp(np.abs(frames).max(axis=(1, 2)))[1][:, None, None])
+    assert reprs(scores.tolist()) == reprs(repetition_score(frames_trace(rescaled), 8).tolist())
+    assert abs(scores[1]) < 1e-15 and scores[4] == 1.0
