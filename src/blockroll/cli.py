@@ -419,35 +419,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for variant in _SWEEP_VARIANTS
         for seed in range(base.seed, base.seed + args.seeds)
     ]
-    # Every policy schedules steps 0..K alike, so a seed's cells fork one run
-    # of those fill steps per fill length, made when a cell first needs it;
-    # with S = 0 the variants agree at every step and share one run.
-    prefixes: dict[tuple[int, int], Rollout] = {}
-    sinkless: dict[tuple[int, int], tuple] = {}
+    # Every policy schedules steps 0..K alike, so a seed's cells share one run
+    # of them, stepped as far as a cell needs and forked for a longer one. A
+    # terminal is keyed by what decides it: with S = 0 the variants schedule
+    # alike, and within the fill every policy does.
+    prefixes: dict[int, Rollout] = {}
+    terminals: dict[tuple, tuple] = {}
     rows = []
     for sink, horizon, variant, seed in cells:
-        terminal = sinkless.get((horizon, seed)) if sink == 0 else None
+        policy = replace(base.policy, S=sink, policy=variant if sink else _SWEEP_VARIANTS[0])
+        key = (policy if horizon > K + 1 else None, horizon, seed)
+        terminal = terminals.get(key)
         if terminal is None:
-            policy = replace(base.policy, S=sink, policy=variant)
-            fill = min(K + 1, horizon)  # RolloutConfig refuses a horizon below 1
-            prefix = prefixes.get((seed, fill))
-            if prefix is None:
-                prefix = prefixes[seed, fill] = Rollout(replace(
-                    base, policy=policy, horizon=fill, seed=seed, record_frames=True))
-                for _ in range(fill):
-                    prefix.step()
-            rollout = prefix.fork(policy, horizon)
-            for _ in range(horizon - fill):
+            prefix = prefixes.get(seed)
+            if prefix is None:  # RolloutConfig refuses a horizon below 1
+                prefix = prefixes[seed] = Rollout(replace(
+                    base, policy=policy, horizon=horizon, seed=seed, record_frames=True))
+            while prefix.step_index < min(K + 1, horizon):
+                prefix.step()
+            rollout = prefix.fork(policy) if horizon > K + 1 else prefix
+            while rollout.step_index < horizon:
                 rollout.step()
-            records = rollout.records
+            records = rollout.records[:horizon]
             # A terminal value reads only the trailing records: the last jump,
             # and the last block against the `window` blocks before it.
-            terminal = tuple(series[-1].item() for series in (
+            terminal = terminals[key] = tuple(series[-1].item() for series in (
                 METRICS["mean_drift"](records),
                 METRICS["flicker_proxy"](records[-2:]),
                 repetition_score(records[-(args.window + 1):], window=args.window)))
-            if sink == 0:
-                sinkless[horizon, seed] = terminal
         rows.append([round(100 * sink / K), sink, K, variant.value, horizon, seed,
                      *terminal])
     header = ["ratio", "S", "K", "policy", "horizon", "seed",

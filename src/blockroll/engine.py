@@ -13,8 +13,8 @@ rows: the whole context in a fill step (i <= K) and under the sliding window.
 Otherwise S sink blocks come first, a window of the rollout's sink strip,
 copied at step K+1 by the policy's gather plan, O(K) and shared by its rollouts.
 
-Every policy schedules the fill steps 0..K alike, so a rollout that has
-run no further can fork into one of another policy with its store layout.
+Every policy schedules the fill steps 0..K alike, so `blockroll sweep` runs
+them once per seed and forks that rollout into each longer cell's policy.
 """
 
 from __future__ import annotations
@@ -177,15 +177,12 @@ class Rollout:
         self.sink_slots = 0 if cfg.policy.policy is Policy.SLIDING_WINDOW else cfg.policy.S
         self.sinks: tuple | None = None  # the sink strip's frames, move, base, shift
 
-    def fork(self, policy: PolicyConfig, horizon: int) -> Rollout:
-        """A rollout of `policy` to `horizon` that continues from copies of
-        this one's store and records and shares its NoiseSource, which every step
-        re-seats. ValueError past the fill, below the steps run or across layouts."""
-        fork = Rollout(replace(self.cfg, policy=policy, horizon=horizon))
+    def fork(self, policy: PolicyConfig) -> Rollout:
+        """A rollout of `policy` continuing from copies of this one's store and
+        records, sharing its NoiseSource (every step re-seats it) and keeping its
+        horizon, which no step reads. ValueError past the fill or across layouts."""
+        fork = Rollout(replace(self.cfg, policy=policy))
         store, ours = fork.store, self.store
-        if horizon < self.step_index:
-            raise ValueError(f"a fork's horizon {horizon} is below the {self.step_index} "
-                             "steps this rollout has run")
         if self.step_index > ours.capacity + 1:
             raise ValueError(f"a rollout forks within its fill steps 0..{ours.capacity}, "
                              f"and this one has run {self.step_index} steps")

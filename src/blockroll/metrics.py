@@ -56,8 +56,9 @@ def repetition_score(records: Sequence[TraceRecord], window: int = 8) -> np.ndar
         raise ValueError(f"window must be >= 1 (got {window})")
     flat = _stacked_frames(records, "repetition_score").reshape(len(records), -1)
     peak = np.abs(flat).max(axis=1, initial=0.0)
-    if peak.max() > np.sqrt(np.finfo(np.float64).max / max(1, flat.shape[1])):
-        # a dot could overflow; cosine ignores scale, and powers of two scale exactly
+    lo, hi = np.sqrt([np.finfo(np.float64).tiny, np.finfo(np.float64).max / max(1, flat.shape[1])])
+    if ((peak > hi) | ((0.0 < peak) & (peak < lo))).any():
+        # a dot could overflow or underflow; cosine ignores scale, and powers of two scale exactly
         flat = np.ldexp(flat, -np.frexp(peak)[1][:, None])
     n = len(flat)
     width = max(1, min(window, n - 1))

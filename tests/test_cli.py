@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from blockroll import cli
+from blockroll import cli, engine
 from blockroll.denoisers import AnalyticGaussianDenoiser, TinyAttentionDenoiser
 from blockroll.engine import RolloutConfig, TraceRecord, run
 from blockroll.metrics import flicker_proxy, mean_drift, repetition_score
@@ -895,6 +895,32 @@ def test_a_sweep_stops_at_the_first_non_finite_cell(tmp_path, text, step):
                         "--seeds", "2", "--out", str(out)])
     assert (rc, err) == (1, f"error: trace record for step {step} holds inf or NaN, "
                             "so the rollout stops at that step\n")
+    assert not out.exists()
+
+
+def test_a_sweep_runs_one_fill_per_seed(tmp_path, monkeypatch):
+    # each seed's run of the fill steps is stepped as far as a cell needs,
+    # and the cells past it fork that run and share its noise source
+    built = []
+
+    class CountingNoiseSource(engine.NoiseSource):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(engine, "NoiseSource", CountingNoiseSource)
+    config = write_config(tmp_path, SWEEP_CONFIG)
+    assert cli.main(["sweep", config, "--horizons", "1,3,6,7,8,24", "--seeds", "2",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert built == [0, 1]
+
+
+@pytest.mark.parametrize("horizons, got", [("0", 0), ("-3,5", -3)])
+def test_a_sweep_refuses_a_horizon_below_one(tmp_path, horizons, got):
+    config = write_config(tmp_path, SWEEP_CONFIG)
+    out = tmp_path / "sweep.csv"
+    rc, err = run_main(["sweep", config, f"--horizons={horizons}", "--out", str(out)])
+    assert (rc, err) == (1, f"error: horizon must be >= 1 (got {got})\n")
     assert not out.exists()
 
 

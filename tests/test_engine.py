@@ -503,7 +503,8 @@ def test_a_fork_replays_an_independent_run_of_its_policy(steps):
     for policy in PINNED:
         for S in range(K):
             cfg = make_config(policy=policy, K=K, S=S, horizon=horizon, seed=9)
-            fork = prefix.fork(cfg.policy, horizon)
+            fork = prefix.fork(cfg.policy)
+            assert fork.cfg.horizon == prefix.cfg.horizon  # no step reads it
             for _ in range(horizon - steps):
                 fork.step()
             assert trace_to_lines(fork.trace()) == trace_to_lines(run(cfg))
@@ -519,19 +520,7 @@ def test_a_fork_refuses_a_rollout_past_its_fill_steps():
         prefix.step()
     with pytest.raises(ValueError, match=r"^a rollout forks within its fill steps "
                                          r"0\.\.4, and this one has run 6 steps$"):
-        prefix.fork(PolicyConfig(K=K, S=2, policy=Policy.ATTENTION_SINK), 20)
-
-
-def test_a_fork_refuses_a_horizon_below_the_steps_run():
-    K = 6
-    prefix = Rollout(make_config(K=K, S=2, horizon=K + 1))
-    for _ in range(K + 1):
-        prefix.step()
-    with pytest.raises(ValueError, match=r"^a fork's horizon 3 is below the 7 steps "
-                                         r"this rollout has run$"):
-        prefix.fork(PolicyConfig(K=K, S=2, policy=Policy.ATTENTION_SINK), 3)
-    assert prefix.fork(PolicyConfig(K=K, S=2, policy=Policy.ATTENTION_SINK),
-                       K + 1).step_index == K + 1
+        prefix.fork(PolicyConfig(K=K, S=2, policy=Policy.ATTENTION_SINK))
 
 
 @pytest.mark.parametrize("ours, theirs", [
@@ -544,7 +533,7 @@ def test_a_fork_refuses_a_store_of_another_layout(ours, theirs):
     prefix = Rollout(replace(make_config(), policy=ours))
     prefix.step()
     with pytest.raises(ValueError, match="is not laid out as the store of"):
-        prefix.fork(theirs, 10)
+        prefix.fork(theirs)
 
 
 def test_analytic_rollout_tracks_its_context():

@@ -5,6 +5,9 @@ denoising level re-derived its state from per-frame context objects.
 Trace bytes of the analytic and context-mean denoisers must match exactly.
 Tiny-attention frames may differ in low bits (its projections are fused and
 its context keys computed once per step), within ATTENTION_TOLERANCE.
+
+Sweep CSV bytes must match exactly: they were recorded from the sweep that
+ran one fill per (seed, fill length) and one run per S = 0 (horizon, seed).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blockroll import cli
 from blockroll.cli import write_trace
 from blockroll.denoisers import (
     AnalyticGaussianDenoiser,
@@ -71,6 +75,28 @@ TRACE_SHA256 = {
 }
 
 
+SWEEP_GEOMETRY = "K = 6\nS = 5\nblock_size = 3\nframe_dim = 4\nseed = 7\nhorizon = 12\n"
+
+# horizons below, at and past the fill's K + 1 = 7 steps
+SWEEPS = {
+    "context-mean": (
+        "denoiser = context-mean\nanchor_weight = 0.6\ninnovation_scale = 0.2\nbias = 0.05\n",
+        ["--horizons", "1,6,7,8,24", "--seeds", "2"]),
+    "analytic-gaussian": (
+        "denoiser = analytic-gaussian\nrho = 0.9\nconvention = literal-mod\n",
+        ["--ratios", "0,50", "--horizons", "1,7,30", "--seeds", "2", "--window", "3"]),
+    "tiny-attention": (
+        "denoiser = tiny-attention\n",
+        ["--ratios", "0,33", "--horizons", "2,7,27", "--seeds", "2"]),
+}
+
+SWEEP_SHA256 = {
+    "context-mean": "4d5bbcde3d8e6ec0cecb3847e02fc58c0f07f33e3deb6157410be61ae7f2cb19",
+    "analytic-gaussian": "c3e3e212d21caecde89f5c356e73184c9cb5213506328a1fd1aa8229d312e260",
+    "tiny-attention": "e1eb43aa656c56edd58bdebc2eead2331cbc287136dd78f507a2e43fc004df2b",
+}
+
+
 def golden_run(denoiser: str, policy: Policy, convention: RollConvention):
     # horizon 12 reaches the rolling walk's reversed leg (steps >= 8 at S=5),
     # where the two conventions differ
@@ -102,3 +128,12 @@ def test_attention_frames_match_golden(policy, convention):
     frames = np.array([record.frames for record in trace])
     assert frames.shape == np.shape(golden)
     assert np.abs(frames - np.array(golden)).max() <= ATTENTION_TOLERANCE
+
+
+@pytest.mark.parametrize("denoiser", sorted(SWEEPS))
+def test_sweep_bytes_match_golden(tmp_path, denoiser):
+    text, argv = SWEEPS[denoiser]
+    config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+    config.write_text(SWEEP_GEOMETRY + text)
+    assert cli.main(["sweep", str(config), *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[denoiser]

@@ -246,3 +246,14 @@ def test_repetition_scores_blocks_near_the_float_limit_as_their_rescaled_copies(
     rescaled = np.ldexp(frames, -np.frexp(np.abs(frames).max(axis=(1, 2)))[1][:, None, None])
     assert reprs(scores.tolist()) == reprs(repetition_score(frames_trace(rescaled), 8).tolist())
     assert abs(scores[1]) < 1e-15 and scores[4] == 1.0
+
+
+def test_repetition_scores_tiny_blocks_as_their_rescaled_copies():
+    # the dot products and norms of the first three blocks underflow, and a
+    # norm of 0 would score 0, also against the last block, of normal size
+    frames = np.array([[[1e-200, 1e-200]], [[1e-200, 1e-200]], [[1e-160, 2e-160]],
+                       [[3.0, 1.0]]])
+    scores = repetition_score(frames_trace(frames), 8)
+    rescaled = np.ldexp(frames, -np.frexp(np.abs(frames).max(axis=(1, 2)))[1][:, None, None])
+    assert reprs(scores.tolist()) == reprs(repetition_score(frames_trace(rescaled), 8).tolist())
+    assert np.allclose(scores, [0.0, 1.0, 3 / np.sqrt(10), 2 / np.sqrt(5)], rtol=1e-15)
