@@ -9,7 +9,6 @@ from .denoisers import (
     TinyAttentionDenoiser,
 )
 from .engine import (
-    HistoryStore,
     InternalInvariantError,
     NonFiniteBlockError,
     Rollout,
@@ -18,8 +17,7 @@ from .engine import (
     run,
 )
 from .metrics import flicker_proxy, mean_drift, repetition_score
-from .rope import pair_frequencies, rotate
-from .sampler import NoiseSource, TimestepSchedule, forward_noise, sample_block, sigma
+from .sampler import NoiseSource, TimestepSchedule
 from .schedule import (
     CacheSlot,
     Orientation,
@@ -39,7 +37,6 @@ __all__ = [
     "Context",
     "ContextMeanDenoiser",
     "DenoiserInterface",
-    "HistoryStore",
     "InternalInvariantError",
     "NoiseSource",
     "NonFiniteBlockError",
@@ -54,15 +51,10 @@ __all__ = [
     "TinyAttentionDenoiser",
     "TraceRecord",
     "flicker_proxy",
-    "forward_noise",
     "frame_expand",
     "mean_drift",
-    "pair_frequencies",
     "repetition_score",
     "roll_slot",
-    "rotate",
     "run",
-    "sample_block",
     "schedule_for",
-    "sigma",
 ]

@@ -230,7 +230,7 @@ def record_from_obj(obj: dict) -> TraceRecord:
     seed = obj["seed"]
     if type(seed) is not int:
         raise TypeError(f"seed must be an integer, got {seed!r}")
-    return TraceRecord(step, Schedule(step, slots), _number(stats, "mean"),
+    return TraceRecord(step, Schedule(slots), _number(stats, "mean"),
                        _number(stats, "var"), frames, seed)
 
 
@@ -292,7 +292,8 @@ def read_trace(path: str) -> tuple[TraceRecord, ...]:
                 record = record_from_obj(_DECODER.decode(line))
                 if records:
                     _check_follows(records[-1], record)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # RecursionError: the decoder's answer to deeply nested brackets
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise UsageError(f"trace line {lineno}: malformed record ({exc})")
             records.append(record)
             linenos.append(lineno)
@@ -402,10 +403,10 @@ def sink_sizes_for_ratio(ratio: int, capacity: int) -> list[int]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = load_config(args.config)
     K = base.policy.K
-    try:
+    try:  # a repeated ratio or horizon names the same cells, so sets
         ratios = (None if args.ratios is None
-                  else sorted(int(r) for r in args.ratios.split(",")))
-        horizons = sorted(int(h) for h in args.horizons.split(","))
+                  else sorted({int(r) for r in args.ratios.split(",")}))
+        horizons = sorted({int(h) for h in args.horizons.split(",")})
     except ValueError:
         raise UsageError("ratios and horizons must be comma-separated integers")
     if args.seeds < 1:

@@ -88,13 +88,6 @@ class HistoryStore:
         """Blocks held. It never falls, so it is also the peak."""
         return min(self.count, self._ring + self.capacity)
 
-    def row(self, block_id: int) -> int:
-        """First row of a retained block in `frames`; KeyError for a block
-        not retained, also when its ring slot now holds a newer block."""
-        if not self.holds(block_id, self.count):
-            raise KeyError(block_id)
-        return self.first_row(block_id)
-
     def holds(self, block_id, count):
         """Whether a block is held once `count` blocks are put; either may be an array."""
         return (0 <= block_id) & (block_id < count) & (
@@ -117,7 +110,11 @@ class HistoryStore:
             self._rings[:, first:first + bs] = block
 
     def get(self, block_id: int) -> np.ndarray:
-        first = self.row(block_id)
+        """A copy of a held block's frames; KeyError for a block not held,
+        also when its ring slot now holds a newer block."""
+        if not self.holds(block_id, self.count):
+            raise KeyError(block_id)
+        first = self.first_row(block_id)
         return self.frames[first:first + self.block_size].copy()
 
 
@@ -231,8 +228,7 @@ class Rollout:
         if noise is None:  # set up inside a step, so its cost counts as step time
             noise = self.noise = NoiseSource(cfg.seed)
         noise.seek((i,))
-        block = sample_block(cfg.denoiser, cfg.timesteps, context, noise,
-                             shape=(cfg.policy.block_size, cfg.frame_dim))
+        block = sample_block(cfg.denoiser, cfg.timesteps, context, noise, cfg.policy.block_size)
         # np.mean and np.var of the block, by the reductions they run inside
         n = block.size
         mean = float(np.add.reduce(block, axis=None)) / n

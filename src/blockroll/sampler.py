@@ -146,14 +146,14 @@ def forward_noise(x_hat: np.ndarray, eps: np.ndarray, t: float) -> np.ndarray:
 
 
 def sample_block(denoiser, timesteps: TimestepSchedule, context, noise: NoiseSource,
-                 shape: tuple[int, int]) -> np.ndarray:
-    """Run the full denoising loop for one block.
+                 block_size: int) -> np.ndarray:
+    """Run the full denoising loop for one (block_size, frame_dim) block.
 
     `denoiser` must satisfy denoisers.DenoiserInterface; `context` is the
     step's expanded conditioning schedule, a denoisers.Context that is
-    empty for the first block. The denoiser conditions on it once, with
-    condition(context, block_size), and every level then calls
-    estimate(noisy, t, state, eps) with that state.
+    empty for the first block, and its width is the block's frame_dim. The
+    denoiser conditions on it once, with condition(context, block_size),
+    and every level then calls estimate(noisy, t, state, eps) with that state.
 
     The block's noise is one draw of L*(1 + d) blocks, L the number of
     levels and d the denoiser's draws_per_level (0 or 1). It is handed out
@@ -162,10 +162,10 @@ def sample_block(denoiser, timesteps: TimestepSchedule, context, noise: NoiseSou
     level but the last, the re-noising eps. The block is the last level's
     estimate itself: re-noising it to t=0 would weigh its eps by zero.
     """
-    state = denoiser.condition(context, shape[0])
+    state = denoiser.condition(context, block_size)
     ts = timesteps.steps
     levels, d = len(ts) - 1, denoiser.draws_per_level
-    draws = noise.standard_normal((levels * (1 + d), *shape))
+    draws = noise.standard_normal((levels * (1 + d), block_size, context.values.shape[1]))
     y = draws[0]
     for j in range(levels - 1):
         k = 1 + j * (1 + d)

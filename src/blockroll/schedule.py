@@ -22,7 +22,7 @@ Policies:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -94,8 +94,7 @@ class Schedule:
     """Ordered conditioning plan for one step: sink slots first, then
     recent slots. Assigned indices are strictly increasing."""
 
-    step: int
-    slots: tuple[CacheSlot, ...] = field(default=())
+    slots: tuple[CacheSlot, ...]
 
 
 def roll_slot(cfg: PolicyConfig, l: int) -> CacheSlot:
@@ -141,7 +140,7 @@ def schedule_for(cfg: PolicyConfig, i: int) -> Schedule:
         else:
             sink = tuple(roll_slot(cfg, l) for l in range(i - cfg.K, first))
     recent = tuple(CacheSlot(b, Orientation.FORWARD, b) for b in range(first, i))
-    return Schedule(step=i, slots=sink + recent)
+    return Schedule(sink + recent)
 
 
 def frame_expand(slot: CacheSlot, block_size: int) -> list[tuple[int, int]]:

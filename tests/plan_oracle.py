@@ -11,13 +11,14 @@ from blockroll.schedule import PolicyConfig, frame_expand, schedule_for
 
 
 def oracle_gather(policy: PolicyConfig, i: int) -> tuple[list[int], list[int]]:
-    """Step i's store rows and positions, slot by slot: each slot's block
-    checked by HistoryStore.row on a store that has taken i blocks."""
+    """Step i's store rows and positions, slot by slot: KeyError for a slot
+    whose block a store that has taken i blocks does not hold."""
     store = HistoryStore.for_policy(policy, 0)  # row arithmetic only
-    store.count = i  # step i reads the store after i puts
     rows, positions = [], []
     for slot in schedule_for(policy, i).slots:
-        first = store.row(slot.content_id)  # KeyError for a block not held
+        if not store.holds(slot.content_id, i):  # step i reads the store after i puts
+            raise KeyError(slot.content_id)
+        first = store.first_row(slot.content_id)
         for frame, position in frame_expand(slot, policy.block_size):
             rows.append(first + frame - policy.block_size * slot.content_id)
             positions.append(position)

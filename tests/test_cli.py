@@ -307,7 +307,7 @@ STATS = st.one_of(FINITE, EDGE_FLOATS, FINITE.map(np.float64),
                   st.integers(-(2**63), 2**63))
 RECORDS = st.builds(
     lambda step, slots, mean, var, frames, seed: TraceRecord(
-        step, Schedule(step, tuple(slots)), mean, var, frames, seed),
+        step, Schedule(tuple(slots)), mean, var, frames, seed),
     st.integers(0, 10**9),
     st.lists(st.builds(CacheSlot, st.integers(0, 10**9), st.sampled_from(Orientation),
                        st.integers(0, 10**9)), max_size=7),
@@ -450,6 +450,25 @@ def test_metrics_on_malformed_trace_exits_one_without_traceback(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: trace line 1: malformed record")
     assert "Traceback" not in err
+
+
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("line", [
+    NESTED,
+    VALID_RECORD.replace('"schedule":[]', '"schedule":' + NESTED),
+    VALID_RECORD.replace('"frames":[[0.0,1.0]]', '"frames":' + NESTED),
+], ids=["bare", "in-schedule", "in-frames"])
+def test_a_deeply_nested_trace_line_exits_one_without_traceback(tmp_path, capsys, line):
+    # the json decoder gives up on such nesting with a RecursionError
+    path = tmp_path / "nested.jsonl"
+    path.write_text(line + "\n")
+    assert cli.main(["metrics", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace line 1: malformed record "
+                          "(maximum recursion depth exceeded")
+    assert err.count("\n") == 1
 
 
 def test_metrics_on_empty_frame_rows_exits_one_without_warning(tmp_path):
@@ -834,6 +853,19 @@ def test_sweep_is_deterministic(tmp_path):
     cli.main(["sweep", config, "--ratios", "83,0", "--horizons", "8",
               "--seeds", "2", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_a_repeated_ratio_or_horizon_names_its_cells_once(tmp_path):
+    # (S, policy, horizon, seed) keys the rows, so a repeat adds none
+    config = write_config(tmp_path, SWEEP_CONFIG.replace("K = 6", "K = 3")
+                          .replace("S = 5", "S = 1"))
+    repeated, once = tmp_path / "repeated.csv", tmp_path / "once.csv"
+    assert cli.main(["sweep", config, "--ratios", "33,33", "--horizons", "5,5",
+                     "--out", str(repeated)]) == 0
+    assert cli.main(["sweep", config, "--ratios", "33", "--horizons", "5",
+                     "--out", str(once)]) == 0
+    assert repeated.read_bytes() == once.read_bytes()
+    assert len(once.read_text().splitlines()) == 1 + 3
 
 
 def test_sweep_terminal_metrics_are_those_of_the_full_series(tmp_path):

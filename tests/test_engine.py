@@ -449,7 +449,7 @@ def test_a_plan_refuses_a_block_the_store_would_not_hold(monkeypatch, policy, bl
 
         def misplaced(policy, i):
             slots = schedule(policy, i).slots
-            return Schedule(i, (slots[0]._replace(content_id=block),) + slots[1:])
+            return Schedule((slots[0]._replace(content_id=block),) + slots[1:])
 
         monkeypatch.setattr(engine, "schedule_for", misplaced)
     with pytest.raises(InternalInvariantError, match=f"^schedule for step {step} references "
@@ -476,13 +476,13 @@ def test_a_warm_plan_replays_a_cold_one_byte_for_byte(policy):
 @pytest.mark.parametrize("policy", list(Policy))
 def test_no_step_reads_a_store_row(policy, monkeypatch):
     calls = []
-    row = HistoryStore.row
+    get = HistoryStore.get
 
-    def counting_row(self, block_id):
+    def counting_get(self, block_id):
         calls.append(block_id)
-        return row(self, block_id)
+        return get(self, block_id)
 
-    monkeypatch.setattr(HistoryStore, "row", counting_row)
+    monkeypatch.setattr(HistoryStore, "get", counting_get)
     K = 4
     rollout = Rollout(make_config(policy=policy, K=K, S=2, horizon=7 * K))
     for _ in range(7 * K):

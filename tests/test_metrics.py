@@ -179,7 +179,7 @@ def test_timestep_schedule_override_is_honored():
 def frames_trace(frames):
     """A trace of the given (steps, rows, width) frames, steps from 0."""
     return tuple(
-        TraceRecord(i, Schedule(i, ()), float(block.mean()), float(block.var()),
+        TraceRecord(i, Schedule(()), float(block.mean()), float(block.var()),
                     block, 0)
         for i, block in enumerate(np.asarray(frames, dtype=np.float64))
     )

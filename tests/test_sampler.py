@@ -153,7 +153,7 @@ def test_constant_denoiser_passes_through_regardless_of_noise():
     target = np.full(SHAPE, 2.5)
     for seed in (0, 1, 99):
         out = sample_block(ConstantDenoiser(target), TimestepSchedule(), EMPTY,
-                           NoiseSource(seed), SHAPE)
+                           NoiseSource(seed), SHAPE[0])
         assert np.array_equal(out, target)
 
 
@@ -161,7 +161,7 @@ def test_single_step_schedule_applies_denoiser_once_at_full_noise():
     den = RecordingDenoiser()
     noise = NoiseSource(3)
     expected_initial = NoiseSource(3).standard_normal(SHAPE)
-    out = sample_block(den, TimestepSchedule.uniform(1), EMPTY, noise, SHAPE)
+    out = sample_block(den, TimestepSchedule.uniform(1), EMPTY, noise, SHAPE[0])
     assert len(den.calls) == 1
     t, seen = den.calls[0]
     assert t == 1000.0
@@ -171,19 +171,19 @@ def test_single_step_schedule_applies_denoiser_once_at_full_noise():
 
 def test_denoiser_sees_strictly_decreasing_noise_levels():
     den = RecordingDenoiser()
-    sample_block(den, TimestepSchedule(), EMPTY, NoiseSource(0), SHAPE)
+    sample_block(den, TimestepSchedule(), EMPTY, NoiseSource(0), SHAPE[0])
     ts = [t for t, _ in den.calls]
     assert ts == [1000.0, 750.0, 500.0, 250.0]
 
 
 def test_sampling_is_deterministic_under_a_fixed_seed():
     den = RecordingDenoiser()
-    a = sample_block(den, TimestepSchedule(), EMPTY, NoiseSource(42), SHAPE)
+    a = sample_block(den, TimestepSchedule(), EMPTY, NoiseSource(42), SHAPE[0])
     b = sample_block(RecordingDenoiser(), TimestepSchedule(), EMPTY,
-                     NoiseSource(42), SHAPE)
+                     NoiseSource(42), SHAPE[0])
     assert np.array_equal(a, b)
     c = sample_block(RecordingDenoiser(), TimestepSchedule(), EMPTY,
-                     NoiseSource(43), SHAPE)
+                     NoiseSource(43), SHAPE[0])
     assert not np.array_equal(a, c)
 
 
@@ -215,7 +215,7 @@ def test_one_draw_hands_out_the_noise_of_separate_draws_in_their_order():
         levels.append((separate.standard_normal(SHAPE), separate.standard_normal(SHAPE)))
         y = forward_noise(y + levels[-1][0], levels[-1][1], t)
     den = EpsRecorder()
-    out = sample_block(den, ts, EMPTY, NoiseSource(8), SHAPE)
+    out = sample_block(den, ts, EMPTY, NoiseSource(8), SHAPE[0])
     assert all(np.array_equal(got, want) for got, (want, _) in zip(den.eps, levels))
     assert len(den.eps) == 4
     assert np.array_equal(out, y)
@@ -240,13 +240,21 @@ def test_block_is_the_last_estimate_bit_for_bit(seed):
     # re-noising to t = 0 would add 0.0 * eps, which turns -0.0 into 0.0
     # wherever eps > 0
     out = sample_block(SignedZeroLastEstimate(), TimestepSchedule(), EMPTY,
-                       NoiseSource(seed), SHAPE)
+                       NoiseSource(seed), SHAPE[0])
     assert out.tobytes() == SignedZeroLastEstimate.last.tobytes()
+
+
+def test_the_block_takes_its_width_from_the_context():
+    context = Context(np.zeros((2, 5)), np.arange(2))
+    den = RecordingDenoiser()
+    out = sample_block(den, TimestepSchedule(), context, NoiseSource(0), 3)
+    assert out.shape == (3, 5)
+    assert den.conditioned == [(context, 3)]
 
 
 def test_denoiser_conditions_once_per_block():
     den = RecordingDenoiser()
-    sample_block(den, TimestepSchedule(), EMPTY, NoiseSource(0), SHAPE)
+    sample_block(den, TimestepSchedule(), EMPTY, NoiseSource(0), SHAPE[0])
     assert den.conditioned == [(EMPTY, SHAPE[0])]
     assert len(den.states) == 4
     assert all(state is den.states[0] for state in den.states)
