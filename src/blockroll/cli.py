@@ -359,14 +359,15 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 def cmd_rollout(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     trace = run(cfg)
     write_trace(trace, args.out)
     return 0
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    names = [name.strip() for name in args.metrics.split(",") if name.strip()]
+    # a metric named twice is one column, kept where it is first named
+    names = list(dict.fromkeys(n.strip() for n in args.metrics.split(",") if n.strip()))
     if not names:
         raise UsageError("no metrics requested")
     for name in names:

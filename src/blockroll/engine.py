@@ -28,7 +28,7 @@ import numpy as np
 from .denoisers import Context, DenoiserInterface
 from .sampler import NoiseSource, TimestepSchedule, sample_block
 # The step never calls frame_expand; the name stays here because the
-# benchmark's tracer wraps engine.frame_expand (ROADMAP item 2).
+# benchmark's tracer wraps engine.frame_expand (ROADMAP item 3).
 from .schedule import (  # noqa: F401
     Orientation, Policy, PolicyConfig, Schedule, frame_expand, roll_slot, schedule_for,
 )
@@ -43,7 +43,7 @@ class NonFiniteBlockError(ValueError):
     """A step's block went to inf or NaN; the rollout stops at that step."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RolloutConfig:
     policy: PolicyConfig
     denoiser: DenoiserInterface
@@ -61,27 +61,19 @@ class RolloutConfig:
 
 
 class HistoryStore:
-    """Bounded block storage in one preallocated array of frame rows: with
-    pinning, the first K blocks, then a ring holding the last K blocks at
-    slot block_id mod K and again K slots later; without pinning, the ring
-    alone. So any <= K consecutive held blocks are one slice from first_row
-    of the first. Blocks are put in id order; at most 2K (K unpinned) are held."""
+    """Bounded block storage in one preallocated array of frame rows: the
+    first K blocks pinned, then a ring holding the last K blocks at slot
+    block_id mod K and again K slots later; the sliding window pins nothing. So
+    any <= K consecutive held blocks are one slice from first_row of the first.
+    Blocks are put in id order; at most 2K (K unpinned) are held."""
 
-    def __init__(self, capacity: int, block_size: int, frame_dim: int,
-                 keep_permanent: bool = True):
-        self.capacity = capacity
-        self.block_size = block_size
-        self._ring = capacity if keep_permanent else 0  # first ring slot
-        self.frames = np.zeros(((self._ring + 2 * capacity) * block_size, frame_dim))
-        self._rings = self.frames[self._ring * block_size:].reshape(  # the ring, its mirror
-            2, capacity * block_size, frame_dim)
+    def __init__(self, policy: PolicyConfig, frame_dim: int):
+        self.capacity = K = policy.K
+        self.block_size = bs = policy.block_size
+        self._ring = 0 if policy.policy is Policy.SLIDING_WINDOW else K  # first ring slot
+        self.frames = np.zeros(((self._ring + 2 * K) * bs, frame_dim))
+        self._rings = self.frames[self._ring * bs:].reshape(2, K * bs, frame_dim)  # ring, mirror
         self.count = 0  # blocks put so far; the next id put must be this
-
-    @classmethod
-    def for_policy(cls, policy: PolicyConfig, frame_dim: int) -> HistoryStore:
-        """The store of a rollout under `policy`: the sliding window pins nothing."""
-        return cls(policy.K, policy.block_size, frame_dim,
-                   keep_permanent=policy.policy is not Policy.SLIDING_WINDOW)
 
     @property
     def peak_retained(self) -> int:
@@ -140,7 +132,7 @@ def gather_plan(policy: PolicyConfig) -> tuple[np.ndarray, int, np.ndarray, np.n
     s = 0 if policy.policy is Policy.SLIDING_WINDOW else policy.S
     rolling = policy.policy is Policy.ROLLING_SINK
     period = 2 * K if rolling else K
-    store = HistoryStore.for_policy(policy, 0)  # the layout only
+    store = HistoryStore(policy, 0)  # the layout only
     now, later = schedule_for(policy, K + 1), schedule_for(policy, K + 2)
     sinks = [roll_slot(policy, l) for l in range(1, 2 * K + s)] if rolling else now.slots[:s]
     content = np.array([slot.content_id for slot in sinks], dtype=np.intp)
@@ -167,7 +159,7 @@ class Rollout:
 
     def __init__(self, cfg: RolloutConfig):
         self.cfg = cfg
-        self.store = HistoryStore.for_policy(cfg.policy, cfg.frame_dim)
+        self.store = HistoryStore(cfg.policy, cfg.frame_dim)
         self.step_index = 0
         self.records: list[TraceRecord] = []
         self.noise: NoiseSource | None = None  # one generator, re-seated per step

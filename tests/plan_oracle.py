@@ -13,7 +13,7 @@ from blockroll.schedule import PolicyConfig, frame_expand, schedule_for
 def oracle_gather(policy: PolicyConfig, i: int) -> tuple[list[int], list[int]]:
     """Step i's store rows and positions, slot by slot: KeyError for a slot
     whose block a store that has taken i blocks does not hold."""
-    store = HistoryStore.for_policy(policy, 0)  # row arithmetic only
+    store = HistoryStore(policy, 0)  # row arithmetic only
     rows, positions = [], []
     for slot in schedule_for(policy, i).slots:
         if not store.holds(slot.content_id, i):  # step i reads the store after i puts

@@ -137,6 +137,7 @@ TINY = "denoiser = tiny-attention\n"
     ("T = 2\ntimesteps = 1000,0", "set either T or timesteps, not both"),
     ("timesteps = 1000,0,500", "config key timesteps: timesteps must be strictly "
                                "decreasing: (1000.0, 0.0, 500.0)"),
+    ("timesteps = 1000", "config key timesteps: need at least two timesteps (t_T and t_0)"),
     ("timesteps = a,0", "config key timesteps: could not convert string to float: 'a'"),
     ("timesteps = 1000,nan,0", "config key timesteps: timesteps must be strictly "
                                "decreasing: (1000.0, nan, 0.0)"),
@@ -634,6 +635,16 @@ def test_rollout_seed_override_changes_the_trace(tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+def test_rollout_seed_override_writes_that_seeds_trace(tmp_path):
+    override, configured = tmp_path / "override.jsonl", tmp_path / "configured.jsonl"
+    assert cli.main(["rollout", write_config(tmp_path), "--out", str(override),
+                     "--seed", "99"]) == 0
+    config = write_config(tmp_path, BASE_CONFIG.replace("seed = 3", "seed = 99"),
+                          name="seed99.cfg")
+    assert cli.main(["rollout", config, "--out", str(configured)]) == 0
+    assert override.read_bytes() == configured.read_bytes()
+
+
 def test_rollout_trace_lines_carry_the_live_schedule(tmp_path):
     config = write_config(tmp_path, BASE_CONFIG.replace("horizon = 12",
                                                         "horizon = 50"))
@@ -747,6 +758,19 @@ def test_metrics_csv_has_one_row_per_step(tmp_path):
     assert len(lines) == 1 + 12
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
+
+
+@pytest.mark.parametrize("named, once", [
+    ("mean_drift,mean_drift,flicker_proxy", "mean_drift,flicker_proxy"),
+    ("flicker_proxy, mean_drift,flicker_proxy,mean_drift", "flicker_proxy,mean_drift"),
+])
+def test_a_metric_named_twice_is_one_column(tmp_path, named, once):
+    trace = make_trace_file(tmp_path)
+    repeated, single = tmp_path / "repeated.csv", tmp_path / "single.csv"
+    assert cli.main(["metrics", str(trace), "--metrics", named, "--out", str(repeated)]) == 0
+    assert cli.main(["metrics", str(trace), "--metrics", once, "--out", str(single)]) == 0
+    assert repeated.read_text().splitlines()[0] == "step," + once
+    assert repeated.read_bytes() == single.read_bytes()
 
 
 def test_metrics_unknown_name_lists_valid_ones(tmp_path, capsys):

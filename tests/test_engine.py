@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -143,8 +143,17 @@ def test_retention_is_bounded_by_twice_capacity():
         assert rollout.store.frames.shape == ((bound + 6) * 3, 1), policy
 
 
+@pytest.mark.parametrize("name", [f.name for f in fields(RolloutConfig)])
+def test_a_rollout_config_is_frozen(name):
+    # a rollout reads its config at every step, so a field set mid-rollout
+    # would change the layout or the seed its records name
+    cfg = make_config()
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, name, getattr(make_config(K=3, S=1, seed=2, horizon=4), name))
+
+
 def test_history_store_serves_pinned_and_recent_blocks():
-    store = HistoryStore(capacity=3, block_size=1, frame_dim=1, keep_permanent=True)
+    store = HistoryStore(PolicyConfig(K=3, S=1, block_size=1), frame_dim=1)
     blocks = [np.full((1, 1), float(i)) for i in range(8)]
     for i, block in enumerate(blocks):
         store.put(i, block)
@@ -161,7 +170,8 @@ def test_history_store_serves_pinned_and_recent_blocks():
 
 
 def test_history_store_without_pinning_keeps_only_the_ring():
-    store = HistoryStore(capacity=3, block_size=2, frame_dim=1, keep_permanent=False)
+    store = HistoryStore(PolicyConfig(K=3, S=1, block_size=2, policy=Policy.SLIDING_WINDOW),
+                         frame_dim=1)
     for i in range(8):
         store.put(i, np.full((2, 1), float(i)))
     assert store.peak_retained == 3
@@ -174,10 +184,11 @@ def test_history_store_without_pinning_keeps_only_the_ring():
 
 
 @pytest.mark.parametrize("bs", [1, 2])
-@pytest.mark.parametrize("keep_permanent", [True, False])
-def test_held_runs_of_up_to_k_blocks_are_one_slice_of_the_store(keep_permanent, bs):
+@pytest.mark.parametrize("pinned", [True, False])
+def test_held_runs_of_up_to_k_blocks_are_one_slice_of_the_store(pinned, bs):
     K = 4
-    store = HistoryStore(capacity=K, block_size=bs, frame_dim=3, keep_permanent=keep_permanent)
+    policy = Policy.ROLLING_SINK if pinned else Policy.SLIDING_WINDOW
+    store = HistoryStore(PolicyConfig(K=K, S=2, block_size=bs, policy=policy), frame_dim=3)
     for b in range(5 * K):
         store.put(b, np.arange(b * bs * 3, (b + 1) * bs * 3, dtype=float).reshape(bs, 3))
         for lo in range(b + 1):
@@ -190,7 +201,7 @@ def test_held_runs_of_up_to_k_blocks_are_one_slice_of_the_store(keep_permanent, 
 
 
 def test_history_store_rejects_out_of_order_puts():
-    store = HistoryStore(capacity=3, block_size=1, frame_dim=1)
+    store = HistoryStore(PolicyConfig(K=3, S=1, block_size=1), frame_dim=1)
     store.put(0, np.zeros((1, 1)))
     for block_id in (0, 2, -1):
         with pytest.raises(ValueError, match="in id order"):
@@ -204,7 +215,7 @@ def test_missing_history_is_an_internal_invariant_violation():
     rollout = Rollout(cfg)
     for _ in range(5):
         rollout.step()
-    rollout.store = HistoryStore(capacity=3, block_size=3, frame_dim=4)
+    rollout.store = HistoryStore(cfg.policy, cfg.frame_dim)
     with pytest.raises(InternalInvariantError, match="absent from the history"):
         rollout.step()
 
@@ -423,7 +434,7 @@ def test_missing_history_is_caught_past_the_fill(policy):
     for _ in range(4 * K):
         rollout.step()
     assert (rollout.sinks is None) == (policy is Policy.SLIDING_WINDOW)
-    rollout.store = HistoryStore(capacity=K, block_size=3, frame_dim=4)
+    rollout.store = HistoryStore(rollout.cfg.policy, rollout.cfg.frame_dim)
     with pytest.raises(InternalInvariantError, match="absent from the history"):
         rollout.step()
 

@@ -155,6 +155,12 @@ def test_frame_metrics_require_recorded_frames():
         repetition_score(trace)
 
 
+@pytest.mark.parametrize("metric", [mean_drift, flicker_proxy, repetition_score])
+def test_every_metric_refuses_an_empty_trace(metric):
+    with pytest.raises(ValueError, match="^trace is empty$"):
+        metric([])
+
+
 def test_repetition_window_must_be_positive():
     with pytest.raises(ValueError):
         repetition_score(constant_trace(), window=0)

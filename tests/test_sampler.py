@@ -69,6 +69,12 @@ def test_schedule_endpoints_are_pinned():
         TimestepSchedule((1000.0, 100.0))
 
 
+@pytest.mark.parametrize("steps", [(), (1000.0,), (0.0,)])
+def test_schedule_needs_two_timesteps(steps):
+    with pytest.raises(ValueError, match=r"^need at least two timesteps \(t_T and t_0\)$"):
+        TimestepSchedule(steps)
+
+
 def test_schedule_must_strictly_decrease():
     with pytest.raises(ValueError):
         TimestepSchedule((1000.0, 500.0, 500.0, 0.0))

@@ -137,6 +137,12 @@ def test_sliding_indices_matches_sink_at_capacity():
 # roll operator
 # --------------------------------------------------------------------------
 
+@pytest.mark.parametrize("l", [-1, -7])
+def test_roll_rejects_a_negative_slot_index(l):
+    with pytest.raises(ValueError, match=rf"^slot index must be >= 0 \(got {l}\)$"):
+        roll_slot(cfg(), l)
+
+
 def test_roll_even_cycle_is_forward_identity():
     assert roll_slot(cfg(), 4) == CacheSlot(4, F, 4)
 
@@ -215,6 +221,12 @@ def test_rolling_sink_default_ratio_one_past_capacity():
 # --------------------------------------------------------------------------
 # frame expansion
 # --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("block_size", [0, -1])
+def test_frame_expand_rejects_a_block_size_below_one(block_size):
+    with pytest.raises(ValueError, match=rf"^block_size must be >= 1 \(got {block_size}\)$"):
+        frame_expand(CacheSlot(0, F, 0), block_size)
+
 
 def test_frame_expand_forward_identity_when_index_is_native():
     assert frame_expand(CacheSlot(2, F, 2), 3) == [(6, 6), (7, 7), (8, 8)]
