@@ -28,7 +28,7 @@ from .denoisers import (
     TinyAttentionDenoiser,
 )
 from .engine import InternalInvariantError, Rollout, RolloutConfig, TraceRecord, run
-from .metrics import METRICS, repetition_score
+from .metrics import METRICS, check_window, repetition_score
 from .sampler import TimestepSchedule
 from .schedule import (
     CacheSlot,
@@ -375,6 +375,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"unknown metric {name!r}; valid: " + ", ".join(sorted(METRICS))
             )
+    if "repetition_score" in names:  # refused before the trace is read
+        check_window(args.window)
     records = read_trace(args.trace)
     try:
         columns = [
@@ -412,6 +414,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("ratios and horizons must be comma-separated integers")
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1 (got {args.seeds})")
+    check_window(args.window)  # refused before any cell runs
     sinks = (range(K) if ratios is None
              else [s for r in ratios for s in sink_sizes_for_ratio(r, K)])
     cells = [

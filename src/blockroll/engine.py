@@ -162,7 +162,7 @@ class Rollout:
         self.store = HistoryStore(cfg.policy, cfg.frame_dim)
         self.step_index = 0
         self.records: list[TraceRecord] = []
-        self.noise: NoiseSource | None = None  # one generator, re-seated per step
+        self.noise: NoiseSource | None = None  # one source, re-seated per step
         self.sink_slots = 0 if cfg.policy.policy is Policy.SLIDING_WINDOW else cfg.policy.S
         self.sinks: tuple | None = None  # the sink strip's frames, move, base, shift
 

@@ -48,12 +48,17 @@ def flicker_proxy(records: Sequence[TraceRecord]) -> np.ndarray:
     return jumps
 
 
+def check_window(window: int) -> None:
+    """ValueError unless `window` is a repetition_score window, >= 1."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1 (got {window})")
+
+
 def repetition_score(records: Sequence[TraceRecord], window: int = 8) -> np.ndarray:
     """Max cosine similarity between block i and the previous `window`
     blocks (1.0 = exact repetition); a block of norm 0 scores 0 against
     every other."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1 (got {window})")
+    check_window(window)
     flat = _stacked_frames(records, "repetition_score").reshape(len(records), -1)
     peak = np.abs(flat).max(axis=1, initial=0.0)
     lo, hi = np.sqrt([np.finfo(np.float64).tiny, np.finfo(np.float64).max / max(1, flat.shape[1])])

@@ -46,25 +46,81 @@ class TimestepSchedule:
         return cls(tuple(T_MAX * (count - j) / count for j in range(count + 1)))
 
 
-# numpy's SeedSequence hash and mix constants and PCG64's 128-bit LCG
-# multiplier (numpy/random/bit_generator.pyx, pcg64.h), for NoiseSource.seek.
-_MASK32 = 0xFFFF_FFFF
-_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
-_MASK128 = (1 << 128) - 1
+# NoiseSource derives stream states as numpy's SeedSequence does
+# (numpy/random/bit_generator.pyx), in uint32 arrays whose products wrap mod
+# 2^32 as its hashes do. A stream's key words are mixed into the seed's 4-word
+# pool with the hash constants that follow the 16 hashes of the seed phase,
+# whatever the seed (a seed mod 2^64 never fills more than the pool).
+_U4 = np.dtype(np.uint32)
+_MASK32, _MASK64 = 0xFFFF_FFFF, 0xFFFF_FFFF_FFFF_FFFF
 _MULT_A = 0x931E8875
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# The hash constant once the seed words are mixed into the 4-word pool: the
-# initial 0x43B0D7E5 advanced by the 16 hashes of that phase, whatever the
-# seed (a seed mod 2^64 never fills more than the pool).
 _SPAWN_HASH = 0x43B0D7E5 * pow(_MULT_A, 16, 1 << 32) & _MASK32
-# generate_state's (xor, multiply) constant per output word: the hash
-# constant 0x8B51F9DD before and after its k-th advance by 0x58F38DED.
-_STATE_HASH = tuple(
-    (0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _MASK32,
-     0x8B51F9DD * pow(0x58F38DED, k + 1, 1 << 32) & _MASK32)
-    for k in range(8)
-)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# Steps per state table: a power of two, so an aligned chunk never straddles a
+# multiple of 2^32, and its steps' keys differ only in their lowest word.
+_CHUNK = 256
+
+
+def _hash_run(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**m mod 2^32 for m = 0..count: a hash constant and its
+    next `count` advances."""
+    run = np.full(count + 1, mult, dtype=_U4)
+    run[0] = init
+    return np.cumprod(run, dtype=_U4)
+
+
+# generate_state's (xor, multiply) constant per output word: the hash constant
+# before and after its advance for that word. Output word 4h + k reads pool
+# entry k, so both are laid out (2, 4, 1), over pool columns of streams.
+_STATE_HASH = _hash_run(0x8B51F9DD, 0x58F38DED, 8)
+_STATE_XOR, _STATE_MULT = _STATE_HASH[:8].reshape(2, 4, 1), _STATE_HASH[1:].reshape(2, 4, 1)
+
+
+def _key_words(key) -> list[int]:
+    """The 32-bit words numpy splits a spawn key into, lowest first. A key
+    must be a non-negative integer (ValueError, TypeError otherwise)."""
+    key = operator.index(key)
+    if key < 0:
+        raise ValueError("expected non-negative integer")
+    words = [key & _MASK32]
+    while key := key >> 32:
+        words.append(key & _MASK32)
+    return words
+
+
+def _state_words(pool: np.ndarray, words: list) -> np.ndarray:
+    """generate_state(4, np.uint64) of the SeedSequences whose spawn-key words
+    `words` are mixed into `pool`, the seed's (4, 1) pool: one row per stream.
+    A word is an int, shared by every stream, or an (n,) row, one per stream."""
+    hashes = _hash_run(_SPAWN_HASH, _MULT_A, 4 * len(words))[:, None]
+    for j, word in enumerate(words):  # word j is hashed once for each pool entry
+        value = (word ^ hashes[4 * j:4 * j + 4]) * hashes[4 * j + 1:4 * j + 5]
+        value ^= value >> 16
+        pool = _MIX_MULT_L * pool - _MIX_MULT_R * value
+        pool ^= pool >> 16
+    out = (pool ^ _STATE_XOR) * _STATE_MULT
+    out ^= out >> 16
+    # per stream, the 8 words pair up little-endian into 4 uint64, as
+    # generate_state's do
+    return (np.ascontiguousarray(out.reshape(8, -1).T, dtype="<u4").view("<u8")
+            .astype(np.uint64, copy=False))
+
+
+class _SeedWords:
+    """One stream's generate_state(4, np.uint64) words, which PCG64 seeds
+    from as it would from the SeedSequence they were derived for. It is
+    registered as a numpy ISeedSequence by the first NoiseSource, so that
+    importing the package does not import numpy.random."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError(f"holds generate_state(4, uint64), not ({n_words}, {dtype})")
+        return self.words
 
 
 class NoiseSource:
@@ -73,60 +129,36 @@ class NoiseSource:
 
     Stream `stream` of `seed` is numpy's
     Generator(PCG64(SeedSequence(seed mod 2^64, spawn_key=stream))).
-    NoiseSource(seed) starts at stream (); `seek(stream)` moves its one
-    generator to the exact state that stream starts in, so a caller that
-    needs many streams of one seed builds one source and re-seats it.
+    NoiseSource(seed) starts at stream (); `seek(stream)` moves it to the
+    exact state that stream starts in, so a caller that needs many streams
+    of one seed builds one source and re-seats it.
     """
 
     def __init__(self, seed: int):
-        seq = np.random.SeedSequence(seed & _MASK64)
-        self._pool = tuple(int(word) for word in seq.pool)
-        self._bitgen = np.random.PCG64(seq)
-        self._gen = np.random.Generator(self._bitgen)
+        np.random.bit_generator.ISeedSequence.register(_SeedWords)
+        self._pool = np.random.SeedSequence(seed & _MASK64).pool[:, None]
+        self._first, self._table = 0, np.empty((0, 4), dtype=np.uint64)  # no chunk yet
+        self.seek(())
 
     def seek(self, stream: tuple[int, ...]) -> None:
-        """Re-seat the generator at the start of stream `stream`, as numpy
-        derives it: the keys' 32-bit words are mixed into the seed's pool,
-        which is hashed into four 64-bit words that seed PCG64. Keys must
-        be non-negative integers (ValueError, TypeError otherwise), of any
-        size."""
-        words = []
-        for key in stream:
-            key = operator.index(key)
-            if key < 0:
-                raise ValueError("expected non-negative integer")
-            while True:
-                words.append(key & _MASK32)
-                key >>= 32
-                if not key:
-                    break
-        pool = self._pool
-        h = _SPAWN_HASH
-        for word in words:
-            mixed_pool = []
-            for entry in pool:
-                value = word ^ h
-                h = h * _MULT_A & _MASK32
-                value = value * h & _MASK32
-                value ^= value >> 16
-                mixed = (_MIX_MULT_L * entry - _MIX_MULT_R * value) & _MASK32
-                mixed_pool.append(mixed ^ mixed >> 16)
-            pool = mixed_pool
-        out = []
-        for k, (xor, mult) in enumerate(_STATE_HASH):
-            value = (pool[k & 3] ^ xor) * mult & _MASK32
-            out.append(value ^ value >> 16)
-        # the four 64-bit words are (out[1]:out[0]), ... little-endian; PCG64
-        # takes the first two as the 128-bit seed, the last two as the stream
-        initstate = out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2]
-        inc = (out[5] << 97 | out[4] << 65 | out[7] << 33 | out[6] << 1 | 1) & _MASK128
-        self._bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": ((inc + initstate) * _PCG_MULT + inc) & _MASK128,
-                      "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        """Re-seat the source at the start of stream `stream`. A one-key
+        stream (i,) reads its seed words from the table of the aligned
+        _CHUNK steps that holds i, filled when i falls outside it; any other
+        stream is a chunk of one. Keys must be non-negative integers
+        (ValueError, TypeError otherwise), of any size."""
+        if len(stream) == 1:
+            i = operator.index(stream[0])
+            k = i - self._first
+            if not 0 <= k < len(self._table):
+                words = _key_words(i)
+                k = words[0] % _CHUNK
+                words[0] = np.arange(words[0] - k, words[0] - k + _CHUNK, dtype=_U4)
+                self._first, self._table = i - k, _state_words(self._pool, words)
+            words = self._table[k]
+        else:
+            words = _state_words(self._pool,
+                                 [word for key in stream for word in _key_words(key)])[0]
+        self._gen = np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
     def standard_normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)

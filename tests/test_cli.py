@@ -21,6 +21,7 @@ from blockroll import cli, engine
 from blockroll.denoisers import AnalyticGaussianDenoiser, TinyAttentionDenoiser
 from blockroll.engine import RolloutConfig, TraceRecord, run
 from blockroll.metrics import flicker_proxy, mean_drift, repetition_score
+from blockroll.sampler import _CHUNK
 from blockroll.schedule import (
     CacheSlot,
     Orientation,
@@ -922,15 +923,18 @@ SHARING_DENOISERS = {
 @pytest.mark.parametrize("denoiser", sorted(SHARING_DENOISERS))
 def test_sweep_rows_equal_independent_runs_of_their_cells(tmp_path, denoiser, convention):
     # the cells of a seed fork one run of the fill steps 0..K, and the S = 0
-    # cells share one run; horizons 1, K, K+1, K+2 and 4K+3 with K = 4
+    # cells share one run; horizons 1, K, K+1, K+2 and 4K+3 with K = 4, and
+    # one past the first chunk of noise states, so that the forks of a seed
+    # move its shared noise source's chunk forward and back
     config = write_config(tmp_path, SHARING_DENOISERS[denoiser] + "K = 4\nS = 1\n"
                           f"frame_dim = 3\nseed = 5\nconvention = {convention}\n")
     base = cli.load_config(config)
     out = tmp_path / "sweep.csv"
-    assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "1,4,5,6,19",
-                     "--seeds", "2", "--window", "3", "--out", str(out)]) == 0
+    assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons",
+                     f"1,4,5,6,19,{_CHUNK + 4 + 3}", "--seeds", "2", "--window", "3",
+                     "--out", str(out)]) == 0
     lines = out.read_text().splitlines()[1:]
-    assert len(lines) == 2 * 5 * 3 * 2
+    assert len(lines) == 2 * 6 * 3 * 2
     for line in lines:
         ratio, S, K, policy, horizon, seed, *terminal = line.split(",")
         trace = run(replace(base, policy=replace(base.policy, S=int(S),
@@ -969,6 +973,44 @@ def test_a_sweep_runs_one_fill_per_seed(tmp_path, monkeypatch):
     assert cli.main(["sweep", config, "--horizons", "1,3,6,7,8,24", "--seeds", "2",
                      "--out", str(tmp_path / "sweep.csv")]) == 0
     assert built == [0, 1]
+
+
+@pytest.mark.parametrize("window", ["0", "-2"])
+def test_a_sweep_refuses_a_window_below_one_before_any_cell_runs(tmp_path, monkeypatch,
+                                                                 window):
+    built = []
+
+    class CountingNoiseSource(engine.NoiseSource):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(engine, "NoiseSource", CountingNoiseSource)
+    config = write_config(tmp_path, SWEEP_CONFIG)
+    out = tmp_path / "sweep.csv"
+    rc, err = run_main(["sweep", config, "--horizons", "8", f"--window={window}",
+                        "--out", str(out)])
+    assert (rc, err) == (1, f"error: window must be >= 1 (got {window})\n")
+    assert built == []
+    assert not out.exists()
+
+
+def test_metrics_refuses_a_window_below_one_before_reading_the_trace(tmp_path):
+    # the trace does not exist, so reading it first would name the file
+    out = tmp_path / "m.csv"
+    rc, err = run_main(["metrics", str(tmp_path / "missing.jsonl"), "--window", "0",
+                        "--out", str(out)])
+    assert (rc, err) == (1, "error: window must be >= 1 (got 0)\n")
+    assert not out.exists()
+
+
+def test_a_window_below_one_is_unread_without_repetition_score(tmp_path):
+    config, trace = write_config(tmp_path), tmp_path / "t.jsonl"
+    assert cli.main(["rollout", config, "--out", str(trace)]) == 0
+    out = tmp_path / "m.csv"
+    assert run_main(["metrics", str(trace), "--metrics", "mean_drift", "--window", "0",
+                     "--out", str(out)]) == (0, "")
+    assert out.read_text().splitlines()[0] == "step,mean_drift"
 
 
 @pytest.mark.parametrize("horizons, got", [("0", 0), ("-3,5", -3)])

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from blockroll.denoisers import Context
 from blockroll.sampler import (
+    _CHUNK,
     NoiseSource,
+    _SeedWords,
     TimestepSchedule,
     forward_noise,
     sample_block,
@@ -111,6 +113,51 @@ def test_seek_is_numpys_stream_derivation(seed, visits):
         assert np.array_equal(source.standard_normal(count), want)
 
 
+def pcg64_state(seed, stream):
+    """The PCG64 state that stream `stream` of `seed` starts in."""
+    return np.random.PCG64(np.random.SeedSequence(seed & MASK64, spawn_key=stream)).state
+
+
+# forward across the first chunk edges, back across a chunk, then far ahead
+# across the steps where a key gains a 32-bit word
+N = _CHUNK
+SEEK_ORDER = (0, N - 1, N, 2 * N - 1, N - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 0)
+
+
+# numpy warns on an overflowing scalar integer operation, which cli.main's
+# errstate hides but a library caller sees
+@pytest.mark.filterwarnings("error")
+@given(seed=st.integers(-2**70, 2**70))
+def test_the_state_table_is_numpys_stream_derivation(seed):
+    source = NoiseSource(seed)
+    for i in SEEK_ORDER:
+        source.seek((i,))
+        assert source._gen.bit_generator.state == pcg64_state(seed, (i,))
+        assert np.array_equal(source.standard_normal(3),
+                              numpy_stream(seed, (i,)).standard_normal(3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, -1, 2**64 + 3], ids=["0", "-1", "2^64+3"])
+@pytest.mark.parametrize("first", [0, 2**32 - N, 2**64 - N],
+                         ids=["first-chunks", "below-2^32", "below-2^64"])
+def test_every_step_of_two_chunks_is_numpys(seed, first):
+    # two whole chunks, the second past a new key word for all but the first
+    source = NoiseSource(seed)
+    for i in range(first, first + 2 * N):
+        source.seek((i,))
+        assert source._gen.bit_generator.state == pcg64_state(seed, (i,))
+
+
+def test_a_state_row_serves_only_the_request_of_pcg64():
+    # any other request would read past the row's 4 words
+    words = _SeedWords(np.zeros(4, dtype=np.uint64))
+    assert words.generate_state(4, np.uint64) is words.words
+    for request in ((4,), (8, np.uint64), (4, np.uint32)):
+        with pytest.raises(ValueError):
+            words.generate_state(*request)
+
+
 @pytest.mark.parametrize("stream", [(2**640 - 1,), tuple(range(20))],
                          ids=["one-20-word-key", "20-keys"])
 def test_seek_accepts_keys_of_any_length(stream):
@@ -120,8 +167,9 @@ def test_seek_accepts_keys_of_any_length(stream):
                           numpy_stream(11, stream).standard_normal(SHAPE))
 
 
-@pytest.mark.parametrize("stream, error", [((3, -1), ValueError), ((1.0,), TypeError)],
-                         ids=["negative-key", "float-key"])
+@pytest.mark.parametrize("stream, error", [((3, -1), ValueError), ((-1,), ValueError),
+                                           ((1.0,), TypeError)],
+                         ids=["negative-key", "negative-step", "float-key"])
 def test_seek_rejects_the_keys_numpy_rejects(stream, error):
     with pytest.raises(error):
         numpy_stream(0, stream)
