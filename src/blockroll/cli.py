@@ -30,15 +30,7 @@ from .denoisers import (
 from .engine import InternalInvariantError, Rollout, RolloutConfig, TraceRecord, run
 from .metrics import METRICS, check_window, repetition_score
 from .sampler import TimestepSchedule
-from .schedule import (
-    CacheSlot,
-    Orientation,
-    Policy,
-    PolicyConfig,
-    RollConvention,
-    Schedule,
-    schedule_for,
-)
+from .schedule import Orientation, Policy, PolicyConfig, RollConvention, schedule_for
 
 _ORIENT_WORD = {Orientation.FORWARD: "forward", Orientation.REVERSED: "reversed"}
 
@@ -170,7 +162,7 @@ def load_config(path: str) -> RolloutConfig:
 # fills these templates rather than building the object first.
 _LINE = '{"step":%d,"schedule":[%s],"frame_stats":{"mean":%s,"var":%s}%s,"seed":%d}'
 _SLOT = '{"content":%d,"orient":"%s","index":%d}'
-_ORIENTATIONS = {o.value: o for o in Orientation}
+_ORIENTATIONS = tuple(o.value for o in Orientation)
 _ENCODE = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 # JSON numbers decode to exactly these types; bools and strings are not numbers
@@ -203,23 +195,23 @@ def _number(obj: dict, key: str):
     return value
 
 
-def _slot(obj: dict) -> CacheSlot:
+def _check_slot(obj: dict) -> None:
     content, orient, index = obj["content"], obj["orient"], obj["index"]
     if type(content) is not int or content < 0:
         raise TypeError(f"content must be a non-negative integer, got {content!r}")
     if type(index) is not int or index < 0:
         raise TypeError(f"index must be a non-negative integer, got {index!r}")
-    orientation = _ORIENTATIONS.get(orient) if type(orient) is str else None
-    if orientation is None:
+    if orient not in _ORIENTATIONS:
         raise ValueError(f"{orient!r} is not a valid Orientation")
-    return CacheSlot(content, orientation, index)
 
 
 def record_from_obj(obj: dict) -> TraceRecord:
+    """A record read back: its slots are checked but not kept, so no policy."""
     step = obj["step"]
     if type(step) is not int:
         raise TypeError(f"step must be an integer, got {step!r}")
-    slots = tuple(map(_slot, obj["schedule"]))
+    for slot in obj["schedule"]:
+        _check_slot(slot)
     frames = obj.get("frames")
     if frames is not None:
         if (type(frames) is not list or set(map(type, frames)) != {list} or [] in frames
@@ -230,7 +222,7 @@ def record_from_obj(obj: dict) -> TraceRecord:
     seed = obj["seed"]
     if type(seed) is not int:
         raise TypeError(f"seed must be an integer, got {seed!r}")
-    return TraceRecord(step, Schedule(slots), _number(stats, "mean"),
+    return TraceRecord(step, None, _number(stats, "mean"),
                        _number(stats, "var"), frames, seed)
 
 

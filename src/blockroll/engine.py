@@ -1,12 +1,11 @@
 """Blockwise autoregressive rollout engine.
 
-Each step builds the policy's conditioning schedule, expands it into one
-Context of positioned latent frames gathered from stored block data,
-samples the next block through the few-step denoising loop, appends it to
-the bounded history, and emits a replayable trace record. Noise for step
-i is drawn from the stream (i,) of the seed, which the rollout's one
-NoiseSource is re-seated to at the start of the step, so traces depend
-only on the config and seed.
+Each step gathers one Context of positioned latent frames from stored block
+data, samples the next block through the few-step denoising loop, appends it
+to the bounded history, and emits a replayable trace record, whose schedule
+derives from the policy when read. Noise for step i is drawn from the stream
+(i,) of the seed, which the rollout's one NoiseSource is re-seated to at the
+start of the step, so traces depend only on the config and seed.
 
 The store mirrors its ring, so a step's recent blocks are one slice of its
 rows: the whole context in a fill step (i <= K) and under the sliding window.
@@ -25,6 +24,7 @@ from math import isfinite
 
 import numpy as np
 
+from . import schedule as schedules
 from .denoisers import Context, DenoiserInterface
 from .sampler import NoiseSource, TimestepSchedule, sample_block
 # The step never calls frame_expand; the name stays here because the
@@ -112,12 +112,21 @@ class HistoryStore:
 
 @dataclass(eq=False)
 class TraceRecord:
+    """One step's block stats, its frames if recorded, and the rollout's policy,
+    from which the step's schedule derives; a record read back has none."""
+
     step: int
-    schedule: Schedule
+    policy: PolicyConfig | None
     mean: float
     var: float
     frames: np.ndarray | None
     seed: int
+
+    @property
+    def schedule(self) -> Schedule:
+        # through the module: the benchmark's tracer times engine.schedule_for
+        # as part of a step, and a record's schedule is read outside one
+        return schedules.schedule_for(self.policy, self.step)
 
 
 @lru_cache(maxsize=3)  # one plan for equal policies; a sweep runs three per S
@@ -160,11 +169,15 @@ class Rollout:
     def __init__(self, cfg: RolloutConfig):
         self.cfg = cfg
         self.store = HistoryStore(cfg.policy, cfg.frame_dim)
-        self.step_index = 0
         self.records: list[TraceRecord] = []
         self.noise: NoiseSource | None = None  # one source, re-seated per step
         self.sink_slots = 0 if cfg.policy.policy is Policy.SLIDING_WINDOW else cfg.policy.S
         self.sinks: tuple | None = None  # the sink strip's frames, move, base, shift
+
+    @property
+    def step_index(self) -> int:
+        """The next step: the store holds one block per step run."""
+        return self.store.count
 
     def fork(self, policy: PolicyConfig) -> Rollout:
         """A rollout of `policy` continuing from copies of this one's store and
@@ -180,19 +193,13 @@ class Rollout:
             raise ValueError(f"the store of {policy.policy.value} is not laid out as "
                              f"the store of {self.cfg.policy.policy.value}")
         store.frames[...], store.count = ours.frames, ours.count
-        fork.step_index, fork.records = self.step_index, self.records.copy()
-        fork.noise = self.noise
+        fork.records, fork.noise = self.records.copy(), self.noise
         return fork
 
     def _expand(self, i: int) -> Context:
         """Step i's frames and positions: s sink blocks from the sink strip (none
         in a fill step, i <= K), then blocks max(0, i-K)+s..i-1, one store slice."""
         store = self.store
-        if store.count != i:  # the rows hold step i's blocks only then
-            raise InternalInvariantError(
-                f"history store holds {store.count} blocks at step {i}, so the "
-                f"blocks its schedule references are absent from the history store"
-            )
         K, bs = store.capacity, store.block_size
         s = self.sink_slots if i > K else 0
         lo = max(0, i - K) + s
@@ -213,8 +220,7 @@ class Rollout:
         mean or var is inf or NaN raises NonFiniteBlockError and is neither
         stored nor recorded, so the rollout stays at that step."""
         cfg = self.cfg
-        i = self.step_index
-        schedule = schedule_for(cfg.policy, i)
+        i = self.store.count
         context = self._expand(i)
         noise = self.noise
         if noise is None:  # set up inside a step, so its cost counts as step time
@@ -231,9 +237,8 @@ class Rollout:
                                       "so the rollout stops at that step")
         self.store.put(i, block)
         self.records.append(TraceRecord(
-            step=i, schedule=schedule, mean=mean, var=var,
+            step=i, policy=cfg.policy, mean=mean, var=var,
             frames=block.copy() if cfg.record_frames else None, seed=cfg.seed))
-        self.step_index += 1
         return block
 
     def trace(self) -> tuple[TraceRecord, ...]:

@@ -22,14 +22,7 @@ from blockroll.denoisers import AnalyticGaussianDenoiser, TinyAttentionDenoiser
 from blockroll.engine import RolloutConfig, TraceRecord, run
 from blockroll.metrics import flicker_proxy, mean_drift, repetition_score
 from blockroll.sampler import _CHUNK
-from blockroll.schedule import (
-    CacheSlot,
-    Orientation,
-    Policy,
-    PolicyConfig,
-    Schedule,
-    schedule_for,
-)
+from blockroll.schedule import Orientation, Policy, PolicyConfig, RollConvention, schedule_for
 from trace_oracle import record_to_obj
 
 BASE_CONFIG = """
@@ -271,15 +264,11 @@ def test_trace_round_trips_exactly(tmp_path):
     assert len(parsed) == len(trace)
     for original, reread in zip(trace, parsed):
         assert reread.step == original.step
-        assert reread.schedule == original.schedule
+        assert reread.policy is None  # slots are checked, not kept
         assert reread.mean == original.mean
         assert reread.var == original.var
         assert reread.seed == original.seed
         assert np.array_equal(reread.frames, original.frames)
-    # and writing the parsed trace reproduces the same bytes
-    path2 = tmp_path / "trace2.jsonl"
-    cli.write_trace(parsed, str(path2))
-    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_records_omit_frames_when_not_recorded(tmp_path):
@@ -307,12 +296,13 @@ EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.0, -3.0
                                1e22, 2.0**53, 0.1])
 STATS = st.one_of(FINITE, EDGE_FLOATS, FINITE.map(np.float64),
                   st.integers(-(2**63), 2**63))
+POLICIES = st.integers(1, 7).flatmap(lambda K: st.builds(
+    PolicyConfig, st.just(K), st.integers(0, K - 1), st.integers(1, 3),
+    st.sampled_from(Policy), st.sampled_from(RollConvention)))
 RECORDS = st.builds(
-    lambda step, slots, mean, var, frames, seed: TraceRecord(
-        step, Schedule(tuple(slots)), mean, var, frames, seed),
-    st.integers(0, 10**9),
-    st.lists(st.builds(CacheSlot, st.integers(0, 10**9), st.sampled_from(Orientation),
-                       st.integers(0, 10**9)), max_size=7),
+    TraceRecord,
+    st.integers(0, 10**9) | st.integers(0, 30),  # past the fill, and within it
+    POLICIES,
     STATS,
     STATS,
     st.none() | hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
@@ -353,13 +343,13 @@ def test_non_finite_record_is_refused_and_writes_no_file(records, data):
         assert not path.exists()
 
 
-def test_int_stats_read_back_are_written_as_ints(tmp_path):
+def test_int_stats_read_back_as_ints(tmp_path):
     line = VALID_RECORD.replace('"mean":0.0,"var":1.0', '"mean":-2,"var":3')
     path = tmp_path / "ints.jsonl"
     path.write_text(line + "\n")
     trace = cli.read_trace(str(path))
+    assert (trace[0].mean, trace[0].var) == (-2, 3)
     assert type(trace[0].mean) is int and type(trace[0].var) is int
-    assert cli.trace_to_lines(trace) == [reference_line(trace[0])] == [line]
 
 
 # Each bad line follows VALID_RECORD and differs from its valid successor,
@@ -434,8 +424,7 @@ def test_valid_successor_is_accepted(tmp_path):
     path.write_text(VALID_RECORD + "\n" + NEXT_RECORD + "\n")
     assert [record.step for record in cli.read_trace(str(path))] == [0, 1]
     path.write_text(VALID_RECORD + "\n" + with_slot(NEXT_RECORD) + "\n")
-    assert cli.read_trace(str(path))[1].schedule.slots == (
-        CacheSlot(0, Orientation.FORWARD, 0),)
+    assert [record.step for record in cli.read_trace(str(path))] == [0, 1]
 
 
 @pytest.mark.parametrize("line", [

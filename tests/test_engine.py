@@ -210,14 +210,31 @@ def test_history_store_rejects_out_of_order_puts():
     assert store.get(0)[0, 0] == 0.0
 
 
-def test_missing_history_is_an_internal_invariant_violation():
-    cfg = make_config(horizon=10, K=3, S=2)
-    rollout = Rollout(cfg)
-    for _ in range(5):
+def test_missing_history_is_an_internal_invariant_violation(monkeypatch):
+    # a step's recent blocks are the store's last by construction, so a missing
+    # block can only be a sink, which the plan checks at the first step past
+    # the fill; here every walk slot reads block K, evicted at step 2K+1
+    K = 3
+    roll = engine.roll_slot
+    monkeypatch.setattr(engine, "roll_slot",
+                        lambda policy, l: roll(policy, l)._replace(content_id=K))
+    rollout = Rollout(make_config(horizon=10, K=K, S=2))
+    for _ in range(K + 1):
         rollout.step()
-    rollout.store = HistoryStore(cfg.policy, cfg.frame_dim)
     with pytest.raises(InternalInvariantError, match="absent from the history"):
         rollout.step()
+    assert rollout.step_index == rollout.store.count == len(rollout.records) == K + 1
+
+
+def test_a_rollouts_step_is_its_store_count():
+    rollout = Rollout(make_config(K=4, S=2))
+    for _ in range(3):
+        rollout.step()
+    assert rollout.step_index == rollout.store.count == 3
+    with pytest.raises(AttributeError):
+        rollout.step_index = 0
+    fork = rollout.fork(PolicyConfig(K=4, S=1))
+    assert fork.step_index == fork.store.count == 3
 
 
 class ContextRecorder:
@@ -386,6 +403,26 @@ def test_a_plan_and_its_sink_strip_hold_o_k_memory(policy):
             array[...] = 0
 
 
+def test_records_hold_no_schedules():
+    # a record derives its schedule from the rollout's policy, which its records
+    # share, so K steps hold O(K) memory; K schedules would hold ~K^2/2 slots
+    K = 100
+    run(make_config(horizon=1))  # untraced: a process's first step imports modules
+    rollout = Rollout(make_config(K=K, S=K // 2, horizon=3 * K, record_frames=False))
+    for _ in range(K + 2):  # step K+1 builds the plan and copies the sink strip
+        rollout.step()
+    tracemalloc.start()
+    try:
+        for _ in range(K):
+            rollout.step()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000
+    assert all(record.policy is rollout.cfg.policy for record in rollout.records)
+    assert rollout.records[-1].schedule == schedule_for(rollout.cfg.policy, 2 * K + 1)
+
+
 def test_a_rollout_within_its_fill_steps_builds_no_plan():
     # fill steps read the store directly, so a horizon of K+1 needs no plan;
     # the records are dropped as they come, as they grow with the horizon
@@ -425,18 +462,6 @@ def test_the_plan_gathers_what_the_slot_by_slot_oracle_gathers(policy, conventio
                     store.put(i, np.arange(i * bs, (i + 1) * bs, dtype=float)[:, None])
                 planned = policy is not Policy.SLIDING_WINDOW and S > 0
                 assert (rollout.sinks is not None) == planned
-
-
-@pytest.mark.parametrize("policy", list(Policy))
-def test_missing_history_is_caught_past_the_fill(policy):
-    K = 3
-    rollout = Rollout(make_config(policy=policy, K=K, S=2, horizon=10 * K))
-    for _ in range(4 * K):
-        rollout.step()
-    assert (rollout.sinks is None) == (policy is Policy.SLIDING_WINDOW)
-    rollout.store = HistoryStore(rollout.cfg.policy, rollout.cfg.frame_dim)
-    with pytest.raises(InternalInvariantError, match="absent from the history"):
-        rollout.step()
 
 
 @pytest.mark.parametrize("policy, block, step", [

@@ -15,7 +15,7 @@ from blockroll.denoisers import (
 from blockroll.engine import RolloutConfig, TraceRecord, run
 from blockroll.metrics import flicker_proxy, mean_drift, repetition_score
 from blockroll.sampler import TimestepSchedule
-from blockroll.schedule import Policy, PolicyConfig, Schedule
+from blockroll.schedule import Policy, PolicyConfig
 from metric_oracle import oracle_flicker_proxy, oracle_repetition_score
 
 
@@ -185,7 +185,7 @@ def test_timestep_schedule_override_is_honored():
 def frames_trace(frames):
     """A trace of the given (steps, rows, width) frames, steps from 0."""
     return tuple(
-        TraceRecord(i, Schedule(()), float(block.mean()), float(block.var()),
+        TraceRecord(i, None, float(block.mean()), float(block.var()),
                     block, 0)
         for i, block in enumerate(np.asarray(frames, dtype=np.float64))
     )
