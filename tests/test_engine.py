@@ -464,6 +464,28 @@ def test_the_plan_gathers_what_the_slot_by_slot_oracle_gathers(policy, conventio
                 assert (rollout.sinks is not None) == planned
 
 
+@pytest.mark.parametrize("policy", [p for p in Policy if p is not Policy.SLIDING_WINDOW])
+def test_missing_history_is_caught_past_the_fill(monkeypatch, policy):
+    # every sink reads block K, held at step K+1 but evicted at step 2K+1, so the
+    # plan built at the first step past the fill refuses it before that step
+    # runs; the sliding window's context is the store's last K blocks, never missing
+    K = 3
+    roll, schedule = engine.roll_slot, engine.schedule_for
+    monkeypatch.setattr(engine, "roll_slot",
+                        lambda policy, l: roll(policy, l)._replace(content_id=K))
+    monkeypatch.setattr(engine, "schedule_for", lambda policy, i: Schedule(tuple(
+        slot._replace(content_id=K) for slot in schedule(policy, i).slots)))
+    gather_plan.cache_clear()  # an equal policy's cached plan would skip the check
+    rollout = Rollout(make_config(policy=policy, K=K, S=2, horizon=10 * K))
+    for _ in range(K + 1):
+        rollout.step()
+    with pytest.raises(InternalInvariantError, match=f"^schedule for step {K + 1} references "
+                                                     f"block {K}, which is absent"):
+        rollout.step()
+    assert rollout.step_index == len(rollout.records) == K + 1 and rollout.sinks is None
+    assert gather_plan.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("policy, block, step", [
     (Policy.ROLLING_SINK, 3, 4),  # block K: held at step K+1, evicted at step 2K+1
     (Policy.ROLLING_SINK, 9, 5),  # not yet generated at the step that reads it
