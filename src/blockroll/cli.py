@@ -416,25 +416,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for variant in _SWEEP_VARIANTS
         for seed in range(base.seed, base.seed + args.seeds)
     ]
-    # Every policy schedules steps 0..K alike, so a seed's cells share one run
-    # of them, stepped as far as a cell needs and forked for a longer one. A
-    # terminal is keyed by what decides it: with S = 0 the variants schedule
-    # alike, and within the fill every policy does.
+    # Every policy schedules steps 0..K alike, so a seed's cells share one fill
+    # run, stepped as far as a cell needs, and every computed cell forks it. A
+    # terminal is keyed by what decides it: a cell whose sinks cannot matter
+    # (S = 0, or a horizon within the fill) runs the fill policy.
+    fill = replace(base.policy, S=0, policy=Policy.ATTENTION_SINK)
     prefixes: dict[int, Rollout] = {}
     terminals: dict[tuple, tuple] = {}
     rows = []
     for sink, horizon, variant, seed in cells:
-        policy = replace(base.policy, S=sink, policy=variant if sink else _SWEEP_VARIANTS[0])
-        key = (policy if horizon > K + 1 else None, horizon, seed)
+        policy = (replace(base.policy, S=sink, policy=variant)
+                  if sink and horizon > K + 1 else fill)
+        key = (policy, horizon, seed)
         terminal = terminals.get(key)
         if terminal is None:
             prefix = prefixes.get(seed)
             if prefix is None:  # RolloutConfig refuses a horizon below 1
                 prefix = prefixes[seed] = Rollout(replace(
-                    base, policy=policy, horizon=horizon, seed=seed, record_frames=True))
+                    base, policy=fill, horizon=horizon, seed=seed, record_frames=True))
             while prefix.step_index < min(K + 1, horizon):
                 prefix.step()
-            rollout = prefix.fork(policy) if horizon > K + 1 else prefix
+            rollout = prefix.fork(policy)
             while rollout.step_index < horizon:
                 rollout.step()
             records = rollout.records[:horizon]

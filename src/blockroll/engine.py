@@ -13,7 +13,7 @@ Otherwise S sink blocks come first, a window of the rollout's sink strip,
 copied at step K+1 by the policy's gather plan, O(K) and shared by its rollouts.
 
 Every policy schedules the fill steps 0..K alike, so `blockroll sweep` runs
-them once per seed and forks that rollout into each longer cell's policy.
+them once per seed and forks that rollout into every cell it computes.
 """
 
 from __future__ import annotations
@@ -124,6 +124,9 @@ class TraceRecord:
 
     @property
     def schedule(self) -> Schedule:
+        if self.policy is None:
+            raise ValueError(f"trace record for step {self.step} was read back "
+                             "from a trace and holds no schedule")
         # through the module: the benchmark's tracer times engine.schedule_for
         # as part of a step, and a record's schedule is read outside one
         return schedules.schedule_for(self.policy, self.step)
@@ -225,7 +228,7 @@ class Rollout:
         noise = self.noise
         if noise is None:  # set up inside a step, so its cost counts as step time
             noise = self.noise = NoiseSource(cfg.seed)
-        noise.seek((i,))
+        noise.seek(i)
         block = sample_block(cfg.denoiser, cfg.timesteps, context, noise, cfg.policy.block_size)
         # np.mean and np.var of the block, by the reductions they run inside
         n = block.size

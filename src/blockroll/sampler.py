@@ -76,18 +76,6 @@ _STATE_HASH = _hash_run(0x8B51F9DD, 0x58F38DED, 8)
 _STATE_XOR, _STATE_MULT = _STATE_HASH[:8].reshape(2, 4, 1), _STATE_HASH[1:].reshape(2, 4, 1)
 
 
-def _key_words(key) -> list[int]:
-    """The 32-bit words numpy splits a spawn key into, lowest first. A key
-    must be a non-negative integer (ValueError, TypeError otherwise)."""
-    key = operator.index(key)
-    if key < 0:
-        raise ValueError("expected non-negative integer")
-    words = [key & _MASK32]
-    while key := key >> 32:
-        words.append(key & _MASK32)
-    return words
-
-
 def _state_words(pool: np.ndarray, words: list) -> np.ndarray:
     """generate_state(4, np.uint64) of the SeedSequences whose spawn-key words
     `words` are mixed into `pool`, the seed's (4, 1) pool: one row per stream.
@@ -124,41 +112,40 @@ class _SeedWords:
 
 
 class NoiseSource:
-    """Seeded Gaussian stream. Identical (seed, stream) pairs reproduce
+    """Seeded Gaussian stream per step. Identical (seed, step) pairs reproduce
     identical draws in identical order.
 
-    Stream `stream` of `seed` is numpy's
-    Generator(PCG64(SeedSequence(seed mod 2^64, spawn_key=stream))).
-    NoiseSource(seed) starts at stream (); `seek(stream)` moves it to the
-    exact state that stream starts in, so a caller that needs many streams
-    of one seed builds one source and re-seats it.
+    Step i's stream of `seed` is numpy's
+    Generator(PCG64(SeedSequence(seed mod 2^64, spawn_key=(i,)))).
+    NoiseSource(seed) starts at step 0; `seek(i)` re-seats it at the exact
+    state step i's stream starts in, so a caller that needs many steps of
+    one seed builds one source and re-seats it.
     """
 
     def __init__(self, seed: int):
         np.random.bit_generator.ISeedSequence.register(_SeedWords)
         self._pool = np.random.SeedSequence(seed & _MASK64).pool[:, None]
         self._first, self._table = 0, np.empty((0, 4), dtype=np.uint64)  # no chunk yet
-        self.seek(())
+        self.seek(0)
 
-    def seek(self, stream: tuple[int, ...]) -> None:
-        """Re-seat the source at the start of stream `stream`. A one-key
-        stream (i,) reads its seed words from the table of the aligned
-        _CHUNK steps that holds i, filled when i falls outside it; any other
-        stream is a chunk of one. Keys must be non-negative integers
+    def seek(self, i: int) -> None:
+        """Re-seat the source at the start of step i's stream, whose seed words
+        it reads from the table of the aligned _CHUNK steps that holds i,
+        filled when i falls outside it. A step must be a non-negative integer
         (ValueError, TypeError otherwise), of any size."""
-        if len(stream) == 1:
-            i = operator.index(stream[0])
-            k = i - self._first
-            if not 0 <= k < len(self._table):
-                words = _key_words(i)
-                k = words[0] % _CHUNK
-                words[0] = np.arange(words[0] - k, words[0] - k + _CHUNK, dtype=_U4)
-                self._first, self._table = i - k, _state_words(self._pool, words)
-            words = self._table[k]
-        else:
-            words = _state_words(self._pool,
-                                 [word for key in stream for word in _key_words(key)])[0]
-        self._gen = np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        i = operator.index(i)
+        k = i - self._first
+        if not 0 <= k < len(self._table):
+            if i < 0:
+                raise ValueError(f"a step must be non-negative (got {i})")
+            # the 32-bit words numpy splits a key into, lowest first: the chunk's
+            # lowest words are a row, and its higher words are i's
+            k = i % _CHUNK
+            low = (i & _MASK32) - k
+            words = [np.arange(low, low + _CHUNK, dtype=_U4)]
+            words += [i >> shift & _MASK32 for shift in range(32, i.bit_length(), 32)]
+            self._first, self._table = i - k, _state_words(self._pool, words)
+        self._gen = np.random.Generator(np.random.PCG64(_SeedWords(self._table[k])))
 
     def standard_normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)

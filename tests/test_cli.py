@@ -271,6 +271,24 @@ def test_trace_round_trips_exactly(tmp_path):
         assert np.array_equal(reread.frames, original.frames)
 
 
+READ_BACK = "trace record for step 0 was read back from a trace and holds no schedule"
+
+
+def test_records_read_back_are_not_written_again(tmp_path, monkeypatch):
+    # a record read back holds no schedule to write; the writer refuses it
+    # before it opens the file, and main maps the refusal to exit 1
+    config = write_config(tmp_path)
+    first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+    assert cli.main(["rollout", config, "--out", str(first)]) == 0
+    records = cli.read_trace(str(first))
+    with pytest.raises(ValueError, match=f"^{READ_BACK}$"):
+        cli.write_trace(records, str(again))
+    assert not again.exists()
+    monkeypatch.setattr(cli, "run", lambda cfg: records)
+    assert run_main(["rollout", config, "--out", str(again)]) == (1, f"error: {READ_BACK}\n")
+    assert not again.exists()
+
+
 def test_records_omit_frames_when_not_recorded(tmp_path):
     cfg = cli.parse_config_text(BASE_CONFIG + "record_frames = false\n")
     trace = run(cfg)
@@ -911,10 +929,10 @@ SHARING_DENOISERS = {
 @pytest.mark.parametrize("convention", ["palindrome", "literal-mod"])
 @pytest.mark.parametrize("denoiser", sorted(SHARING_DENOISERS))
 def test_sweep_rows_equal_independent_runs_of_their_cells(tmp_path, denoiser, convention):
-    # the cells of a seed fork one run of the fill steps 0..K, and the S = 0
-    # cells share one run; horizons 1, K, K+1, K+2 and 4K+3 with K = 4, and
-    # one past the first chunk of noise states, so that the forks of a seed
-    # move its shared noise source's chunk forward and back
+    # every computed cell of a seed forks its one run of the fill steps 0..K,
+    # and the S = 0 cells run the fill policy; horizons 1, K, K+1, K+2 and
+    # 4K+3 with K = 4, and one past the first chunk of noise states, so that
+    # the forks of a seed move its shared noise source's chunk forward and back
     config = write_config(tmp_path, SHARING_DENOISERS[denoiser] + "K = 4\nS = 1\n"
                           f"frame_dim = 3\nseed = 5\nconvention = {convention}\n")
     base = cli.load_config(config)
@@ -949,7 +967,7 @@ def test_a_sweep_stops_at_the_first_non_finite_cell(tmp_path, text, step):
 
 def test_a_sweep_runs_one_fill_per_seed(tmp_path, monkeypatch):
     # each seed's run of the fill steps is stepped as far as a cell needs,
-    # and the cells past it fork that run and share its noise source
+    # and every computed cell forks that run and shares its noise source
     built = []
 
     class CountingNoiseSource(engine.NoiseSource):
@@ -962,6 +980,38 @@ def test_a_sweep_runs_one_fill_per_seed(tmp_path, monkeypatch):
     assert cli.main(["sweep", config, "--horizons", "1,3,6,7,8,24", "--seeds", "2",
                      "--out", str(tmp_path / "sweep.csv")]) == 0
     assert built == [0, 1]
+
+
+def test_every_computed_sweep_cell_forks_its_seeds_fill_run(tmp_path, monkeypatch):
+    # K = 4: per seed, S = 0 forks for horizons 1, 5 = K+1 and 6, which the
+    # S = 2 cells share up to K+1, and S = 2 forks each variant for horizon 6
+    forks = []
+    fork = engine.Rollout.fork
+
+    def counting_fork(self, policy):
+        forks.append(policy)
+        return fork(self, policy)
+
+    monkeypatch.setattr(engine.Rollout, "fork", counting_fork)
+    config = write_config(tmp_path, "K = 4\nS = 1\nseed = 3\nframe_dim = 2\n"
+                          "denoiser = context-mean\nbias = 0.05\ninnovation_scale = 0.2\n")
+    base = cli.load_config(config)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "1,5,6",
+                     "--seeds", "2", "--out", str(out)]) == 0
+    assert len(forks) == 12  # one per computed (policy, horizon, seed) key
+    assert sorted((policy.S, policy.policy.value) for policy in forks) == sorted(
+        [(0, "attention-sink")] * 6 + [(2, variant.value) for variant in
+                                       cli._SWEEP_VARIANTS] * 2)
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == 2 * 3 * 3 * 2
+    for line in lines:
+        _, S, _, policy, horizon, seed, *terminal = line.split(",")
+        trace = run(replace(base, policy=replace(base.policy, S=int(S),
+                                                 policy=Policy(policy)),
+                            horizon=int(horizon), seed=int(seed)))
+        assert terminal == [repr(series.tolist()[-1]) for series in (
+            mean_drift(trace), flicker_proxy(trace), repetition_score(trace, window=8))]
 
 
 @pytest.mark.parametrize("window", ["0", "-2"])

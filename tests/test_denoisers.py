@@ -38,10 +38,10 @@ def posterior_mean(den, noisy, t, ctx):
     return den.posterior(noisy, t, den.condition(ctx, len(noisy)))[0]
 
 
-def noise_at(seed, stream):
-    """A NoiseSource of `seed` seated at the start of `stream`."""
+def noise_at(seed, i):
+    """A NoiseSource of `seed` seated at the start of step i's stream."""
     noise = NoiseSource(seed)
-    noise.seek(stream)
+    noise.seek(i)
     return noise
 
 
@@ -197,7 +197,7 @@ def test_level_table_is_exact_across_block_sizes_contexts_and_timesteps():
                 noisy = gen.standard_normal((block_size, frame_dim))
                 fresh = AnalyticGaussianDenoiser(rho)
                 fresh_state = fresh.condition(ctx, block_size)
-                z = noise_at(7, (draw,)).standard_normal(noisy.shape)
+                z = noise_at(7, draw).standard_normal(noisy.shape)
                 got = shared.estimate(noisy, t, state, z)
                 want = fresh.estimate(noisy, t, fresh_state, z)
                 assert np.array_equal(got, want)
