@@ -417,9 +417,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for seed in range(base.seed, base.seed + args.seeds)
     ]
     # Every policy schedules steps 0..K alike, so a seed's cells share one fill
-    # run, stepped as far as a cell needs, and every computed cell forks it. A
-    # terminal is keyed by what decides it: a cell whose sinks cannot matter
-    # (S = 0, or a horizon within the fill) runs the fill policy.
+    # run, stepped as far as a cell needs before step K, and every computed cell
+    # forks it. A terminal is keyed by what decides it: a cell whose sinks cannot
+    # matter (S = 0, or a horizon within the fill) runs the fill policy.
     fill = replace(base.policy, S=0, policy=Policy.ATTENTION_SINK)
     prefixes: dict[int, Rollout] = {}
     terminals: dict[tuple, tuple] = {}
@@ -434,12 +434,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if prefix is None:  # RolloutConfig refuses a horizon below 1
                 prefix = prefixes[seed] = Rollout(replace(
                     base, policy=fill, horizon=horizon, seed=seed, record_frames=True))
-            while prefix.step_index < min(K + 1, horizon):
+            while prefix.step_index < min(K, horizon):
                 prefix.step()
             rollout = prefix.fork(policy)
             while rollout.step_index < horizon:
                 rollout.step()
-            records = rollout.records[:horizon]
+            records = rollout.records
             # A terminal value reads only the trailing records: the last jump,
             # and the last block against the `window` blocks before it.
             terminal = terminals[key] = tuple(series[-1].item() for series in (

@@ -7,13 +7,14 @@ derives from the policy when read. Noise for step i is drawn from the stream
 (i,) of the seed, which the rollout's one NoiseSource is re-seated to at the
 start of the step, so traces depend only on the config and seed.
 
-The store mirrors its ring, so a step's recent blocks are one slice of its
-rows: the whole context in a fill step (i <= K) and under the sliding window.
-Otherwise S sink blocks come first, a window of the rollout's sink strip,
-copied at step K+1 by the policy's gather plan, O(K) and shared by its rollouts.
+The store is a mirrored ring of the last K blocks, so a step's recent blocks
+are one slice of its rows: the whole context in a fill step (i <= K) and under
+the sliding window. Otherwise S sink blocks come first, a window of the
+rollout's sink strip, copied at step K by the policy's gather plan, O(K) and
+shared by its rollouts.
 
 Every policy schedules the fill steps 0..K alike, so `blockroll sweep` runs
-them once per seed and forks that rollout into every cell it computes.
+steps 0..K-1 once per seed and forks that rollout into every cell it computes.
 """
 
 from __future__ import annotations
@@ -61,45 +62,38 @@ class RolloutConfig:
 
 
 class HistoryStore:
-    """Bounded block storage in one preallocated array of frame rows: the
-    first K blocks pinned, then a ring holding the last K blocks at slot
-    block_id mod K and again K slots later; the sliding window pins nothing. So
-    any <= K consecutive held blocks are one slice from first_row of the first.
-    Blocks are put in id order; at most 2K (K unpinned) are held."""
+    """Bounded block storage in one preallocated array of frame rows: a ring
+    holding the last K blocks at slot block_id mod K and again K slots later,
+    so any <= K consecutive held blocks are one slice from first_row of the
+    first. Blocks are put in id order; at most K are held."""
 
     def __init__(self, policy: PolicyConfig, frame_dim: int):
         self.capacity = K = policy.K
         self.block_size = bs = policy.block_size
-        self._ring = 0 if policy.policy is Policy.SLIDING_WINDOW else K  # first ring slot
-        self.frames = np.zeros(((self._ring + 2 * K) * bs, frame_dim))
-        self._rings = self.frames[self._ring * bs:].reshape(2, K * bs, frame_dim)  # ring, mirror
+        self.frames = np.zeros((2 * K * bs, frame_dim))
+        self._rings = self.frames.reshape(2, K * bs, frame_dim)  # ring, mirror
         self.count = 0  # blocks put so far; the next id put must be this
 
     @property
     def peak_retained(self) -> int:
         """Blocks held. It never falls, so it is also the peak."""
-        return min(self.count, self._ring + self.capacity)
+        return min(self.count, self.capacity)
 
     def holds(self, block_id, count):
         """Whether a block is held once `count` blocks are put; either may be an array."""
-        return (0 <= block_id) & (block_id < count) & (
-            (block_id < self._ring) | (count - self.capacity <= block_id))
+        return (0 <= block_id) & (block_id < count) & (count - self.capacity <= block_id)
 
     def first_row(self, block_id):
         """The row in `frames` of a block's first frame; ids may be an array."""
-        return (block_id % self.capacity + self._ring * (block_id >= self._ring)) * self.block_size
+        return block_id % self.capacity * self.block_size
 
     def put(self, block_id: int, block: np.ndarray) -> None:
         if block_id != self.count:
             raise ValueError(f"blocks must be put in id order: expected block "
                              f"{self.count}, got {block_id}")
         self.count += 1
-        bs = self.block_size
-        if block_id < self._ring:  # pinned
-            self.frames[block_id * bs:(block_id + 1) * bs] = block
-        else:  # at its ring slot and K slots later
-            first = block_id % self.capacity * bs
-            self._rings[:, first:first + bs] = block
+        first = self.first_row(block_id)  # at its ring slot and K slots later
+        self._rings[:, first:first + self.block_size] = block
 
     def get(self, block_id: int) -> np.ndarray:
         """A copy of a held block's frames; KeyError for a block not held,
@@ -138,18 +132,17 @@ def gather_plan(policy: PolicyConfig) -> tuple[np.ndarray, int, np.ndarray, np.n
     read-only: step i past the fill reads S*block_size strip rows from
     ((i - K - 1) mod 2K) * move, at positions base + i * shift. The strip is
     the walk's slots l = 1..2K+S-1 under rolling-sink, moving a slot a step,
-    else step K+1's sinks. A sink block the store would not hold at every
-    step that reads it raises InternalInvariantError."""
+    else step K+1's sinks. A sink block the store does not hold at step K,
+    which copies the strip, raises InternalInvariantError."""
     K, bs = policy.K, policy.block_size
     s = 0 if policy.policy is Policy.SLIDING_WINDOW else policy.S
     rolling = policy.policy is Policy.ROLLING_SINK
-    period = 2 * K if rolling else K
     store = HistoryStore(policy, 0)  # the layout only
     now, later = schedule_for(policy, K + 1), schedule_for(policy, K + 2)
     sinks = [roll_slot(policy, l) for l in range(1, 2 * K + s)] if rolling else now.slots[:s]
     content = np.array([slot.content_id for slot in sinks], dtype=np.intp)
     first = K + 1 + np.maximum(0, np.arange(len(sinks)) - s + 1)  # the step first reading it
-    held = store.holds(content, first + [[0], [period]]).all(axis=0)  # so pinned
+    held = store.holds(content, K)  # the ring at step K
     if not held.all():
         m = held.argmin()
         raise InternalInvariantError(f"schedule for step {first[m]} references block "
@@ -185,17 +178,18 @@ class Rollout:
     def fork(self, policy: PolicyConfig) -> Rollout:
         """A rollout of `policy` continuing from copies of this one's store and
         records, sharing its NoiseSource (every step re-seats it) and keeping its
-        horizon, which no step reads. ValueError past the fill or across layouts."""
+        horizon, which no step reads. ValueError once step K, which copies the
+        sink strip, has run, or for another K or block_size."""
+        ours = self.cfg.policy
+        if self.step_index > ours.K:
+            raise ValueError(f"a rollout forks before its step {ours.K}, which copies the "
+                             f"sink strip, and this one has run {self.step_index} steps")
+        if (policy.K, policy.block_size) != (ours.K, ours.block_size):
+            raise ValueError(f"the store of K={policy.K}, block_size={policy.block_size} is "
+                             f"not laid out as the store of K={ours.K}, "
+                             f"block_size={ours.block_size}")
         fork = Rollout(replace(self.cfg, policy=policy))
-        store, ours = fork.store, self.store
-        if self.step_index > ours.capacity + 1:
-            raise ValueError(f"a rollout forks within its fill steps 0..{ours.capacity}, "
-                             f"and this one has run {self.step_index} steps")
-        if (store.capacity, store.block_size, store._ring) != (
-                ours.capacity, ours.block_size, ours._ring):
-            raise ValueError(f"the store of {policy.policy.value} is not laid out as "
-                             f"the store of {self.cfg.policy.policy.value}")
-        store.frames[...], store.count = ours.frames, ours.count
+        fork.store.frames[...], fork.store.count = self.store.frames, self.store.count
         fork.records, fork.noise = self.records.copy(), self.noise
         return fork
 
@@ -204,15 +198,17 @@ class Rollout:
         in a fill step, i <= K), then blocks max(0, i-K)+s..i-1, one store slice."""
         store = self.store
         K, bs = store.capacity, store.block_size
+        # step K is the last whose ring holds blocks 0..K-1; the copy is inside a
+        # step, so its cost counts as step time
+        if i == K and self.sink_slots:
+            rows, move, base, shift = gather_plan(self.cfg.policy)
+            self.sinks = store.frames.take(rows, axis=0), move, base, shift
         s = self.sink_slots if i > K else 0
         lo = max(0, i - K) + s
         first = store.first_row(lo)
         recent = store.frames[first:first + (i - lo) * bs]
         if not s:  # the whole context, at native positions
             return Context.unchecked(recent.copy(), np.arange(lo * bs, i * bs))
-        if self.sinks is None:  # copied inside a step, so its cost counts as step time
-            rows, move, base, shift = gather_plan(self.cfg.policy)
-            self.sinks = store.frames.take(rows, axis=0), move, base, shift  # pinned rows
         strip, move, base, shift = self.sinks
         w = (i - K - 1) % (2 * K) * move
         # float64 (n, frame_dim) rows and ascending positions by construction

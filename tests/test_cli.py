@@ -797,6 +797,27 @@ def test_metrics_on_frameless_trace_fails_cleanly(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["rollout", "metrics", "sweep"])
+def test_out_writes_through_a_symlink(tmp_path, command):
+    # --out opens its path for writing, so a link stays a link and its target,
+    # stale or not yet made, holds the same bytes as a plain file would
+    config = write_config(tmp_path)
+    trace = tmp_path / "trace.jsonl"
+    assert cli.main(["rollout", config, "--out", str(trace)]) == 0
+    argv = {"rollout": ["rollout", config], "metrics": ["metrics", str(trace)],
+            "sweep": ["sweep", config, "--ratios", "50", "--horizons", "8,9"]}[command]
+    plain = tmp_path / "plain.out"
+    assert cli.main(argv + ["--out", str(plain)]) == 0
+    for stale in (True, False):
+        target, link = tmp_path / f"target-{stale}.out", tmp_path / f"link-{stale}.out"
+        if stale:
+            target.write_text("stale\n" * 1000)
+        link.symlink_to(target)
+        assert cli.main(argv + ["--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == plain.read_bytes()
+
+
 # --------------------------------------------------------------------------
 # sweep command
 # --------------------------------------------------------------------------

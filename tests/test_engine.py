@@ -131,16 +131,24 @@ def test_rolling_sink_slots_always_reference_retainable_blocks():
 
 
 def test_retention_is_bounded_by_twice_capacity():
+    # every policy's store holds the last K blocks, and a sink policy's strip,
+    # copied at step K, the blocks 0..K-1 it reads: at most 2K distinct blocks
+    K, S, bs = 6, 2, 3
+    strip_rows = {Policy.ATTENTION_SINK: S * bs, Policy.SLIDING_INDICES: S * bs,
+                  Policy.ROLLING_SINK: (2 * K + S - 1) * bs}
     for policy in Policy:
-        cfg = make_config(policy=policy, K=6, S=2, horizon=500, frame_dim=1,
+        cfg = make_config(policy=policy, K=K, S=S, horizon=500, frame_dim=1,
                           record_frames=False)
         rollout = Rollout(cfg)
         for _ in range(cfg.horizon):
             rollout.step()
-        bound = 6 if policy is Policy.SLIDING_WINDOW else 12
-        assert rollout.store.peak_retained == bound, policy
-        # the ring is mirrored, so the rows are its K slots twice after any pinned
-        assert rollout.store.frames.shape == ((bound + 6) * 3, 1), policy
+        assert rollout.store.peak_retained == K, policy
+        # the ring is mirrored, so the rows are its K slots twice
+        assert rollout.store.frames.shape == (2 * K * bs, 1), policy
+        if policy is Policy.SLIDING_WINDOW:
+            assert rollout.sinks is None
+        else:
+            assert rollout.sinks[0].shape == (strip_rows[policy], 1), policy
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(RolloutConfig)])
@@ -152,42 +160,26 @@ def test_a_rollout_config_is_frozen(name):
         setattr(cfg, name, getattr(make_config(K=3, S=1, seed=2, horizon=4), name))
 
 
-def test_history_store_serves_pinned_and_recent_blocks():
-    store = HistoryStore(PolicyConfig(K=3, S=1, block_size=1), frame_dim=1)
-    blocks = [np.full((1, 1), float(i)) for i in range(8)]
-    for i, block in enumerate(blocks):
-        store.put(i, block)
-    for i in (0, 1, 2):  # pinned prefix
-        assert store.get(i)[0, 0] == i
-    for i in (5, 6, 7):  # recent ring
-        assert store.get(i)[0, 0] == i
-    # block 4 was evicted: its ring row now holds block 7, which must not be
-    # served under id 4
-    for evicted in (3, 4, 8, -1):
-        with pytest.raises(KeyError):
-            store.get(evicted)
-    assert store.peak_retained == 6
-
-
-def test_history_store_without_pinning_keeps_only_the_ring():
-    store = HistoryStore(PolicyConfig(K=3, S=1, block_size=2, policy=Policy.SLIDING_WINDOW),
-                         frame_dim=1)
+@pytest.mark.parametrize("policy", list(Policy))
+def test_history_store_keeps_the_last_k_blocks(policy):
+    store = HistoryStore(PolicyConfig(K=3, S=1, block_size=2, policy=policy), frame_dim=1)
     for i in range(8):
         store.put(i, np.full((2, 1), float(i)))
     assert store.peak_retained == 3
     assert store.frames.shape == (12, 1)  # the ring and its mirror
-    assert store.get(7).tolist() == [[7.0], [7.0]]
-    with pytest.raises(KeyError):
-        store.get(0)
-    with pytest.raises(KeyError):
-        store.get(4)  # its ring row holds block 7
+    for i in (5, 6, 7):
+        assert store.get(i).tolist() == [[float(i)], [float(i)]]
+    # block 4 was evicted: its ring rows now hold block 7, which must not be
+    # served under id 4
+    for evicted in (0, 3, 4, 8, -1):
+        with pytest.raises(KeyError):
+            store.get(evicted)
 
 
 @pytest.mark.parametrize("bs", [1, 2])
-@pytest.mark.parametrize("pinned", [True, False])
-def test_held_runs_of_up_to_k_blocks_are_one_slice_of_the_store(pinned, bs):
+@pytest.mark.parametrize("policy", list(Policy))
+def test_held_runs_of_up_to_k_blocks_are_one_slice_of_the_store(policy, bs):
     K = 4
-    policy = Policy.ROLLING_SINK if pinned else Policy.SLIDING_WINDOW
     store = HistoryStore(PolicyConfig(K=K, S=2, block_size=bs, policy=policy), frame_dim=3)
     for b in range(5 * K):
         store.put(b, np.arange(b * bs * 3, (b + 1) * bs * 3, dtype=float).reshape(bs, 3))
@@ -212,18 +204,18 @@ def test_history_store_rejects_out_of_order_puts():
 
 def test_missing_history_is_an_internal_invariant_violation(monkeypatch):
     # a step's recent blocks are the store's last by construction, so a missing
-    # block can only be a sink, which the plan checks at the first step past
-    # the fill; here every walk slot reads block K, evicted at step 2K+1
+    # block can only be a sink, which the plan checks at step K, when the strip
+    # is copied; here every walk slot reads block K, which step K has not put
     K = 3
     roll = engine.roll_slot
     monkeypatch.setattr(engine, "roll_slot",
                         lambda policy, l: roll(policy, l)._replace(content_id=K))
     rollout = Rollout(make_config(horizon=10, K=K, S=2))
-    for _ in range(K + 1):
+    for _ in range(K):
         rollout.step()
     with pytest.raises(InternalInvariantError, match="absent from the history"):
         rollout.step()
-    assert rollout.step_index == rollout.store.count == len(rollout.records) == K + 1
+    assert rollout.step_index == rollout.store.count == len(rollout.records) == K
 
 
 def test_a_rollouts_step_is_its_store_count():
@@ -355,7 +347,7 @@ def plans_equal(a, b) -> bool:
 def test_rollouts_of_equal_policies_share_one_gather_plan():
     def plan_of(policy_cfg):
         rollout = Rollout(replace(make_config(), policy=policy_cfg))
-        for _ in range(policy_cfg.K + 2):  # the plan is fetched past the fill
+        for _ in range(policy_cfg.K + 1):  # step K fetches the plan
             rollout.step()
         plan = gather_plan(policy_cfg)
         assert rollout.sinks[2] is plan[2] and rollout.sinks[3] is plan[3]  # base, shift
@@ -379,13 +371,13 @@ def test_a_plan_and_its_sink_strip_hold_o_k_memory(policy):
     run(make_config(horizon=1))  # untraced: a process's first step imports modules
     rollout = Rollout(make_config(policy=policy, K=K, S=K // 2, horizon=K + 3,
                                   record_frames=False))
-    for _ in range(K + 1):
+    for _ in range(K):
         rollout.step()
     rollout.records.clear()
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        for _ in range(2):  # step K+1 builds the plan and copies the sink strip
+        for _ in range(2):  # step K builds the plan and copies the sink strip
             rollout.step()
         rollout.records.clear()
         held = tracemalloc.get_traced_memory()[0] - held
@@ -409,7 +401,7 @@ def test_records_hold_no_schedules():
     K = 100
     run(make_config(horizon=1))  # untraced: a process's first step imports modules
     rollout = Rollout(make_config(K=K, S=K // 2, horizon=3 * K, record_frames=False))
-    for _ in range(K + 2):  # step K+1 builds the plan and copies the sink strip
+    for _ in range(K + 2):  # step K builds the plan and copies the sink strip
         rollout.step()
     tracemalloc.start()
     try:
@@ -424,14 +416,15 @@ def test_records_hold_no_schedules():
 
 
 def test_a_rollout_within_its_fill_steps_builds_no_plan():
-    # fill steps read the store directly, so a horizon of K+1 needs no plan;
-    # the records are dropped as they come, as they grow with the horizon
+    # steps 0..K-1 read the store directly and copy no strip, so a horizon of
+    # K needs no plan; the records are dropped as they come, as they grow with
+    # the horizon
     K = 300
     run(make_config(horizon=1))  # untraced: a process's first step imports modules
-    rollout = Rollout(make_config(K=K, S=K // 2, horizon=K + 1, record_frames=False))
+    rollout = Rollout(make_config(K=K, S=K // 2, horizon=K, record_frames=False))
     tracemalloc.start()
     try:
-        for _ in range(K + 1):
+        for _ in range(K):
             rollout.step()
             rollout.records.clear()
         peak = tracemalloc.get_traced_memory()[1]
@@ -445,30 +438,28 @@ def test_a_rollout_within_its_fill_steps_builds_no_plan():
 @pytest.mark.parametrize("policy", list(Policy))
 def test_the_plan_gathers_what_the_slot_by_slot_oracle_gathers(policy, convention):
     # steps 0..K are fill steps, K+1..3K the walk's first period and 3K+1..6K-1
-    # read it again; frame f of the blocks put holds f, so the values show
-    # which frames _expand gathers, and the mirror rows repeat them
+    # read it again; frame f of the blocks put holds f, so the values are the
+    # ids of the frames _expand gathers
     for K in range(1, 8):
         for S in range(K):
             for bs in (1, 2, 3):
                 cfg = PolicyConfig(K=K, S=S, block_size=bs, policy=policy,
                                    roll_convention=convention)
                 rollout = Rollout(replace(make_config(frame_dim=1), policy=cfg))
-                store = rollout.store
                 for i in range(6 * K):
                     context = rollout._expand(i)
-                    rows, positions = oracle_gather(cfg, i)
                     assert (context.values[:, 0].tolist(), context.positions.tolist()) == (
-                        store.frames[rows, 0].tolist(), positions), (K, S, bs, i)
-                    store.put(i, np.arange(i * bs, (i + 1) * bs, dtype=float)[:, None])
+                        oracle_gather(cfg, i)), (K, S, bs, i)
+                    rollout.store.put(i, np.arange(i * bs, (i + 1) * bs, dtype=float)[:, None])
                 planned = policy is not Policy.SLIDING_WINDOW and S > 0
                 assert (rollout.sinks is not None) == planned
 
 
 @pytest.mark.parametrize("policy", [p for p in Policy if p is not Policy.SLIDING_WINDOW])
-def test_missing_history_is_caught_past_the_fill(monkeypatch, policy):
-    # every sink reads block K, held at step K+1 but evicted at step 2K+1, so the
-    # plan built at the first step past the fill refuses it before that step
-    # runs; the sliding window's context is the store's last K blocks, never missing
+def test_missing_history_is_caught_when_the_strip_is_copied(monkeypatch, policy):
+    # every sink reads block K, which step K, copying the strip, has not put, so
+    # the plan built then refuses it, naming step K+1, which reads it first; the
+    # sliding window's context is the store's last K blocks, never missing
     K = 3
     roll, schedule = engine.roll_slot, engine.schedule_for
     monkeypatch.setattr(engine, "roll_slot",
@@ -477,12 +468,12 @@ def test_missing_history_is_caught_past_the_fill(monkeypatch, policy):
         slot._replace(content_id=K) for slot in schedule(policy, i).slots)))
     gather_plan.cache_clear()  # an equal policy's cached plan would skip the check
     rollout = Rollout(make_config(policy=policy, K=K, S=2, horizon=10 * K))
-    for _ in range(K + 1):
+    for _ in range(K):
         rollout.step()
     with pytest.raises(InternalInvariantError, match=f"^schedule for step {K + 1} references "
                                                      f"block {K}, which is absent"):
         rollout.step()
-    assert rollout.step_index == len(rollout.records) == K + 1 and rollout.sinks is None
+    assert rollout.step_index == len(rollout.records) == K and rollout.sinks is None
     assert gather_plan.cache_info().currsize == 0
 
 
@@ -524,7 +515,7 @@ def test_a_warm_plan_replays_a_cold_one_byte_for_byte(policy):
     cold = trace_to_lines(run(long))
     gather_plan.cache_clear()
     warm_short = trace_to_lines(run(short))
-    # built at the short rollout's step K+1; the sliding window builds none
+    # built at the short rollout's step K; the sliding window builds none
     assert gather_plan.cache_info().misses == (policy is not Policy.SLIDING_WINDOW)
     assert trace_to_lines(run(long)) == cold
     assert gather_plan.cache_info().misses == (policy is not Policy.SLIDING_WINDOW)
@@ -548,17 +539,14 @@ def test_no_step_reads_a_store_row(policy, monkeypatch):
     assert calls == []
 
 
-PINNED = (Policy.ATTENTION_SINK, Policy.SLIDING_INDICES, Policy.ROLLING_SINK)
-
-
-@pytest.mark.parametrize("steps", [0, 1, 4, 5])  # K = 4: up to the fill's end
+@pytest.mark.parametrize("steps", [0, 1, 3, 4])  # K = 4: up to step K, which the fork runs
 def test_a_fork_replays_an_independent_run_of_its_policy(steps):
     K, horizon = 4, 6 * 4 + 3
     prefix = Rollout(make_config(K=K, S=2, seed=9))
     for _ in range(steps):
         prefix.step()
     before = prefix.store.frames.copy()
-    for policy in PINNED:
+    for policy in Policy:
         for S in range(K):
             cfg = make_config(policy=policy, K=K, S=S, horizon=horizon, seed=9)
             fork = prefix.fork(cfg.policy)
@@ -571,19 +559,18 @@ def test_a_fork_replays_an_independent_run_of_its_policy(steps):
     assert len(prefix.records) == prefix.store.count == steps
 
 
-def test_a_fork_refuses_a_rollout_past_its_fill_steps():
+def test_a_fork_refuses_a_rollout_that_has_run_step_k():
+    # step K copies the sink strip from the ring, which then drops block 0
     K = 4
-    prefix = Rollout(make_config(K=K, S=2, horizon=K + 2))
-    for _ in range(K + 2):
+    prefix = Rollout(make_config(K=K, S=2, horizon=K + 1))
+    for _ in range(K + 1):
         prefix.step()
-    with pytest.raises(ValueError, match=r"^a rollout forks within its fill steps "
-                                         r"0\.\.4, and this one has run 6 steps$"):
+    with pytest.raises(ValueError, match=r"^a rollout forks before its step 4, which copies "
+                                         r"the sink strip, and this one has run 5 steps$"):
         prefix.fork(PolicyConfig(K=K, S=2, policy=Policy.ATTENTION_SINK))
 
 
 @pytest.mark.parametrize("ours, theirs", [
-    (PolicyConfig(K=4, S=2, policy=Policy.SLIDING_WINDOW), PolicyConfig(K=4, S=2)),
-    (PolicyConfig(K=4, S=2), PolicyConfig(K=4, S=2, policy=Policy.SLIDING_WINDOW)),
     (PolicyConfig(K=4, S=2), PolicyConfig(K=5, S=2)),
     (PolicyConfig(K=4, S=2), PolicyConfig(K=4, S=2, block_size=2)),
 ])
