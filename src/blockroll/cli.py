@@ -30,7 +30,7 @@ from .denoisers import (
 from .engine import InternalInvariantError, Rollout, RolloutConfig, TraceRecord, run
 from .metrics import METRICS, check_window, repetition_score
 from .sampler import TimestepSchedule
-from .schedule import Orientation, Policy, PolicyConfig, RollConvention, schedule_for
+from .schedule import Orientation, Policy, PolicyConfig, RollConvention, SlotWalk, schedule_for
 
 _ORIENT_WORD = {Orientation.FORWARD: "forward", Orientation.REVERSED: "reversed"}
 
@@ -248,8 +248,10 @@ def _non_finite(record: TraceRecord) -> UsageError:
 def trace_to_lines(records: Sequence[TraceRecord]) -> list[str]:
     """One JSON line per record, byte for byte what json.dumps with compact
     separators writes; UsageError at the first record holding an inf or NaN,
-    which JSON cannot represent."""
+    which JSON cannot represent. Each record's slot text slides from the
+    previous record's when it is the next step of the same policy."""
     lines = []
+    walk = SlotWalk(_SLOT.__mod__)
     for record in records:
         mean, var, frames = record.mean, record.var, record.frames
         if not (isfinite(mean) and isfinite(var)):
@@ -259,9 +261,9 @@ def trace_to_lines(records: Sequence[TraceRecord]) -> list[str]:
                            else ',"frames":' + _ENCODE(frames.tolist()))
         except ValueError:
             raise _non_finite(record) from None
-        # _value_ rather than the .value property: a tenth of the cost per slot
-        slots = ",".join([_SLOT % (content, orientation._value_, index)
-                          for content, orientation, index in record.schedule.slots])
+        if record.policy is None:
+            record.schedule  # raises: a record read back holds no schedule
+        slots = ",".join(walk.slots(record.policy, record.step))
         lines.append(_LINE % (record.step, slots, _json_number(mean),
                               _json_number(var), frames_text, record.seed))
     return lines

@@ -122,7 +122,8 @@ class TraceRecord:
             raise ValueError(f"trace record for step {self.step} was read back "
                              "from a trace and holds no schedule")
         # through the module: the benchmark's tracer times engine.schedule_for
-        # as part of a step, and a record's schedule is read outside one
+        # as part of a step, and this runs outside one. The trace writer does
+        # not read it; it slides each record's slot text (schedule.SlotWalk)
         return schedules.schedule_for(self.policy, self.step)
 
 

@@ -22,7 +22,9 @@ Policies:
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 
@@ -141,6 +143,52 @@ def schedule_for(cfg: PolicyConfig, i: int) -> Schedule:
             sink = tuple(roll_slot(cfg, l) for l in range(i - cfg.K, first))
     recent = tuple(CacheSlot(b, Orientation.FORWARD, b) for b in range(first, i))
     return Schedule(sink + recent)
+
+
+_FORWARD = Orientation.FORWARD.value
+
+
+class SlotWalk:
+    """The rendered slots of steps' schedules, slid from step to step.
+
+    A schedule is its sink slots, then its recent blocks, each held as the
+    string that `render((content_id, orientation value, assigned_index))`
+    gives, rendered once, when it enters. Step i of the PolicyConfig object
+    last walked at step i-1 slides: the recent blocks gain block i-1 and drop
+    the oldest past their bound, and past step K+1 the sinks move as the
+    policy moves them. Any other step reseats both from schedule_for in O(K):
+    a first step, another policy, a skipped or repeated step, and step K+1,
+    where the sinks of a policy that has them first appear.
+    """
+
+    def __init__(self, render):
+        self.render = render
+        self.policy: PolicyConfig | None = None  # walked last, at self.step
+        self.step = -1
+        self.sinks: deque[str] = deque()
+        self.recent: deque[str] = deque()
+
+    def slots(self, policy: PolicyConfig, i: int) -> list[str]:
+        """Step i's rendered slots under policy, in schedule order."""
+        render, K, S = self.render, policy.K, policy.S
+        has_sinks = S > 0 and i > K and policy.policy is not Policy.SLIDING_WINDOW
+        if policy is self.policy and i == self.step + 1 and not (has_sinks and i == K + 1):
+            self.recent.append(render((i - 1, _FORWARD, i - 1)))
+            if has_sinks and policy.policy is Policy.ROLLING_SINK:
+                content, orientation, index = roll_slot(policy, i - K + S - 1)
+                self.sinks.append(render((content, orientation.value, index)))
+            elif has_sinks and policy.policy is Policy.SLIDING_INDICES:
+                self.sinks.extend(map(render, zip(range(S), repeat(_FORWARD, S),
+                                                  range(i - K, i - K + S))))
+        else:
+            s = S if has_sinks else 0
+            texts = [render((content, orientation.value, index))
+                     for content, orientation, index in schedule_for(policy, i).slots]
+            self.sinks = deque(texts[:s], maxlen=s)
+            self.recent = deque(texts[s:], maxlen=K - s)
+            self.policy = policy
+        self.step = i
+        return [*self.sinks, *self.recent]
 
 
 def frame_expand(slot: CacheSlot, block_size: int) -> list[tuple[int, int]]:

@@ -27,8 +27,9 @@ def test_benchmark_layer_hooks_install_and_restore(monkeypatch, tmp_path):
         rollout = Rollout(parse_config_text("horizon = 3\ndenoiser = analytic-gaussian"))
         for _ in range(3):
             rollout.step()
-        # the step builds no schedule; a record derives its own when written,
-        # outside the in-step spans, whose self times must add up to the steps'
+        # the step builds no schedule, and the writer slides its slot text from
+        # record to record, outside the in-step spans, whose self times must add
+        # up to the steps'
         cli.write_trace(rollout.records, str(tmp_path / "trace.jsonl"))
     spans = t.summary()
     assert spans[tracer.STEP]["calls"] == 3

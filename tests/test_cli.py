@@ -18,6 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blockroll import cli, engine
+from blockroll import schedule as schedules
 from blockroll.denoisers import AnalyticGaussianDenoiser, TinyAttentionDenoiser
 from blockroll.engine import RolloutConfig, TraceRecord, run
 from blockroll.metrics import flicker_proxy, mean_drift, repetition_score
@@ -338,6 +339,47 @@ def reference_line(record: TraceRecord) -> str:
 def test_trace_lines_are_json_dumps_of_the_reference_object(records):
     lines = cli.trace_to_lines(records)
     assert lines == [reference_line(record) for record in records]
+
+
+def slot_records(policy: PolicyConfig, steps) -> list[TraceRecord]:
+    return [TraceRecord(i, policy, 0.0, 1.0, None, 0) for i in steps]
+
+
+@pytest.mark.parametrize("K, S", [(1, 0), (2, 1), (4, 2), (6, 0), (6, 5), (7, 3), (13, 0)])
+def test_slot_text_slides_and_reseats_as_the_schedule_text(K, S):
+    # steps 0..6K+4: past the fill, three 2K periods of the rolling walk
+    end = 6 * K + 5
+    policies = [PolicyConfig(K, S, 1, policy, convention)
+                for policy in Policy for convention in RollConvention]
+    for policy in policies:
+        lists = [slot_records(policy, range(seat, end)) for seat in (0, K + 3, 2 * K + 1)]
+        # a fork's records: the fill policy's steps, then its own from step K
+        fill = replace(policy, S=0, policy=Policy.ATTENTION_SINK)
+        lists.append(slot_records(fill, range(K)) + slot_records(policy, range(K, end)))
+        # a policy switch past the fill, a skipped step and a repeated one reseat
+        for switch in (K + 2, 2 * K + 1):
+            lists += [slot_records(policy, range(switch))
+                      + slot_records(other, range(switch, end)) for other in policies]
+        for j in (1, K, K + 1, K + 2, 2 * K + 1):
+            lists.append(slot_records(policy, [*range(j), *range(j + 1, end)]))
+            lists.append(slot_records(policy, [*range(j + 1), *range(j, end)]))
+        for records in lists:
+            assert cli.trace_to_lines(records) == [reference_line(r) for r in records]
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_a_trace_is_written_from_at_most_two_schedules(tmp_path, monkeypatch, policy):
+    # one seats the walk at the first record, one the sinks at step K+1; every
+    # other record's slots slide from the record before
+    K = 150
+    records = run(RolloutConfig(PolicyConfig(K, K // 2, policy=policy),
+                                AnalyticGaussianDenoiser(), horizon=2 * K + 2,
+                                record_frames=False))
+    steps, build = [], schedules.schedule_for
+    monkeypatch.setattr(schedules, "schedule_for",
+                        lambda cfg, i: steps.append(i) or build(cfg, i))
+    cli.write_trace(records, str(tmp_path / "trace.jsonl"))
+    assert steps == ([0] if policy is Policy.SLIDING_WINDOW else [0, K + 1])
 
 
 @given(records=st.lists(RECORDS, min_size=1, max_size=4), data=st.data())
