@@ -17,7 +17,7 @@ import json
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, product
 from math import isfinite
 
 import numpy as np
@@ -411,45 +411,45 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     check_window(args.window)  # refused before any cell runs
     sinks = (range(K) if ratios is None
              else [s for r in ratios for s in sink_sizes_for_ratio(r, K)])
-    cells = [
-        (sink, horizon, variant, seed)
-        for sink in sinks
-        for horizon in horizons
-        for variant in _SWEEP_VARIANTS
-        for seed in range(base.seed, base.seed + args.seeds)
-    ]
-    # Every policy schedules steps 0..K alike, so a seed's cells share one fill
-    # run, stepped as far as a cell needs before step K, and every computed cell
-    # forks it. A terminal is keyed by what decides it: a cell whose sinks cannot
-    # matter (S = 0, or a horizon within the fill) runs the fill policy.
+    # Every policy schedules steps 0..K alike, so a seed's one fill run, stepped
+    # as far as a cell needs up to step K, holds every cell of horizon <= K. A
+    # longer cell reads the run of its (S, policy, seed), forked from the fill run
+    # at step K and stepped once through the ascending horizons; a cell whose
+    # sinks cannot matter (S = 0, or horizon K+1) reads the fill policy's run.
     fill = replace(base.policy, S=0, policy=Policy.ATTENTION_SINK)
     prefixes: dict[int, Rollout] = {}
-    terminals: dict[tuple, tuple] = {}
     rows = []
-    for sink, horizon, variant, seed in cells:
-        policy = (replace(base.policy, S=sink, policy=variant)
-                  if sink and horizon > K + 1 else fill)
-        key = (policy, horizon, seed)
-        terminal = terminals.get(key)
-        if terminal is None:
+    for sink in sinks:
+        runs: dict[tuple, Rollout] = {}  # one S's runs, dropped with it
+        for horizon, variant, seed in product(
+                horizons, _SWEEP_VARIANTS, range(base.seed, base.seed + args.seeds)):
+            policy = (replace(base.policy, S=sink, policy=variant)
+                      if sink and horizon > K + 1 else fill)
             prefix = prefixes.get(seed)
             if prefix is None:  # RolloutConfig refuses a horizon below 1
                 prefix = prefixes[seed] = Rollout(replace(
                     base, policy=fill, horizon=horizon, seed=seed, record_frames=True))
             while prefix.step_index < min(K, horizon):
                 prefix.step()
-            rollout = prefix.fork(policy)
-            while rollout.step_index < horizon:
-                rollout.step()
-            records = rollout.records
-            # A terminal value reads only the trailing records: the last jump,
-            # and the last block against the `window` blocks before it.
-            terminal = terminals[key] = tuple(series[-1].item() for series in (
-                METRICS["mean_drift"](records),
-                METRICS["flicker_proxy"](records[-2:]),
-                repetition_score(records[-(args.window + 1):], window=args.window)))
-        rows.append([round(100 * sink / K), sink, K, variant.value, horizon, seed,
-                     *terminal])
+            if horizon <= K:
+                records = prefix.records[:horizon]
+            else:
+                rollout = runs.get((policy, seed))
+                if rollout is None:
+                    rollout = runs[policy, seed] = prefix.fork(policy)
+                while rollout.step_index < horizon:
+                    rollout.step()
+                records = rollout.records
+            # A terminal value reads only block 0 and the trailing records: the
+            # last jump, and the last block against the `window` blocks before it;
+            # a run keeps just those for its next horizon.
+            rows.append([round(100 * sink / K), sink, K, variant.value, horizon, seed,
+                         *(series[-1].item() for series in (
+                             METRICS["mean_drift"](records),
+                             METRICS["flicker_proxy"](records[-2:]),
+                             repetition_score(records[-(args.window + 1):],
+                                              window=args.window)))])
+            del records[1:-(args.window + 1)]
     header = ["ratio", "S", "K", "policy", "horizon", "seed",
               "mean_drift", "flicker_proxy", "repetition_score"]
     _write_csv(rows, header, args.out)

@@ -14,7 +14,7 @@ rollout's sink strip, copied at step K by the policy's gather plan, O(K) and
 shared by its rollouts.
 
 Every policy schedules the fill steps 0..K alike, so `blockroll sweep` runs
-steps 0..K-1 once per seed and forks that rollout into every cell it computes.
+steps 0..K-1 once per seed, forking it at step K once per S and policy it runs.
 """
 
 from __future__ import annotations

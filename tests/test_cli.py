@@ -1014,23 +1014,43 @@ def test_sweep_rows_equal_independent_runs_of_their_cells(tmp_path, denoiser, co
             mean_drift(trace), flicker_proxy(trace), repetition_score(trace, window=3))]
 
 
-@pytest.mark.parametrize("text, step", [
-    ("denoiser = context-mean\nbias = 1e200\n", 0),  # in the fill steps
-    ("denoiser = tiny-attention\nweight_seed = 4\nS = 3\n", 193),  # past them
-], ids=["in-the-fill", "past-the-fill"])
-def test_a_sweep_stops_at_the_first_non_finite_cell(tmp_path, text, step):
+@pytest.mark.parametrize("text, horizons, seed, step", [
+    ("denoiser = context-mean\nbias = 1e200\n", "5,200", 0, 0),  # in the fill steps
+    # past them, in the fill policy's run of S = 0; seed 0 fails at step 193 and
+    # seed 1 at 188, so a run stepped to 150 fails on its next horizon
+    ("denoiser = tiny-attention\nweight_seed = 4\nS = 3\n", "5,200", 0, 193),
+    ("denoiser = tiny-attention\nweight_seed = 4\nS = 3\n", "5,150,200", 0, 193),
+    ("denoiser = tiny-attention\nweight_seed = 4\nS = 3\n", "150,193,194", 1, 188),
+], ids=["in-the-fill", "past-the-fill", "past-the-fill-shared", "past-the-fill-seed-1"])
+def test_a_sweep_stops_at_the_first_non_finite_cell(tmp_path, monkeypatch, text,
+                                                    horizons, seed, step):
+    # the first failing cell in row order, as when every cell runs on its own:
+    # one rollout fails, that of the cell's (S, policy, seed), at its step
+    failed = []
+    rollout_step = engine.Rollout.step
+
+    def recording_step(self):
+        try:
+            return rollout_step(self)
+        except engine.NonFiniteBlockError:
+            failed.append((self.cfg.policy.S, self.cfg.policy.policy, self.cfg.seed,
+                           self.step_index))
+            raise
+
+    monkeypatch.setattr(engine.Rollout, "step", recording_step)
     config = write_config(tmp_path, text)
     out = tmp_path / "sweep.csv"
-    rc, err = run_main(["sweep", config, "--ratios", "0,50", "--horizons", "5,200",
+    rc, err = run_main(["sweep", config, "--ratios", "0,50", "--horizons", horizons,
                         "--seeds", "2", "--out", str(out)])
     assert (rc, err) == (1, f"error: trace record for step {step} holds inf or NaN, "
                             "so the rollout stops at that step\n")
+    assert failed == [(0, Policy.ATTENTION_SINK, seed, step)]
     assert not out.exists()
 
 
 def test_a_sweep_runs_one_fill_per_seed(tmp_path, monkeypatch):
     # each seed's run of the fill steps is stepped as far as a cell needs,
-    # and every computed cell forks that run and shares its noise source
+    # and every run forked from it shares its noise source
     built = []
 
     class CountingNoiseSource(engine.NoiseSource):
@@ -1045,29 +1065,53 @@ def test_a_sweep_runs_one_fill_per_seed(tmp_path, monkeypatch):
     assert built == [0, 1]
 
 
-def test_every_computed_sweep_cell_forks_its_seeds_fill_run(tmp_path, monkeypatch):
-    # K = 4: per seed, S = 0 forks for horizons 1, 5 = K+1 and 6, which the
-    # S = 2 cells share up to K+1, and S = 2 forks each variant for horizon 6
+SHARED_RUN_CONFIG = ("K = 4\nS = 1\nseed = 3\nframe_dim = 2\n"
+                     "denoiser = context-mean\nbias = 0.05\ninnovation_scale = 0.2\n")
+
+
+def counting_forks(monkeypatch):
+    """Every fork a sweep makes, as (fork, the step it was made at)."""
     forks = []
     fork = engine.Rollout.fork
 
     def counting_fork(self, policy):
-        forks.append(policy)
-        return fork(self, policy)
+        forks.append((fork(self, policy), self.step_index))
+        return forks[-1][0]
 
     monkeypatch.setattr(engine.Rollout, "fork", counting_fork)
-    config = write_config(tmp_path, "K = 4\nS = 1\nseed = 3\nframe_dim = 2\n"
-                          "denoiser = context-mean\nbias = 0.05\ninnovation_scale = 0.2\n")
+    return forks
+
+
+def test_a_sweep_forks_one_run_per_s_policy_and_seed(tmp_path, monkeypatch):
+    # K = 4: per seed, the fill run steps 0..3 once and holds the horizon-1
+    # cells; S = 0 forks the fill policy for horizons 5 = K+1, 6 and 9, and so
+    # does S = 2 for horizon 5, whose sinks cannot matter yet; S = 2 forks each
+    # variant once for horizons 6 and 9. Every fork is made at step K
+    forks = counting_forks(monkeypatch)
+    steps = []
+    step = engine.Rollout.step
+
+    def counting_step(self):
+        steps.append(self.cfg.policy)
+        return step(self)
+
+    monkeypatch.setattr(engine.Rollout, "step", counting_step)
+    config = write_config(tmp_path, SHARED_RUN_CONFIG)
     base = cli.load_config(config)
     out = tmp_path / "sweep.csv"
-    assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "1,5,6",
+    assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "1,5,6,9",
                      "--seeds", "2", "--out", str(out)]) == 0
-    assert len(forks) == 12  # one per computed (policy, horizon, seed) key
-    assert sorted((policy.S, policy.policy.value) for policy in forks) == sorted(
-        [(0, "attention-sink")] * 6 + [(2, variant.value) for variant in
-                                       cli._SWEEP_VARIANTS] * 2)
+    K = 4
+    assert sorted((rollout.cfg.policy.S, rollout.cfg.policy.policy.value, rollout.cfg.seed)
+                  for rollout, _ in forks) == sorted(
+        [(0, "attention-sink", seed) for seed in (3, 4)] * 2
+        + [(2, variant.value, seed) for variant in cli._SWEEP_VARIANTS for seed in (3, 4)])
+    assert [at for _, at in forks] == [K] * 10
+    # per seed: the fill steps, then the fill policy's runs to 9 and to 5, and
+    # each variant's run to 9
+    assert len(steps) == 2 * (K + (9 - K) + (5 - K) + 3 * (9 - K)) == 50
     lines = out.read_text().splitlines()[1:]
-    assert len(lines) == 2 * 3 * 3 * 2
+    assert len(lines) == 2 * 4 * 3 * 2
     for line in lines:
         _, S, _, policy, horizon, seed, *terminal = line.split(",")
         trace = run(replace(base, policy=replace(base.policy, S=int(S),
@@ -1075,6 +1119,23 @@ def test_every_computed_sweep_cell_forks_its_seeds_fill_run(tmp_path, monkeypatc
                             horizon=int(horizon), seed=int(seed)))
         assert terminal == [repr(series.tolist()[-1]) for series in (
             mean_drift(trace), flicker_proxy(trace), repetition_score(trace, window=8))]
+
+
+@pytest.mark.parametrize("window", [1, 40])
+def test_a_sweep_keeps_block_0_and_the_last_window_plus_one_records_of_a_run(
+        tmp_path, monkeypatch, window):
+    # horizons below K = 4, at K+1 and past it, the longest past window + 2
+    forks = counting_forks(monkeypatch)
+    config = write_config(tmp_path, SHARED_RUN_CONFIG)
+    assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "2,5,9,60",
+                     "--seeds", "2", "--window", str(window),
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert len(forks) == 2 * (1 + 1 + 3)
+    for rollout, _ in forks:
+        held = min(rollout.step_index, window + 2)
+        assert len(rollout.records) == held <= window + 2
+        assert [r.step for r in rollout.records] == [0, *range(
+            rollout.step_index - held + 1, rollout.step_index)]
 
 
 @pytest.mark.parametrize("window", ["0", "-2"])
