@@ -372,17 +372,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if "repetition_score" in names:  # refused before the trace is read
         check_window(args.window)
     records = read_trace(args.trace)
-    try:
-        columns = [
-            (
-                repetition_score(records, window=args.window)
-                if name == "repetition_score"
-                else METRICS[name](records)
-            ).tolist()  # floats, which str() writes as repr() does
-            for name in names
-        ]
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    columns = [
+        (
+            repetition_score(records, window=args.window)
+            if name == "repetition_score"
+            else METRICS[name](records)
+        ).tolist()  # floats, which str() writes as repr() does
+        for name in names
+    ]
     rows = [[record.step, *values] for record, *values in zip(records, *columns)]
     _write_csv(rows, ["step"] + names, args.out)
     return 0
@@ -411,45 +408,48 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     check_window(args.window)  # refused before any cell runs
     sinks = (range(K) if ratios is None
              else [s for r in ratios for s in sink_sizes_for_ratio(r, K)])
-    # Every policy schedules steps 0..K alike, so a seed's one fill run, stepped
-    # as far as a cell needs up to step K, holds every cell of horizon <= K. A
-    # longer cell reads the run of its (S, policy, seed), forked from the fill run
-    # at step K and stepped once through the ascending horizons; a cell whose
-    # sinks cannot matter (S = 0, or horizon K+1) reads the fill policy's run.
+    # Each rollout a cell names is computed once, across S and variants: the fill
+    # policy's unless the cell's last step reads sinks (PolicyConfig.sink_slots).
+    # A seed's one fill run, stepped as far as a cell needs up to step K, holds
+    # every rollout of horizon <= K; a longer one's run is forked from it at step
+    # K and stepped once through the ascending horizons.
     fill = replace(base.policy, S=0, policy=Policy.ATTENTION_SINK)
     prefixes: dict[int, Rollout] = {}
+    runs: dict[tuple, Rollout] = {}
+    terminals: dict[tuple, list] = {}  # by (policy read, horizon, seed)
     rows = []
-    for sink in sinks:
-        runs: dict[tuple, Rollout] = {}  # one S's runs, dropped with it
+    for sink in sinks:  # a sink policy's runs and terminals are dropped with its S
+        runs = {key: rollout for key, rollout in runs.items() if key[0] is fill}
+        terminals = {key: values for key, values in terminals.items() if key[0] is fill}
         for horizon, variant, seed in product(
                 horizons, _SWEEP_VARIANTS, range(base.seed, base.seed + args.seeds)):
-            policy = (replace(base.policy, S=sink, policy=variant)
-                      if sink and horizon > K + 1 else fill)
-            prefix = prefixes.get(seed)
-            if prefix is None:  # RolloutConfig refuses a horizon below 1
-                prefix = prefixes[seed] = Rollout(replace(
-                    base, policy=fill, horizon=horizon, seed=seed, record_frames=True))
-            while prefix.step_index < min(K, horizon):
-                prefix.step()
-            if horizon <= K:
-                records = prefix.records[:horizon]
-            else:
-                rollout = runs.get((policy, seed))
-                if rollout is None:
-                    rollout = runs[policy, seed] = prefix.fork(policy)
-                while rollout.step_index < horizon:
-                    rollout.step()
-                records = rollout.records
-            # A terminal value reads only block 0 and the trailing records: the
-            # last jump, and the last block against the `window` blocks before it;
-            # a run keeps just those for its next horizon.
+            policy = replace(base.policy, S=sink, policy=variant)
+            read = policy if policy.sink_slots(horizon - 1) else fill
+            if (read, horizon, seed) not in terminals:
+                prefix = prefixes.get(seed)
+                if prefix is None:  # RolloutConfig refuses a horizon below 1
+                    prefix = prefixes[seed] = Rollout(replace(
+                        base, policy=fill, horizon=horizon, seed=seed, record_frames=True))
+                while prefix.step_index < min(K, horizon):
+                    prefix.step()
+                if horizon <= K:
+                    records = prefix.records[:horizon]
+                else:
+                    rollout = runs.get((read, seed))
+                    if rollout is None:
+                        rollout = runs[read, seed] = prefix.fork(read)
+                    while rollout.step_index < horizon:
+                        rollout.step()
+                    records = rollout.records
+                # a terminal reads block 0, the last jump, and the last block against
+                # the `window` before it: all that a run keeps for its next horizon
+                terminals[read, horizon, seed] = [series[-1].item() for series in (
+                    METRICS["mean_drift"](records),
+                    METRICS["flicker_proxy"](records[-2:]),
+                    repetition_score(records[-(args.window + 1):], window=args.window))]
+                del records[1:-(args.window + 1)]
             rows.append([round(100 * sink / K), sink, K, variant.value, horizon, seed,
-                         *(series[-1].item() for series in (
-                             METRICS["mean_drift"](records),
-                             METRICS["flicker_proxy"](records[-2:]),
-                             repetition_score(records[-(args.window + 1):],
-                                              window=args.window)))])
-            del records[1:-(args.window + 1)]
+                         *terminals[read, horizon, seed]])
     header = ["ratio", "S", "K", "policy", "horizon", "seed",
               "mean_drift", "flicker_proxy", "repetition_score"]
     _write_csv(rows, header, args.out)

@@ -8,13 +8,13 @@ derives from the policy when read. Noise for step i is drawn from the stream
 start of the step, so traces depend only on the config and seed.
 
 The store is a mirrored ring of the last K blocks, so a step's recent blocks
-are one slice of its rows: the whole context in a fill step (i <= K) and under
-the sliding window. Otherwise S sink blocks come first, a window of the
+are one slice of its rows: the whole context of a step that reads no sinks.
+Otherwise policy.sink_slots(i) sink blocks come first, a window of the
 rollout's sink strip, copied at step K by the policy's gather plan, O(K) and
 shared by its rollouts.
 
-Every policy schedules the fill steps 0..K alike, so `blockroll sweep` runs
-steps 0..K-1 once per seed, forking it at step K once per S and policy it runs.
+No step up to K reads sinks, so `blockroll sweep` runs steps 0..K-1 once per
+seed, forking it at step K once per rollout its cells name.
 """
 
 from __future__ import annotations
@@ -135,8 +135,7 @@ def gather_plan(policy: PolicyConfig) -> tuple[np.ndarray, int, np.ndarray, np.n
     the walk's slots l = 1..2K+S-1 under rolling-sink, moving a slot a step,
     else step K+1's sinks. A sink block the store does not hold at step K,
     which copies the strip, raises InternalInvariantError."""
-    K, bs = policy.K, policy.block_size
-    s = 0 if policy.policy is Policy.SLIDING_WINDOW else policy.S
+    K, bs, s = policy.K, policy.block_size, policy.sink_slots(policy.K + 1)
     rolling = policy.policy is Policy.ROLLING_SINK
     store = HistoryStore(policy, 0)  # the layout only
     now, later = schedule_for(policy, K + 1), schedule_for(policy, K + 2)
@@ -168,7 +167,6 @@ class Rollout:
         self.store = HistoryStore(cfg.policy, cfg.frame_dim)
         self.records: list[TraceRecord] = []
         self.noise: NoiseSource | None = None  # one source, re-seated per step
-        self.sink_slots = 0 if cfg.policy.policy is Policy.SLIDING_WINDOW else cfg.policy.S
         self.sinks: tuple | None = None  # the sink strip's frames, move, base, shift
 
     @property
@@ -195,16 +193,15 @@ class Rollout:
         return fork
 
     def _expand(self, i: int) -> Context:
-        """Step i's frames and positions: s sink blocks from the sink strip (none
-        in a fill step, i <= K), then blocks max(0, i-K)+s..i-1, one store slice."""
-        store = self.store
-        K, bs = store.capacity, store.block_size
+        """Step i's frames and positions: its s = policy.sink_slots(i) sink blocks
+        from the sink strip, then blocks max(0, i-K)+s..i-1, one store slice."""
+        store, policy = self.store, self.cfg.policy
+        K, bs, s = store.capacity, store.block_size, policy.sink_slots(i)
         # step K is the last whose ring holds blocks 0..K-1; the copy is inside a
         # step, so its cost counts as step time
-        if i == K and self.sink_slots:
-            rows, move, base, shift = gather_plan(self.cfg.policy)
+        if i == K and policy.sink_slots(K + 1):
+            rows, move, base, shift = gather_plan(policy)
             self.sinks = store.frames.take(rows, axis=0), move, base, shift
-        s = self.sink_slots if i > K else 0
         lo = max(0, i - K) + s
         first = store.first_row(lo)
         recent = store.frames[first:first + (i - lo) * bs]

@@ -81,6 +81,12 @@ class PolicyConfig:
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1 (got {self.block_size})")
 
+    def sink_slots(self, i: int) -> int:
+        """How many sink slots step i's schedule opens with: S past step K
+        under a sink policy, else 0. So every policy schedules steps 0..K
+        alike, and a sink policy with S = 0 schedules as the sliding window."""
+        return self.S if i > self.K and self.policy is not _SLIDING_WINDOW else 0
+
 
 class CacheSlot(NamedTuple):
     """One conditioning slot: which block's content, which way round,
@@ -119,33 +125,28 @@ def roll_slot(cfg: PolicyConfig, l: int) -> CacheSlot:
 
 
 def schedule_for(cfg: PolicyConfig, i: int) -> Schedule:
-    """The conditioning schedule for step i under cfg.policy.
-
-    Up to step K, and always under SLIDING_WINDOW, the slots are blocks
-    [max(0, i-K), i), forward, at native indices. Later the policy fills the
-    S sink slots, and the last K-S blocks follow at native indices:
-    ATTENTION_SINK pins blocks [0, S) at native indices; SLIDING_INDICES
-    pins the same blocks at indices [i-K, i-K+S); ROLLING_SINK takes the
-    rolling-walk slots l in [i-K, i-K+S).
+    """The conditioning schedule for step i under cfg.policy: its s =
+    cfg.sink_slots(i) sink slots, then blocks [max(0, i-K) + s, i), forward,
+    at native indices. ATTENTION_SINK pins blocks [0, s) at native indices;
+    SLIDING_INDICES pins the same blocks at indices [i-K, i-K+s); ROLLING_SINK
+    takes the rolling-walk slots l in [i-K, i-K+s).
     """
     if i < 0:
         raise ValueError(f"step index must be >= 0 (got {i})")
-    if i <= cfg.K or cfg.policy is Policy.SLIDING_WINDOW:
-        sink, first = (), max(0, i - cfg.K)
-    else:
-        first = i - cfg.K + cfg.S
-        if cfg.policy is Policy.ATTENTION_SINK:
-            sink = tuple(CacheSlot(b, Orientation.FORWARD, b) for b in range(cfg.S))
-        elif cfg.policy is Policy.SLIDING_INDICES:
-            sink = tuple(CacheSlot(b, Orientation.FORWARD, i - cfg.K + b)
-                         for b in range(cfg.S))
-        else:
-            sink = tuple(roll_slot(cfg, l) for l in range(i - cfg.K, first))
+    s = cfg.sink_slots(i)
+    first = max(0, i - cfg.K) + s
+    if cfg.policy is Policy.ATTENTION_SINK:
+        sink = tuple(CacheSlot(b, Orientation.FORWARD, b) for b in range(s))
+    elif cfg.policy is Policy.SLIDING_INDICES:
+        sink = tuple(CacheSlot(b, Orientation.FORWARD, i - cfg.K + b) for b in range(s))
+    else:  # ROLLING_SINK, and SLIDING_WINDOW, whose s is 0
+        sink = tuple(roll_slot(cfg, l) for l in range(first - s, first))
     recent = tuple(CacheSlot(b, Orientation.FORWARD, b) for b in range(first, i))
     return Schedule(sink + recent)
 
 
 _FORWARD = Orientation.FORWARD.value
+_SLIDING_WINDOW = Policy.SLIDING_WINDOW  # a member read through its enum class is slow
 
 
 class SlotWalk:
@@ -154,11 +155,11 @@ class SlotWalk:
     A schedule is its sink slots, then its recent blocks, each held as the
     string that `render((content_id, orientation value, assigned_index))`
     gives, rendered once, when it enters. Step i of the PolicyConfig object
-    last walked at step i-1 slides: the recent blocks gain block i-1 and drop
-    the oldest past their bound, and past step K+1 the sinks move as the
-    policy moves them. Any other step reseats both from schedule_for in O(K):
-    a first step, another policy, a skipped or repeated step, and step K+1,
-    where the sinks of a policy that has them first appear.
+    last walked at step i-1 slides while the sinks hold its policy.sink_slots(i)
+    slots: the recent blocks gain block i-1 and drop the oldest past their
+    bound, and the sinks move as the policy moves them. Any other step reseats
+    both from schedule_for in O(K): a first step, another policy, a skipped or
+    repeated step, and step K+1, where a sink policy's sinks first appear.
     """
 
     def __init__(self, render):
@@ -170,18 +171,16 @@ class SlotWalk:
 
     def slots(self, policy: PolicyConfig, i: int) -> list[str]:
         """Step i's rendered slots under policy, in schedule order."""
-        render, K, S = self.render, policy.K, policy.S
-        has_sinks = S > 0 and i > K and policy.policy is not Policy.SLIDING_WINDOW
-        if policy is self.policy and i == self.step + 1 and not (has_sinks and i == K + 1):
+        render, K, s = self.render, policy.K, policy.sink_slots(i)
+        if policy is self.policy and i == self.step + 1 and len(self.sinks) == s:
             self.recent.append(render((i - 1, _FORWARD, i - 1)))
-            if has_sinks and policy.policy is Policy.ROLLING_SINK:
-                content, orientation, index = roll_slot(policy, i - K + S - 1)
+            if s and policy.policy is Policy.ROLLING_SINK:
+                content, orientation, index = roll_slot(policy, i - K + s - 1)
                 self.sinks.append(render((content, orientation.value, index)))
-            elif has_sinks and policy.policy is Policy.SLIDING_INDICES:
-                self.sinks.extend(map(render, zip(range(S), repeat(_FORWARD, S),
-                                                  range(i - K, i - K + S))))
+            elif s and policy.policy is Policy.SLIDING_INDICES:
+                self.sinks.extend(map(render, zip(range(s), repeat(_FORWARD, s),
+                                                  range(i - K, i - K + s))))
         else:
-            s = S if has_sinks else 0
             texts = [render((content, orientation.value, index))
                      for content, orientation, index in schedule_for(policy, i).slots]
             self.sinks = deque(texts[:s], maxlen=s)

@@ -832,11 +832,12 @@ def test_metrics_unknown_name_lists_valid_ones(tmp_path, capsys):
         assert name in err
 
 
-def test_metrics_on_frameless_trace_fails_cleanly(tmp_path, capsys):
+def test_metrics_on_frameless_trace_fails_cleanly(tmp_path):
     trace = make_trace_file(tmp_path, extra="record_frames = false\n")
     assert cli.main(["metrics", str(trace), "--metrics", "mean_drift"]) == 0
-    rc = cli.main(["metrics", str(trace), "--metrics", "flicker_proxy"])
-    assert rc == 1
+    rc, err = run_main(["metrics", str(trace), "--metrics", "flicker_proxy"])
+    assert (rc, err) == (1, "error: flicker_proxy needs per-frame values; rerun the "
+                            "rollout with frame recording enabled\n")
 
 
 @pytest.mark.parametrize("command", ["rollout", "metrics", "sweep"])
@@ -992,8 +993,9 @@ SHARING_DENOISERS = {
 @pytest.mark.parametrize("convention", ["palindrome", "literal-mod"])
 @pytest.mark.parametrize("denoiser", sorted(SHARING_DENOISERS))
 def test_sweep_rows_equal_independent_runs_of_their_cells(tmp_path, denoiser, convention):
-    # every computed cell of a seed forks its one run of the fill steps 0..K,
-    # and the S = 0 cells run the fill policy; horizons 1, K, K+1, K+2 and
+    # each rollout a cell names is forked from its seed's one run of the fill
+    # steps 0..K, and the cells whose sinks cannot matter (S = 0, or horizon
+    # K+1) read the fill policy's; horizons 1, K, K+1, K+2 and
     # 4K+3 with K = 4, and one past the first chunk of noise states, so that
     # the forks of a seed move its shared noise source's chunk forward and back
     config = write_config(tmp_path, SHARING_DENOISERS[denoiser] + "K = 4\nS = 1\n"
@@ -1084,18 +1086,24 @@ def counting_forks(monkeypatch):
 
 def test_a_sweep_forks_one_run_per_s_policy_and_seed(tmp_path, monkeypatch):
     # K = 4: per seed, the fill run steps 0..3 once and holds the horizon-1
-    # cells; S = 0 forks the fill policy for horizons 5 = K+1, 6 and 9, and so
-    # does S = 2 for horizon 5, whose sinks cannot matter yet; S = 2 forks each
-    # variant once for horizons 6 and 9. Every fork is made at step K
+    # cells; S = 0 forks the fill policy for horizons 5 = K+1, 6 and 9, and
+    # S = 2 reads that run for horizon 5, whose sinks cannot matter yet, so it
+    # forks only each variant, once, for horizons 6 and 9. Every fork is made
+    # at step K
     forks = counting_forks(monkeypatch)
-    steps = []
-    step = engine.Rollout.step
+    steps, terminals = [], []
+    step, score = engine.Rollout.step, cli.repetition_score
 
     def counting_step(self):
         steps.append(self.cfg.policy)
         return step(self)
 
+    def counting_score(records, window):
+        terminals.append(len(records))
+        return score(records, window=window)
+
     monkeypatch.setattr(engine.Rollout, "step", counting_step)
+    monkeypatch.setattr(cli, "repetition_score", counting_score)
     config = write_config(tmp_path, SHARED_RUN_CONFIG)
     base = cli.load_config(config)
     out = tmp_path / "sweep.csv"
@@ -1104,12 +1112,15 @@ def test_a_sweep_forks_one_run_per_s_policy_and_seed(tmp_path, monkeypatch):
     K = 4
     assert sorted((rollout.cfg.policy.S, rollout.cfg.policy.policy.value, rollout.cfg.seed)
                   for rollout, _ in forks) == sorted(
-        [(0, "attention-sink", seed) for seed in (3, 4)] * 2
+        [(0, "attention-sink", seed) for seed in (3, 4)]
         + [(2, variant.value, seed) for variant in cli._SWEEP_VARIANTS for seed in (3, 4)])
-    assert [at for _, at in forks] == [K] * 10
-    # per seed: the fill steps, then the fill policy's runs to 9 and to 5, and
-    # each variant's run to 9
-    assert len(steps) == 2 * (K + (9 - K) + (5 - K) + 3 * (9 - K)) == 50
+    assert [at for _, at in forks] == [K] * 8
+    # per seed: the fill steps, then the fill policy's run to 9, and each
+    # variant's run to 9
+    assert len(steps) == 2 * (K + (9 - K) + 3 * (9 - K)) == 48
+    # one terminal per rollout a cell names, per seed: the fill policy's for
+    # every horizon, and each variant's of S = 2 for horizons 6 and 9
+    assert len(terminals) == 2 * (4 + 3 * 2) == 20
     lines = out.read_text().splitlines()[1:]
     assert len(lines) == 2 * 4 * 3 * 2
     for line in lines:
@@ -1130,7 +1141,7 @@ def test_a_sweep_keeps_block_0_and_the_last_window_plus_one_records_of_a_run(
     assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "2,5,9,60",
                      "--seeds", "2", "--window", str(window),
                      "--out", str(tmp_path / "sweep.csv")]) == 0
-    assert len(forks) == 2 * (1 + 1 + 3)
+    assert len(forks) == 2 * (1 + 3)
     for rollout, _ in forks:
         held = min(rollout.step_index, window + 2)
         assert len(rollout.records) == held <= window + 2

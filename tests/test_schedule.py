@@ -101,11 +101,6 @@ def test_sink_pins_prefix_at_native_indices():
     ]
 
 
-def test_sink_with_zero_sink_degenerates_to_window():
-    assert (schedule_for(cfg(K=6, S=0, policy=Policy.ATTENTION_SINK), 10)
-            == schedule_for(cfg(K=6, S=0, policy=Policy.SLIDING_WINDOW), 10))
-
-
 def test_sink_at_capacity_boundary_is_full_history():
     assert as_tuples(schedule_for(cfg(K=6, S=2, policy=Policy.ATTENTION_SINK), 6)) == [
         (b, F, b) for b in range(6)
@@ -345,6 +340,27 @@ def test_all_policies_agree_during_warmup():
             for policy in ALL_POLICIES:
                 c = cfg(K=K, S=S, policy=policy)
                 assert [schedule_for(c, i) for i in range(K + 1)] == reference
+
+
+def test_sink_slots_open_past_step_k_under_a_sink_policy():
+    # the one rule for when a step reads sinks, so a sink policy with S = 0
+    # schedules every step as the sliding window (attention-sink, K = 6, step
+    # 10, among them)
+    for K in range(1, 8):
+        for S in range(K):
+            for policy in ALL_POLICIES:
+                for convention in RollConvention:
+                    c = cfg(K=K, S=S, policy=policy, convention=convention)
+                    zero = cfg(K=K, S=0, policy=policy, convention=convention)
+                    window = cfg(K=K, S=0, policy=Policy.SLIDING_WINDOW,
+                                 convention=convention)
+                    for i in range(3 * K + 3):
+                        s = c.sink_slots(i)
+                        assert s == (0 if i <= K or policy is Policy.SLIDING_WINDOW else S)
+                        recent = range(max(0, i - K) + s, i)
+                        assert as_tuples(schedule_for(c, i))[s:] == [
+                            (b, F, b) for b in recent]
+                        assert schedule_for(zero, i) == schedule_for(window, i)
 
 
 def test_schedules_are_pure():
