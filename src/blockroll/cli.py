@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from contextlib import nullcontext
 from dataclasses import replace
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import isfinite
 
 import numpy as np
@@ -315,38 +316,31 @@ def _parse_step_range(text: str) -> range:
     return range(value, value + 1)
 
 
-def _write_csv(rows: list[list], header: list[str], path: str | None) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(str(cell) for cell in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _write_rows(rows: Iterable[Sequence], header: Sequence[str], path: str | None,
+                table: bool = False) -> None:
+    """The header, then each row, as CSV or as a table of right-aligned cells, to
+    path or stdout. Rows are formatted as they are written, 4096 lines at a time,
+    so a generator of rows is written in the memory of one chunk."""
+    sep, cell = ("  ", "{:>14}".format) if table else (",", str)
+    lines = (sep.join(map(cell, cells)) for cells in chain([header], rows))
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="\n")) as fh:
+        while chunk := list(islice(lines, 4096)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     cfg = _policy_config(vars(args))
-    rows = []
     try:
         steps = _parse_step_range(args.step)
     except ValueError:
         raise UsageError(f"cannot parse step range {args.step!r} (use N or LO:HI)")
-    for i in steps:
-        sched = schedule_for(cfg, i)
-        for rank, slot in enumerate(sched.slots):
-            rows.append(
-                [i, rank, slot.content_id, _ORIENT_WORD[slot.orientation],
-                 slot.assigned_index]
-            )
+    if steps:  # a negative first step is refused before anything is written
+        schedule_for(cfg, steps[0])
+    rows = ((i, rank, content, _ORIENT_WORD[orientation], index) for i in steps
+            for rank, (content, orientation, index) in enumerate(schedule_for(cfg, i).slots))
     header = ["i", "slot_rank", "content_id", "orientation", "assigned_index"]
-    if args.out is None:
-        sys.stdout.write("  ".join(f"{h:>14}" for h in header) + "\n")
-        for row in rows:
-            sys.stdout.write("  ".join(f"{str(cell):>14}" for cell in row) + "\n")
-    else:
-        _write_csv(rows, header, args.out)
+    _write_rows(rows, header, args.out, table=args.out is None)
     return 0
 
 
@@ -381,7 +375,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         for name in names
     ]
     rows = [[record.step, *values] for record, *values in zip(records, *columns)]
-    _write_csv(rows, ["step"] + names, args.out)
+    _write_rows(rows, ["step"] + names, args.out)
     return 0
 
 
@@ -410,9 +404,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
              else [s for r in ratios for s in sink_sizes_for_ratio(r, K)])
     # Each rollout a cell names is computed once, across S and variants: the fill
     # policy's unless the cell's last step reads sinks (PolicyConfig.sink_slots).
-    # A seed's one fill run, stepped as far as a cell needs up to step K, holds
-    # every rollout of horizon <= K; a longer one's run is forked from it at step
-    # K and stepped once through the ascending horizons.
+    # A seed's one fill run is the run of every rollout of horizon <= K; a longer
+    # one's run is forked from it at step K. Each run is stepped once through the
+    # ascending horizons and trimmed after each cell it serves.
     fill = replace(base.policy, S=0, policy=Policy.ATTENTION_SINK)
     prefixes: dict[int, Rollout] = {}
     runs: dict[tuple, Rollout] = {}
@@ -430,17 +424,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 if prefix is None:  # RolloutConfig refuses a horizon below 1
                     prefix = prefixes[seed] = Rollout(replace(
                         base, policy=fill, horizon=horizon, seed=seed, record_frames=True))
-                while prefix.step_index < min(K, horizon):
-                    prefix.step()
-                if horizon <= K:
-                    records = prefix.records[:horizon]
-                else:
-                    rollout = runs.get((read, seed))
-                    if rollout is None:
-                        rollout = runs[read, seed] = prefix.fork(read)
-                    while rollout.step_index < horizon:
-                        rollout.step()
-                    records = rollout.records
+                rollout = prefix if horizon <= K else runs.get((read, seed))
+                if rollout is None:
+                    while prefix.step_index < K:
+                        prefix.step()
+                    rollout = runs[read, seed] = prefix.fork(read)
+                while rollout.step_index < horizon:
+                    rollout.step()
+                records = rollout.records
                 # a terminal reads block 0, the last jump, and the last block against
                 # the `window` before it: all that a run keeps for its next horizon
                 terminals[read, horizon, seed] = [series[-1].item() for series in (
@@ -452,7 +443,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          *terminals[read, horizon, seed]])
     header = ["ratio", "S", "K", "policy", "horizon", "seed",
               "mean_drift", "flicker_proxy", "repetition_score"]
-    _write_csv(rows, header, args.out)
+    _write_rows(rows, header, args.out)
     return 0
 
 

@@ -135,9 +135,9 @@ def schedule_for(cfg: PolicyConfig, i: int) -> Schedule:
         raise ValueError(f"step index must be >= 0 (got {i})")
     s = cfg.sink_slots(i)
     first = max(0, i - cfg.K) + s
-    if cfg.policy is Policy.ATTENTION_SINK:
+    if cfg.policy is _ATTENTION_SINK:
         sink = tuple(CacheSlot(b, Orientation.FORWARD, b) for b in range(s))
-    elif cfg.policy is Policy.SLIDING_INDICES:
+    elif cfg.policy is _SLIDING_INDICES:
         sink = tuple(CacheSlot(b, Orientation.FORWARD, i - cfg.K + b) for b in range(s))
     else:  # ROLLING_SINK, and SLIDING_WINDOW, whose s is 0
         sink = tuple(roll_slot(cfg, l) for l in range(first - s, first))
@@ -146,7 +146,8 @@ def schedule_for(cfg: PolicyConfig, i: int) -> Schedule:
 
 
 _FORWARD = Orientation.FORWARD.value
-_SLIDING_WINDOW = Policy.SLIDING_WINDOW  # a member read through its enum class is slow
+# the members in definition order: a member read through its enum class is slow
+_SLIDING_WINDOW, _ATTENTION_SINK, _SLIDING_INDICES, _ROLLING_SINK = Policy
 
 
 class SlotWalk:
@@ -174,10 +175,10 @@ class SlotWalk:
         render, K, s = self.render, policy.K, policy.sink_slots(i)
         if policy is self.policy and i == self.step + 1 and len(self.sinks) == s:
             self.recent.append(render((i - 1, _FORWARD, i - 1)))
-            if s and policy.policy is Policy.ROLLING_SINK:
+            if s and policy.policy is _ROLLING_SINK:
                 content, orientation, index = roll_slot(policy, i - K + s - 1)
                 self.sinks.append(render((content, orientation.value, index)))
-            elif s and policy.policy is Policy.SLIDING_INDICES:
+            elif s and policy.policy is _SLIDING_INDICES:
                 self.sinks.extend(map(render, zip(range(s), repeat(_FORWARD, s),
                                                   range(i - K, i - K + s))))
         else:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -657,6 +658,43 @@ def test_schedule_command_rejects_bad_range(capsys):
     assert rc == 1
 
 
+def test_schedule_command_streams_its_rows(tmp_path):
+    # 20000 steps are 120k rows, about 3 MB of CSV; the rows are formatted
+    # and written a chunk at a time, never held all at once
+    tracemalloc.start()
+    try:
+        assert cli.main(["schedule", "-K", "6", "-S", "5", "-i", "0:20000",
+                         "--out", str(tmp_path / "sched.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_schedule_command_refuses_a_negative_step_before_writing(tmp_path, capsys, out):
+    path = tmp_path / "sched.csv"
+    rc = cli.main(["schedule", "-i=-2:3"] + (["--out", str(path)] if out else []))
+    assert (rc, capsys.readouterr()) == (1, ("", "error: step index must be >= 0 "
+                                                 "(got -2)\n"))
+    assert not path.exists()
+
+
+def test_schedule_command_writes_more_rows_than_a_chunk(tmp_path, capsys):
+    cfg = PolicyConfig(K=6)
+    rows = [(i, rank, content, orientation.name.lower(), index) for i in range(1000)
+            for rank, (content, orientation, index) in enumerate(schedule_for(cfg, i).slots)]
+    assert len(rows) > 4096
+    header = ("i", "slot_rank", "content_id", "orientation", "assigned_index")
+    out = tmp_path / "sched.csv"
+    assert cli.main(["schedule", "-K", "6", "-i", "0:1000", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == [
+        ",".join(map(str, row)) for row in [header, *rows]]
+    assert cli.main(["schedule", "-K", "6", "-i", "0:1000"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "  ".join(f"{cell:>14}" for cell in row) for row in [header, *rows]]
+
+
 # --------------------------------------------------------------------------
 # rollout command
 # --------------------------------------------------------------------------
@@ -1147,6 +1185,25 @@ def test_a_sweep_keeps_block_0_and_the_last_window_plus_one_records_of_a_run(
         assert len(rollout.records) == held <= window + 2
         assert [r.step for r in rollout.records] == [0, *range(
             rollout.step_index - held + 1, rollout.step_index)]
+
+
+def test_a_sweep_trims_the_fill_run_that_its_short_cells_read(tmp_path, monkeypatch):
+    # a cell of horizon <= K = 4 reads its seed's fill run itself, which is
+    # trimmed after each cell like any run: window 1 keeps block 0 and the last 2
+    built = []
+
+    class BuiltRollout(engine.Rollout):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "Rollout", BuiltRollout)
+    config = write_config(tmp_path, SHARED_RUN_CONFIG)
+    assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "1,2,3,4",
+                     "--seeds", "2", "--window", "1",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert [(fill.cfg.seed, [r.step for r in fill.records]) for fill in built] == [
+        (3, [0, 2, 3]), (4, [0, 2, 3])]
 
 
 @pytest.mark.parametrize("window", ["0", "-2"])
