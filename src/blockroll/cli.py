@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from dataclasses import replace
 from itertools import chain, islice, product
@@ -246,35 +246,40 @@ def _non_finite(record: TraceRecord) -> UsageError:
                       "which JSON cannot represent")
 
 
-def trace_to_lines(records: Sequence[TraceRecord]) -> list[str]:
+def trace_to_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
     """One JSON line per record, byte for byte what json.dumps with compact
-    separators writes; UsageError at the first record holding an inf or NaN,
-    which JSON cannot represent. Each record's slot text slides from the
-    previous record's when it is the next step of the same policy."""
-    lines = []
-    walk = SlotWalk(_SLOT.__mod__)
+    separators writes. Every record is checked first: UsageError at the first
+    holding an inf or NaN, which JSON cannot represent. Lines are formed as they
+    are consumed, each record's slot text slid from the last one's (SlotWalk)."""
+    checked = []  # each record with its frames text
     for record in records:
         mean, var, frames = record.mean, record.var, record.frames
         if not (isfinite(mean) and isfinite(var)):
             raise _non_finite(record)
         try:
-            frames_text = ("" if frames is None
-                           else ',"frames":' + _ENCODE(frames.tolist()))
+            text = "" if frames is None else ',"frames":' + _ENCODE(frames.tolist())
         except ValueError:
             raise _non_finite(record) from None
-        if record.policy is None:
-            record.schedule  # raises: a record read back holds no schedule
-        slots = ",".join(walk.slots(record.policy, record.step))
-        lines.append(_LINE % (record.step, slots, _json_number(mean),
-                              _json_number(var), frames_text, record.seed))
-    return lines
+        if record.policy is None or record.step < 0:
+            record.schedule  # raises: read back, or a step no schedule has
+        checked.append((record, text))
+    walk = SlotWalk(_SLOT.__mod__)
+    return (_LINE % (r.step, ",".join(walk.slots(r.policy, r.step)), _json_number(r.mean),
+                     _json_number(r.var), text, r.seed) for r, text in checked)
 
 
-def write_trace(records: Sequence[TraceRecord], path: str) -> None:
-    lines = trace_to_lines(records)  # before opening, so a failure leaves no file
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def _write_lines(lines: Iterable[str], path: str | None) -> None:
+    """Each line to path or stdout, joined and written 64 lines at a time, so
+    lines formed lazily are written in the memory of one chunk."""
+    lines = iter(lines)  # an islice of a list would restart at its first line
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="\n")) as fh:
+        while chunk := list(islice(lines, 64)):
+            fh.write("\n".join(chunk) + "\n")
+
+
+def write_trace(records: Iterable[TraceRecord], path: str) -> None:
+    _write_lines(trace_to_lines(records), path)
 
 
 def read_trace(path: str) -> tuple[TraceRecord, ...]:
@@ -319,14 +324,9 @@ def _parse_step_range(text: str) -> range:
 def _write_rows(rows: Iterable[Sequence], header: Sequence[str], path: str | None,
                 table: bool = False) -> None:
     """The header, then each row, as CSV or as a table of right-aligned cells, to
-    path or stdout. Rows are formatted as they are written, 4096 lines at a time,
-    so a generator of rows is written in the memory of one chunk."""
+    path or stdout, each row formatted as _write_lines writes its chunk."""
     sep, cell = ("  ", "{:>14}".format) if table else (",", str)
-    lines = (sep.join(map(cell, cells)) for cells in chain([header], rows))
-    with (nullcontext(sys.stdout) if path is None
-          else open(path, "w", encoding="utf-8", newline="\n")) as fh:
-        while chunk := list(islice(lines, 4096)):
-            fh.write("\n".join(chunk) + "\n")
+    _write_lines((sep.join(map(cell, cells)) for cells in chain([header], rows)), path)
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
@@ -374,7 +374,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         ).tolist()  # floats, which str() writes as repr() does
         for name in names
     ]
-    rows = [[record.step, *values] for record, *values in zip(records, *columns)]
+    rows = ([record.step, *values] for record, *values in zip(records, *columns))
     _write_rows(rows, ["step"] + names, args.out)
     return 0
 

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from blockroll import cli, engine
 from blockroll import schedule as schedules
-from blockroll.denoisers import AnalyticGaussianDenoiser, TinyAttentionDenoiser
+from blockroll.denoisers import (AnalyticGaussianDenoiser, ContextMeanDenoiser,
+                                 TinyAttentionDenoiser)
 from blockroll.engine import RolloutConfig, TraceRecord, run
 from blockroll.metrics import flicker_proxy, mean_drift, repetition_score
 from blockroll.sampler import _CHUNK
@@ -276,25 +277,43 @@ def test_trace_round_trips_exactly(tmp_path):
 READ_BACK = "trace record for step 0 was read back from a trace and holds no schedule"
 
 
+def file_bytes(path: Path) -> bytes | None:
+    return path.read_bytes() if path.exists() else None
+
+
 def test_records_read_back_are_not_written_again(tmp_path, monkeypatch):
     # a record read back holds no schedule to write; the writer refuses it
-    # before it opens the file, and main maps the refusal to exit 1
+    # before it opens the file, which so stays absent or as it was, and main
+    # maps the refusal to exit 1
     config = write_config(tmp_path)
-    first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+    first = tmp_path / "first.jsonl"
     assert cli.main(["rollout", config, "--out", str(first)]) == 0
     records = cli.read_trace(str(first))
-    with pytest.raises(ValueError, match=f"^{READ_BACK}$"):
-        cli.write_trace(records, str(again))
-    assert not again.exists()
     monkeypatch.setattr(cli, "run", lambda cfg: records)
-    assert run_main(["rollout", config, "--out", str(again)]) == (1, f"error: {READ_BACK}\n")
-    assert not again.exists()
+    for existing in (None, b'{"step":0}\n'):
+        again = tmp_path / f"again-{existing is None}.jsonl"
+        if existing is not None:
+            again.write_bytes(existing)
+        with pytest.raises(ValueError, match=f"^{READ_BACK}$"):
+            cli.write_trace(records, str(again))
+        assert file_bytes(again) == existing
+        assert run_main(["rollout", config, "--out", str(again)]) == (
+            1, f"error: {READ_BACK}\n")
+        assert file_bytes(again) == existing
+
+
+def test_a_record_of_a_negative_step_is_refused_before_writing(tmp_path):
+    records = slot_records(PolicyConfig(K=4, S=2), [0, 1, -1])
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(ValueError, match=r"^step index must be >= 0 \(got -1\)$"):
+        cli.write_trace(records, str(path))
+    assert not path.exists()
 
 
 def test_records_omit_frames_when_not_recorded(tmp_path):
     cfg = cli.parse_config_text(BASE_CONFIG + "record_frames = false\n")
     trace = run(cfg)
-    lines = cli.trace_to_lines(trace)
+    lines = list(cli.trace_to_lines(trace))
     assert all("frames" not in json.loads(line) for line in lines)
     path = tmp_path / "nf.jsonl"
     cli.write_trace(trace, str(path))
@@ -338,8 +357,9 @@ def reference_line(record: TraceRecord) -> str:
 
 @given(st.lists(RECORDS, max_size=4))
 def test_trace_lines_are_json_dumps_of_the_reference_object(records):
-    lines = cli.trace_to_lines(records)
+    lines = list(cli.trace_to_lines(records))
     assert lines == [reference_line(record) for record in records]
+    assert list(cli.trace_to_lines(iter(records))) == lines
 
 
 def slot_records(policy: PolicyConfig, steps) -> list[TraceRecord]:
@@ -365,7 +385,7 @@ def test_slot_text_slides_and_reseats_as_the_schedule_text(K, S):
             lists.append(slot_records(policy, [*range(j), *range(j + 1, end)]))
             lists.append(slot_records(policy, [*range(j + 1), *range(j, end)]))
         for records in lists:
-            assert cli.trace_to_lines(records) == [reference_line(r) for r in records]
+            assert list(cli.trace_to_lines(records)) == [reference_line(r) for r in records]
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -383,6 +403,23 @@ def test_a_trace_is_written_from_at_most_two_schedules(tmp_path, monkeypatch, po
     assert steps == ([0] if policy is Policy.SLIDING_WINDOW else [0, K + 1])
 
 
+@pytest.mark.parametrize("policy", list(Policy))
+def test_a_trace_is_written_in_a_fraction_of_its_bytes(tmp_path, policy):
+    # the lines are formed a chunk at a time as they are written, so the
+    # writer holds O(K) slot text and each record's frames text, never the trace
+    K = 150
+    records = run(RolloutConfig(PolicyConfig(K, K // 2, policy=policy),
+                                ContextMeanDenoiser(), horizon=8 * K))
+    path = tmp_path / "trace.jsonl"
+    tracemalloc.start()
+    try:
+        cli.write_trace(records, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 3
+
+
 @given(records=st.lists(RECORDS, min_size=1, max_size=4), data=st.data())
 def test_non_finite_record_is_refused_and_writes_no_file(records, data):
     bad = data.draw(st.integers(0, len(records) - 1))
@@ -397,11 +434,14 @@ def test_non_finite_record_is_refused_and_writes_no_file(records, data):
         setattr(record, field, data.draw(st.sampled_from([value, np.float64(value)])))
     message = (f"trace record for step {record.step} holds inf or NaN, which JSON "
                "cannot represent")
+    existing = data.draw(st.sampled_from([None, b"an earlier trace\n"]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
+        if existing is not None:
+            path.write_bytes(existing)
         with pytest.raises(cli.UsageError, match=re.escape(message) + "$"):
             cli.write_trace(records, str(path))
-        assert not path.exists()
+        assert file_bytes(path) == existing
 
 
 def test_int_stats_read_back_as_ints(tmp_path):

@@ -512,14 +512,14 @@ def test_a_warm_plan_replays_a_cold_one_byte_for_byte(policy):
     K = 3
     short, long = (make_config(policy=policy, K=K, S=2, horizon=h, seed=7)
                    for h in (2 * K + 1, 6 * K + 2))
-    cold = trace_to_lines(run(long))
+    cold = list(trace_to_lines(run(long)))
     gather_plan.cache_clear()
-    warm_short = trace_to_lines(run(short))
+    warm_short = list(trace_to_lines(run(short)))
     # built at the short rollout's step K; the sliding window builds none
     assert gather_plan.cache_info().misses == (policy is not Policy.SLIDING_WINDOW)
-    assert trace_to_lines(run(long)) == cold
+    assert list(trace_to_lines(run(long))) == cold
     assert gather_plan.cache_info().misses == (policy is not Policy.SLIDING_WINDOW)
-    assert warm_short == trace_to_lines(run(short)) == cold[:2 * K + 1]
+    assert warm_short == list(trace_to_lines(run(short))) == cold[:2 * K + 1]
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -553,7 +553,7 @@ def test_a_fork_replays_an_independent_run_of_its_policy(steps):
             assert fork.cfg.horizon == prefix.cfg.horizon  # no step reads it
             for _ in range(horizon - steps):
                 fork.step()
-            assert trace_to_lines(fork.trace()) == trace_to_lines(run(cfg))
+            assert list(trace_to_lines(fork.trace())) == list(trace_to_lines(run(cfg)))
     # the forks wrote their own stores and record lists
     assert np.array_equal(prefix.store.frames, before)
     assert len(prefix.records) == prefix.store.count == steps
