@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from dataclasses import replace
 from itertools import chain, islice, product
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -211,20 +211,24 @@ def record_from_obj(obj: dict) -> TraceRecord:
     step = obj["step"]
     if type(step) is not int:
         raise TypeError(f"step must be an integer, got {step!r}")
+    if step < 0:
+        raise ValueError(f"step index must be >= 0 (got {step})")
     for slot in obj["schedule"]:
         _check_slot(slot)
-    frames = obj.get("frames")
+    frames, values = obj.get("frames"), ()
     if frames is not None:
         if (type(frames) is not list or set(map(type, frames)) != {list} or [] in frames
-                or not set(map(type, chain.from_iterable(frames))) <= _NUMBER_TYPES):
+                or not set(map(type, values := [*chain(*frames)])) <= _NUMBER_TYPES):
             raise TypeError("frames must be a list of rows of numbers, none empty")
         frames = np.asarray(frames, dtype=np.float64)  # ValueError if ragged
     stats = obj["frame_stats"]
     seed = obj["seed"]
     if type(seed) is not int:
         raise TypeError(f"seed must be an integer, got {seed!r}")
-    return TraceRecord(step, None, _number(stats, "mean"),
-                       _number(stats, "var"), frames, seed)
+    mean, var = _number(stats, "mean"), _number(stats, "var")
+    if inf in values or -inf in values:  # a literal such as 1e400 decodes to inf
+        raise ValueError("frames hold a number that is not finite")
+    return TraceRecord(step, None, mean, var, frames, seed)
 
 
 def _check_follows(previous: TraceRecord, record: TraceRecord) -> None:
@@ -270,12 +274,15 @@ def trace_to_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
 
 def _write_lines(lines: Iterable[str], path: str | None) -> None:
     """Each line to path or stdout, joined and written 64 lines at a time, so
-    lines formed lazily are written in the memory of one chunk."""
+    lines formed lazily are written in the memory of one chunk. The first is
+    formed before path is opened, so a refusal raised in it writes nothing."""
     lines = iter(lines)  # an islice of a list would restart at its first line
+    chunk = list(islice(lines, 64))
     with (nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8", newline="\n")) as fh:
-        while chunk := list(islice(lines, 64)):
+        while chunk:
             fh.write("\n".join(chunk) + "\n")
+            chunk = list(islice(lines, 64))
 
 
 def write_trace(records: Iterable[TraceRecord], path: str) -> None:
@@ -283,7 +290,8 @@ def write_trace(records: Iterable[TraceRecord], path: str) -> None:
 
 
 def read_trace(path: str) -> tuple[TraceRecord, ...]:
-    records, linenos = [], []
+    """Every record of a trace, each line checked as it is read."""
+    records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -296,16 +304,8 @@ def read_trace(path: str) -> tuple[TraceRecord, ...]:
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise UsageError(f"trace line {lineno}: malformed record ({exc})")
             records.append(record)
-            linenos.append(lineno)
     if not records:
         raise UsageError("trace file contains no records")
-    # a literal such as 1e400 decodes to inf; one check over every record's
-    # frames, which _check_follows has given one shape
-    if records[0].frames is not None:
-        finite = np.isfinite(np.stack([r.frames for r in records])).all(axis=(1, 2))
-        if not finite.all():
-            raise UsageError(f"trace line {linenos[finite.argmin()]}: malformed record "
-                             "(frames hold a number that is not finite)")
     return tuple(records)
 
 
@@ -335,8 +335,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         steps = _parse_step_range(args.step)
     except ValueError:
         raise UsageError(f"cannot parse step range {args.step!r} (use N or LO:HI)")
-    if steps:  # a negative first step is refused before anything is written
-        schedule_for(cfg, steps[0])
     rows = ((i, rank, content, _ORIENT_WORD[orientation], index) for i in steps
             for rank, (content, orientation, index) in enumerate(schedule_for(cfg, i).slots))
     header = ["i", "slot_rank", "content_id", "orientation", "assigned_index"]

@@ -444,6 +444,24 @@ def test_non_finite_record_is_refused_and_writes_no_file(records, data):
         assert file_bytes(path) == existing
 
 
+@pytest.mark.parametrize("existing", [None, b"an earlier file\n"])
+def test_a_refusal_in_the_first_chunk_leaves_the_output_as_it_was(tmp_path, capsys,
+                                                                  existing):
+    # the first chunk is formed before the file is opened or stdout written
+    def lines():
+        yield "one"
+        yield "two"
+        raise ValueError("refused at the third line")
+    path = tmp_path / "out.txt"
+    if existing is not None:
+        path.write_bytes(existing)
+    for out in (str(path), None):
+        with pytest.raises(ValueError, match="^refused at the third line$"):
+            cli._write_lines(lines(), out)
+    assert file_bytes(path) == existing
+    assert capsys.readouterr().out == ""
+
+
 def test_int_stats_read_back_as_ints(tmp_path):
     line = VALID_RECORD.replace('"mean":0.0,"var":1.0', '"mean":-2,"var":3')
     path = tmp_path / "ints.jsonl"
@@ -518,6 +536,28 @@ def test_first_overflowing_frames_line_is_named(tmp_path):
     message = "trace line 3: malformed record (frames hold a number that is not finite)"
     with pytest.raises(cli.UsageError, match="^" + re.escape(message) + "$"):
         cli.read_trace(str(path))
+
+
+def test_the_first_bad_line_is_named_whatever_its_defect(tmp_path):
+    # each line is checked as it is read: line 2's overflowing frame is named,
+    # not line 3's mistyped mean
+    overflow = NEXT_RECORD.replace('[[0.0,1.0]]', '[[1e400,1.0]]')
+    mistyped = NEXT_RECORD.replace('"step":1', '"step":2').replace('"mean":0.0', '"mean":"x"')
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join([VALID_RECORD, overflow, mistyped]) + "\n")
+    message = "trace line 2: malformed record (frames hold a number that is not finite)"
+    with pytest.raises(cli.UsageError, match="^" + re.escape(message) + "$"):
+        cli.read_trace(str(path))
+
+
+def test_metrics_refuses_a_negative_step_and_writes_no_file(tmp_path):
+    path = tmp_path / "negative.jsonl"
+    path.write_text("\n".join(VALID_RECORD.replace('"step":0', f'"step":{step}')
+                              for step in (-5, -4)) + "\n")
+    out = tmp_path / "m.csv"
+    assert run_main(["metrics", str(path), "--out", str(out)]) == (
+        1, "error: trace line 1: malformed record (step index must be >= 0 (got -5))\n")
+    assert not out.exists()
 
 
 def test_valid_successor_is_accepted(tmp_path):
