@@ -245,31 +245,31 @@ def _check_follows(previous: TraceRecord, record: TraceRecord) -> None:
                          f"record's {expected}")
 
 
-def _non_finite(record: TraceRecord) -> UsageError:
-    return UsageError(f"trace record for step {record.step} holds inf or NaN, "
-                      "which JSON cannot represent")
-
-
 def trace_to_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
     """One JSON line per record, byte for byte what json.dumps with compact
-    separators writes. Every record is checked first: UsageError at the first
-    holding an inf or NaN, which JSON cannot represent. Lines are formed as they
-    are consumed, each record's slot text slid from the last one's (SlotWalk)."""
-    checked = []  # each record with its frames text
-    for record in records:
-        mean, var, frames = record.mean, record.var, record.frames
-        if not (isfinite(mean) and isfinite(var)):
-            raise _non_finite(record)
-        try:
-            text = "" if frames is None else ',"frames":' + _ENCODE(frames.tolist())
-        except ValueError:
-            raise _non_finite(record) from None
-        if record.policy is None or record.step < 0:
-            record.schedule  # raises: read back, or a step no schedule has
-        checked.append((record, text))
+    separators writes. Every record is checked first: ValueError at the first
+    no line can be formed for (a step or seed not an integer, frames not real
+    numbers, a record read back or a negative step; UsageError for an inf or
+    NaN, which JSON cannot represent). Lines are formed as they are consumed,
+    each record's slot text slid from the last one's (SlotWalk)."""
+    records = tuple(records)  # a tuple, such as run's trace, is not copied
+    for r in records:
+        for name, value in (("step", r.step), ("seed", r.seed)):
+            if type(value) is not int and not isinstance(value, np.integer):  # nor a bool
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if r.frames is not None and r.frames.dtype.kind not in "iuf":  # as JSON numbers
+            raise ValueError(f"frames must hold real numbers, got {r.frames.dtype}")
+        if not (isfinite(r.mean) and isfinite(r.var)
+                and (r.frames is None or np.isfinite(r.frames).all())):
+            raise UsageError(f"trace record for step {r.step} holds inf or NaN, "
+                             "which JSON cannot represent")
+        if r.policy is None or r.step < 0:
+            r.schedule  # raises: read back, or a step no schedule has
     walk = SlotWalk(_SLOT.__mod__)
     return (_LINE % (r.step, ",".join(walk.slots(r.policy, r.step)), _json_number(r.mean),
-                     _json_number(r.var), text, r.seed) for r, text in checked)
+                     _json_number(r.var),
+                     "" if r.frames is None else ',"frames":' + _ENCODE(r.frames.tolist()),
+                     r.seed) for r in records)
 
 
 def _write_lines(lines: Iterable[str], path: str | None) -> None:

@@ -65,14 +65,14 @@ class HistoryStore:
     """Bounded block storage in one preallocated array of frame rows: a ring
     holding the last K blocks at slot block_id mod K and again K slots later,
     so any <= K consecutive held blocks are one slice from first_row of the
-    first. Blocks are put in id order; at most K are held."""
+    first. Each block put takes the next id; at most K are held."""
 
     def __init__(self, policy: PolicyConfig, frame_dim: int):
         self.capacity = K = policy.K
         self.block_size = bs = policy.block_size
         self.frames = np.zeros((2 * K * bs, frame_dim))
         self._rings = self.frames.reshape(2, K * bs, frame_dim)  # ring, mirror
-        self.count = 0  # blocks put so far; the next id put must be this
+        self.count = 0  # blocks put so far, and the id of the next
 
     @property
     def peak_retained(self) -> int:
@@ -87,13 +87,11 @@ class HistoryStore:
         """The row in `frames` of a block's first frame; ids may be an array."""
         return block_id % self.capacity * self.block_size
 
-    def put(self, block_id: int, block: np.ndarray) -> None:
-        if block_id != self.count:
-            raise ValueError(f"blocks must be put in id order: expected block "
-                             f"{self.count}, got {block_id}")
-        self.count += 1
-        first = self.first_row(block_id)  # at its ring slot and K slots later
+    def put(self, block: np.ndarray) -> None:
+        """Hold `block` as the next block, id `count`."""
+        first = self.first_row(self.count)  # at its ring slot and K slots later
         self._rings[:, first:first + self.block_size] = block
+        self.count += 1
 
     def get(self, block_id: int) -> np.ndarray:
         """A copy of a held block's frames; KeyError for a block not held,
@@ -232,7 +230,7 @@ class Rollout:
         if not (isfinite(mean) and isfinite(var)):
             raise NonFiniteBlockError(f"trace record for step {i} holds inf or NaN, "
                                       "so the rollout stops at that step")
-        self.store.put(i, block)
+        self.store.put(block)
         self.records.append(TraceRecord(
             step=i, policy=cfg.policy, mean=mean, var=var,
             frames=block.copy() if cfg.record_frames else None, seed=cfg.seed))

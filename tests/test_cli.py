@@ -310,6 +310,39 @@ def test_a_record_of_a_negative_step_is_refused_before_writing(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("step", 70.0), ("step", 70.5), ("step", True), ("seed", 2.5), ("seed", False),
+    ("seed", "0"), *[("frames", np.zeros((2, 3), dtype)) for dtype in (complex, bool, object)]])
+def test_a_record_no_line_can_be_formed_for_is_refused_before_writing(
+        tmp_path, monkeypatch, field, value):
+    # %d would write a step of 70.0 as 70 and a seed of 2.5 as 2, where json.dumps
+    # writes 70.0 and 2.5; a step of 70.5 or complex frames would raise only in
+    # their line, past the first chunk; the reader refuses bool frames
+    records = slot_records(PolicyConfig(K=4, S=2), range(71))
+    setattr(records[70], field, value)
+    message = (f"frames must hold real numbers, got {value.dtype}" if field == "frames"
+               else f"{field} must be an integer, got {value!r}")
+    config = write_config(tmp_path)
+    monkeypatch.setattr(cli, "run", lambda cfg: records)
+    path = tmp_path / "trace.jsonl"
+    for existing in (None, b"an earlier trace\n"):
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli.write_trace(records, str(path))
+        assert file_bytes(path) == existing
+        assert run_main(["rollout", config, "--out", str(path)]) == (1, f"error: {message}\n")
+        assert file_bytes(path) == existing
+
+
+def test_numpy_integer_steps_and_seeds_are_written_as_ints():
+    records = slot_records(PolicyConfig(K=4, S=2), range(12))
+    numpy_records = [replace(r, step=np.int64(r.step), seed=np.uint64(2**64 - 1))
+                     for r in records]
+    assert list(cli.trace_to_lines(numpy_records)) == [
+        reference_line(replace(r, seed=2**64 - 1)) for r in records]
+
+
 def test_records_omit_frames_when_not_recorded(tmp_path):
     cfg = cli.parse_config_text(BASE_CONFIG + "record_frames = false\n")
     trace = run(cfg)
@@ -418,6 +451,20 @@ def test_a_trace_is_written_in_a_fraction_of_its_bytes(tmp_path, policy):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 3
+
+
+def test_a_trace_is_written_without_a_text_per_record(tmp_path):
+    # at K=6 a record's frames text is most of its line: the writer forms it in
+    # the line, so it holds one chunk of lines and no text per record
+    records = run(RolloutConfig(PolicyConfig(6, 5), ContextMeanDenoiser(), horizon=2000))
+    path = tmp_path / "trace.jsonl"
+    tracemalloc.start()
+    try:
+        cli.write_trace(records, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 @given(records=st.lists(RECORDS, min_size=1, max_size=4), data=st.data())

@@ -164,7 +164,7 @@ def test_a_rollout_config_is_frozen(name):
 def test_history_store_keeps_the_last_k_blocks(policy):
     store = HistoryStore(PolicyConfig(K=3, S=1, block_size=2, policy=policy), frame_dim=1)
     for i in range(8):
-        store.put(i, np.full((2, 1), float(i)))
+        store.put(np.full((2, 1), float(i)))
     assert store.peak_retained == 3
     assert store.frames.shape == (12, 1)  # the ring and its mirror
     for i in (5, 6, 7):
@@ -182,7 +182,7 @@ def test_held_runs_of_up_to_k_blocks_are_one_slice_of_the_store(policy, bs):
     K = 4
     store = HistoryStore(PolicyConfig(K=K, S=2, block_size=bs, policy=policy), frame_dim=3)
     for b in range(5 * K):
-        store.put(b, np.arange(b * bs * 3, (b + 1) * bs * 3, dtype=float).reshape(bs, 3))
+        store.put(np.arange(b * bs * 3, (b + 1) * bs * 3, dtype=float).reshape(bs, 3))
         for lo in range(b + 1):
             for n in range(1, K + 1):
                 if not store.holds(np.arange(lo, lo + n), store.count).all():
@@ -190,16 +190,6 @@ def test_held_runs_of_up_to_k_blocks_are_one_slice_of_the_store(policy, bs):
                 first = store.first_row(lo)
                 assert np.array_equal(store.frames[first:first + n * bs], np.concatenate(
                     [store.get(block) for block in range(lo, lo + n)])), (b, lo, n)
-
-
-def test_history_store_rejects_out_of_order_puts():
-    store = HistoryStore(PolicyConfig(K=3, S=1, block_size=1), frame_dim=1)
-    store.put(0, np.zeros((1, 1)))
-    for block_id in (0, 2, -1):
-        with pytest.raises(ValueError, match="in id order"):
-            store.put(block_id, np.ones((1, 1)))
-    assert store.peak_retained == 1
-    assert store.get(0)[0, 0] == 0.0
 
 
 def test_missing_history_is_an_internal_invariant_violation(monkeypatch):
@@ -450,7 +440,7 @@ def test_the_plan_gathers_what_the_slot_by_slot_oracle_gathers(policy, conventio
                     context = rollout._expand(i)
                     assert (context.values[:, 0].tolist(), context.positions.tolist()) == (
                         oracle_gather(cfg, i)), (K, S, bs, i)
-                    rollout.store.put(i, np.arange(i * bs, (i + 1) * bs, dtype=float)[:, None])
+                    rollout.store.put(np.arange(i * bs, (i + 1) * bs, dtype=float)[:, None])
                 planned = policy is not Policy.SLIDING_WINDOW and S > 0
                 assert (rollout.sinks is not None) == planned
 
