@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from dataclasses import replace
 from itertools import chain, islice, product
-from math import inf, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -185,17 +185,6 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _number(obj: dict, key: str):
-    value = obj[key]
-    if type(value) not in _NUMBER_TYPES:
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    # a literal such as 1e400 decodes to inf; an int past the float range
-    # raises OverflowError here rather than in the metrics
-    if not isfinite(value):
-        raise ValueError(f"{key} {value!r} is not a finite number")
-    return value
-
-
 def _check_slot(obj: dict) -> None:
     content, orient, index = obj["content"], obj["orient"], obj["index"]
     if type(content) is not int or content < 0:
@@ -207,32 +196,48 @@ def _check_slot(obj: dict) -> None:
 
 
 def record_from_obj(obj: dict) -> TraceRecord:
-    """A record read back: its slots are checked but not kept, so no policy."""
-    step = obj["step"]
-    if type(step) is not int:
-        raise TypeError(f"step must be an integer, got {step!r}")
-    if step < 0:
-        raise ValueError(f"step index must be >= 0 (got {step})")
+    """A record read back: its slots are checked but not kept, so no policy,
+    and its frames must be rows of JSON numbers; _check_record checks the rest."""
     for slot in obj["schedule"]:
         _check_slot(slot)
-    frames, values = obj.get("frames"), ()
+    frames = obj.get("frames")
     if frames is not None:
-        if (type(frames) is not list or set(map(type, frames)) != {list} or [] in frames
-                or not set(map(type, values := [*chain(*frames)])) <= _NUMBER_TYPES):
+        if (type(frames) is not list or set(map(type, frames)) != {list}
+                or not set(map(type, chain(*frames))) <= _NUMBER_TYPES):
             raise TypeError("frames must be a list of rows of numbers, none empty")
         frames = np.asarray(frames, dtype=np.float64)  # ValueError if ragged
     stats = obj["frame_stats"]
-    seed = obj["seed"]
-    if type(seed) is not int:
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-    mean, var = _number(stats, "mean"), _number(stats, "var")
-    if inf in values or -inf in values:  # a literal such as 1e400 decodes to inf
-        raise ValueError("frames hold a number that is not finite")
-    return TraceRecord(step, None, mean, var, frames, seed)
+    return TraceRecord(obj["step"], None, stats["mean"], stats["var"], frames, obj["seed"])
 
 
-def _check_follows(previous: TraceRecord, record: TraceRecord) -> None:
-    """A trace is one rollout: consecutive steps, one seed, one frame shape."""
+def _check_record(record: TraceRecord, previous: TraceRecord | None) -> None:
+    """What a trace record may hold, read or written: an integer step >= 0 and
+    seed, a finite int or float mean and var, and frames, if any, a finite real
+    2-D array with a row and a column. After previous, a trace is one rollout:
+    the next step, the same seed and frame shape. ValueError at the first break."""
+    for name, value in (("step", record.step), ("seed", record.seed)):
+        if type(value) is not int and not isinstance(value, np.integer):  # nor a bool
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if record.step < 0:
+        raise ValueError(f"step index must be >= 0 (got {record.step})")
+    for name, value in (("mean", record.mean), ("var", record.var)):
+        # what _json_number writes: np.float64 is a float; np.float32, bools are not
+        if type(value) is not int and not isinstance(value, float):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        try:
+            finite = isfinite(value)
+        except OverflowError as exc:  # an int past the float range
+            raise ValueError(str(exc)) from None
+        if not finite:
+            raise ValueError(f"{name} {value!r} is not a finite number")
+    frames = record.frames
+    if frames is not None:
+        if frames.dtype.kind not in "iuf" or frames.ndim != 2 or 0 in frames.shape:
+            raise ValueError("frames must be a list of rows of numbers, none empty")
+        if not np.isfinite(frames).all():  # a literal such as 1e400 decodes to inf
+            raise ValueError("frames hold a number that is not finite")
+    if previous is None:
+        return
     if record.step != previous.step + 1:
         raise ValueError(f"step {record.step} does not follow step {previous.step}")
     if record.seed != previous.seed:
@@ -247,24 +252,16 @@ def _check_follows(previous: TraceRecord, record: TraceRecord) -> None:
 
 def trace_to_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
     """One JSON line per record, byte for byte what json.dumps with compact
-    separators writes. Every record is checked first: ValueError at the first
-    no line can be formed for (a step or seed not an integer, frames not real
-    numbers, a record read back or a negative step; UsageError for an inf or
-    NaN, which JSON cannot represent). Lines are formed as they are consumed,
-    each record's slot text slid from the last one's (SlotWalk)."""
+    separators writes. The records must be one rollout that read_trace would
+    read back: each is checked first by _check_record, and a record read back,
+    which holds no schedule, is refused too (ValueError at the first). Lines
+    are formed as they are consumed, each record's slot text slid from the
+    last one's (SlotWalk)."""
     records = tuple(records)  # a tuple, such as run's trace, is not copied
-    for r in records:
-        for name, value in (("step", r.step), ("seed", r.seed)):
-            if type(value) is not int and not isinstance(value, np.integer):  # nor a bool
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if r.frames is not None and r.frames.dtype.kind not in "iuf":  # as JSON numbers
-            raise ValueError(f"frames must hold real numbers, got {r.frames.dtype}")
-        if not (isfinite(r.mean) and isfinite(r.var)
-                and (r.frames is None or np.isfinite(r.frames).all())):
-            raise UsageError(f"trace record for step {r.step} holds inf or NaN, "
-                             "which JSON cannot represent")
-        if r.policy is None or r.step < 0:
-            r.schedule  # raises: read back, or a step no schedule has
+    for previous, r in zip(chain([None], records), records):
+        _check_record(r, previous)
+        if r.policy is None:
+            r.schedule  # raises: read back
     walk = SlotWalk(_SLOT.__mod__)
     return (_LINE % (r.step, ",".join(walk.slots(r.policy, r.step)), _json_number(r.mean),
                      _json_number(r.var),
@@ -298,8 +295,7 @@ def read_trace(path: str) -> tuple[TraceRecord, ...]:
                 continue
             try:
                 record = record_from_obj(_DECODER.decode(line))
-                if records:
-                    _check_follows(records[-1], record)
+                _check_record(record, records[-1] if records else None)
             # RecursionError: the decoder's answer to deeply nested brackets
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise UsageError(f"trace line {lineno}: malformed record ({exc})")

@@ -155,25 +155,24 @@ class SlotWalk:
 
     A schedule is its sink slots, then its recent blocks, each held as the
     string that `render((content_id, orientation value, assigned_index))`
-    gives, rendered once, when it enters. Step i of the PolicyConfig object
-    last walked at step i-1 slides while the sinks hold its policy.sink_slots(i)
-    slots: the recent blocks gain block i-1 and drop the oldest past their
-    bound, and the sinks move as the policy moves them. Any other step reseats
-    both from schedule_for in O(K): a first step, another policy, a skipped or
-    repeated step, and step K+1, where a sink policy's sinks first appear.
+    gives, rendered once, when it enters. Steps come one after another, as in a
+    trace. A step of the PolicyConfig object last walked slides while the sinks
+    hold its policy.sink_slots(i) slots: the recent blocks gain block i-1 and
+    drop the oldest past their bound, and the sinks move as the policy moves
+    them. Any other step reseats both from schedule_for in O(K): a first step,
+    another policy (a fork's), and step K+1, where a sink policy's sinks appear.
     """
 
     def __init__(self, render):
         self.render = render
-        self.policy: PolicyConfig | None = None  # walked last, at self.step
-        self.step = -1
+        self.policy: PolicyConfig | None = None  # walked last
         self.sinks: deque[str] = deque()
         self.recent: deque[str] = deque()
 
     def slots(self, policy: PolicyConfig, i: int) -> list[str]:
         """Step i's rendered slots under policy, in schedule order."""
         render, K, s = self.render, policy.K, policy.sink_slots(i)
-        if policy is self.policy and i == self.step + 1 and len(self.sinks) == s:
+        if policy is self.policy and len(self.sinks) == s:
             self.recent.append(render((i - 1, _FORWARD, i - 1)))
             if s and policy.policy is _ROLLING_SINK:
                 content, orientation, index = roll_slot(policy, i - K + s - 1)
@@ -187,7 +186,6 @@ class SlotWalk:
             self.sinks = deque(texts[:s], maxlen=s)
             self.recent = deque(texts[s:], maxlen=K - s)
             self.policy = policy
-        self.step = i
         return [*self.sinks, *self.recent]
 
 

@@ -310,18 +310,28 @@ def test_a_record_of_a_negative_step_is_refused_before_writing(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("field, value", [
-    ("step", 70.0), ("step", 70.5), ("step", True), ("seed", 2.5), ("seed", False),
-    ("seed", "0"), *[("frames", np.zeros((2, 3), dtype)) for dtype in (complex, bool, object)]])
+ROWS = "frames must be a list of rows of numbers, none empty"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    *[(field, value, f"{field} must be an integer, got {value!r}") for field, value in (
+        ("step", 70.0), ("step", 70.5), ("step", True), ("seed", 2.5), ("seed", False),
+        ("seed", "0"))],
+    *[("frames", np.zeros((2, 3), dtype), ROWS) for dtype in (complex, bool, object)],
+    ("mean", np.float32(0.5), "mean must be a number, got np.float32(0.5)"),
+    ("mean", True, "mean must be a number, got True"),
+    ("var", 10**400, "int too large to convert to float")],
+    ids=["step-70.0", "step-70.5", "step-True", "seed-2.5", "seed-False", "seed-0",
+         "frames-value6", "frames-value7", "frames-value8", "mean-float32", "mean-True",
+         "var-huge-int"])
 def test_a_record_no_line_can_be_formed_for_is_refused_before_writing(
-        tmp_path, monkeypatch, field, value):
+        tmp_path, monkeypatch, field, value, message):
     # %d would write a step of 70.0 as 70 and a seed of 2.5 as 2, where json.dumps
-    # writes 70.0 and 2.5; a step of 70.5 or complex frames would raise only in
-    # their line, past the first chunk; the reader refuses bool frames
+    # writes 70.0 and 2.5; a step of 70.5, complex frames, an np.float32 or bool
+    # mean and an int var past the float range would raise only in their line,
+    # past the first chunk; the reader refuses bool frames and a bool mean
     records = slot_records(PolicyConfig(K=4, S=2), range(71))
     setattr(records[70], field, value)
-    message = (f"frames must hold real numbers, got {value.dtype}" if field == "frames"
-               else f"{field} must be an integer, got {value!r}")
     config = write_config(tmp_path)
     monkeypatch.setattr(cli, "run", lambda cfg: records)
     path = tmp_path / "trace.jsonl"
@@ -371,28 +381,118 @@ STATS = st.one_of(FINITE, EDGE_FLOATS, FINITE.map(np.float64),
 POLICIES = st.integers(1, 7).flatmap(lambda K: st.builds(
     PolicyConfig, st.just(K), st.integers(0, K - 1), st.integers(1, 3),
     st.sampled_from(Policy), st.sampled_from(RollConvention)))
-RECORDS = st.builds(
-    TraceRecord,
-    st.integers(0, 10**9) | st.integers(0, 30),  # past the fill, and within it
-    POLICIES,
-    STATS,
-    STATS,
-    st.none() | hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
-                                                        max_side=4),
-                           elements=FINITE | EDGE_FLOATS),
-    st.integers(0, 2**64 - 1),
-)
+FRAME_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, max_side=4)
+
+
+@st.composite
+def rollouts(draw, min_size=0, max_size=4, shapes=FRAME_SHAPES) -> list[TraceRecord]:
+    """Records shaped as one rollout: consecutive steps from a start past the
+    fill or within it, one seed and one frame shape or none. Each record's
+    policy is one of two, so that the slot text both slides and reseats."""
+    start = draw(st.integers(0, 10**9) | st.integers(0, 30))
+    policies = st.sampled_from([draw(POLICIES), draw(POLICIES)])
+    seed = draw(st.integers(0, 2**64 - 1))
+    shape = draw(st.none() | shapes)
+    frames = st.none() if shape is None else hnp.arrays(np.float64, shape,
+                                                        elements=FINITE | EDGE_FLOATS)
+    return [TraceRecord(start + k, draw(policies), draw(STATS), draw(STATS), draw(frames),
+                        seed) for k in range(draw(st.integers(min_size, max_size)))]
 
 
 def reference_line(record: TraceRecord) -> str:
     return json.dumps(record_to_obj(record), separators=(",", ":"), allow_nan=False)
 
 
-@given(st.lists(RECORDS, max_size=4))
+@given(rollouts())
 def test_trace_lines_are_json_dumps_of_the_reference_object(records):
     lines = list(cli.trace_to_lines(records))
     assert lines == [reference_line(record) for record in records]
     assert list(cli.trace_to_lines(iter(records))) == lines
+
+
+def same_number(read, written) -> bool:
+    """read back as written: an int as that int, a float as that float (-0.0 too)."""
+    if type(written) is int:
+        return type(read) is int and read == written
+    return type(read) is float and float.__repr__(read) == float.__repr__(written)
+
+
+@given(records=rollouts(min_size=1, shapes=FRAME_SHAPES | hnp.array_shapes(
+    min_dims=1, max_dims=3, min_side=0, max_side=3)))
+def test_every_trace_write_trace_accepts_reads_back(records):
+    # a frame shape that JSON rows cannot hold is refused before any file;
+    # every other rollout reads back value for value
+    shape = next((r.frames.shape for r in records if r.frames is not None), None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        if shape is not None and (len(shape) != 2 or 0 in shape):
+            with pytest.raises(ValueError, match=f"^{ROWS}$"):
+                cli.write_trace(records, str(path))
+            assert not path.exists()
+            return
+        cli.write_trace(records, str(path))
+        read = cli.read_trace(str(path))
+    assert len(read) == len(records)
+    for written, reread in zip(records, read):
+        assert same_number(reread.step, written.step) and same_number(reread.seed, written.seed)
+        assert same_number(reread.mean, written.mean) and same_number(reread.var, written.var)
+        if written.frames is None:
+            assert reread.frames is None
+        else:
+            assert reread.frames.dtype == np.float64 and reread.frames.shape == shape
+            assert reread.frames.tobytes() == written.frames.tobytes()
+
+
+# One defect in the second record of a three-record rollout, and the message
+# that both the writer and the reader give for it.
+DEFECTS = {
+    "step-gap": ("step", 2, "step 2 does not follow step 0"),
+    "seed-change": ("seed", 8, "seed 8 differs from the trace's seed 7"),
+    "shape-change": ("frames", np.zeros((2, 4)),
+                     "frames shape (2, 4) differs from the previous record's (2, 3)"),
+    "frames-dropped": ("frames", None,
+                       "frames shape None differs from the previous record's (2, 3)"),
+    "frames-1d": ("frames", np.zeros(3), ROWS),
+    "frames-3d": ("frames", np.zeros((1, 2, 3)), ROWS),
+    "frames-3x0": ("frames", np.zeros((3, 0)), ROWS),
+    "frames-0x4": ("frames", np.zeros((0, 4)), ROWS),
+    "negative-step": ("step", -1, "step index must be >= 0 (got -1)"),
+    "bool-step": ("step", True, "step must be an integer, got True"),
+    "inf-mean": ("mean", np.inf, "mean inf is not a finite number"),
+    "nan-frames": ("frames", np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]]),
+                   "frames hold a number that is not finite"),
+}
+
+
+@pytest.mark.parametrize("field, value, message", DEFECTS.values(), ids=DEFECTS)
+def test_write_trace_refuses_what_read_trace_refuses(tmp_path, field, value, message):
+    records = [TraceRecord(i, PolicyConfig(K=4, S=2), 0.5, 1.0, np.zeros((2, 3)), 7)
+               for i in range(3)]
+    setattr(records[1], field, value)
+    path = tmp_path / "trace.jsonl"
+    for existing in (None, b"an earlier trace\n"):
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli.write_trace(records, str(path))
+        assert file_bytes(path) == existing
+    # the records' lines as json.dumps writes them; their slots, which the
+    # reader checks apart, are left out. JSON has no inf or NaN: json.dumps
+    # writes the literals Infinity and NaN, which the decoder refuses by name,
+    # so the line holds 1e400, which decodes to inf, in their place
+    lines = [json.dumps({"step": r.step, "schedule": [],
+                         "frame_stats": {"mean": r.mean, "var": r.var},
+                         **({} if r.frames is None else {"frames": r.frames.tolist()}),
+                         "seed": r.seed}, separators=(",", ":")) for r in records[:2]]
+    literal = re.search("Infinity|NaN", lines[1])
+    path.write_text("\n".join(lines) + "\n")
+    if literal:
+        with pytest.raises(cli.UsageError, match=f"{literal[0]} is not a finite number"):
+            cli.read_trace(str(path))
+        path.write_text("\n".join(lines).replace(literal[0], "1e400") + "\n")
+    with pytest.raises(cli.UsageError, match="^" + re.escape(
+            f"trace line 2: malformed record ({message})") + "$"):
+        cli.read_trace(str(path))
 
 
 def slot_records(policy: PolicyConfig, steps) -> list[TraceRecord]:
@@ -400,7 +500,7 @@ def slot_records(policy: PolicyConfig, steps) -> list[TraceRecord]:
 
 
 @pytest.mark.parametrize("K, S", [(1, 0), (2, 1), (4, 2), (6, 0), (6, 5), (7, 3), (13, 0)])
-def test_slot_text_slides_and_reseats_as_the_schedule_text(K, S):
+def test_slot_text_slides_and_reseats_as_the_schedule_text(tmp_path, K, S):
     # steps 0..6K+4: past the fill, three 2K periods of the rolling walk
     end = 6 * K + 5
     policies = [PolicyConfig(K, S, 1, policy, convention)
@@ -410,15 +510,23 @@ def test_slot_text_slides_and_reseats_as_the_schedule_text(K, S):
         # a fork's records: the fill policy's steps, then its own from step K
         fill = replace(policy, S=0, policy=Policy.ATTENTION_SINK)
         lists.append(slot_records(fill, range(K)) + slot_records(policy, range(K, end)))
-        # a policy switch past the fill, a skipped step and a repeated one reseat
+        # a policy switch past the fill reseats
         for switch in (K + 2, 2 * K + 1):
             lists += [slot_records(policy, range(switch))
                       + slot_records(other, range(switch, end)) for other in policies]
-        for j in (1, K, K + 1, K + 2, 2 * K + 1):
-            lists.append(slot_records(policy, [*range(j), *range(j + 1, end)]))
-            lists.append(slot_records(policy, [*range(j + 1), *range(j, end)]))
         for records in lists:
             assert list(cli.trace_to_lines(records)) == [reference_line(r) for r in records]
+        # a skipped step and a repeated one are not one rollout: refused, so
+        # the walk never slides across them
+        path = tmp_path / "trace.jsonl"
+        for j in (1, K, K + 1, K + 2, 2 * K + 1):
+            for steps, message in (([*range(j), *range(j + 1, end)],
+                                    f"step {j + 1} does not follow step {j - 1}"),
+                                   ([*range(j + 1), *range(j, end)],
+                                    f"step {j} does not follow step {j}")):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    cli.write_trace(slot_records(policy, steps), str(path))
+                assert not path.exists()
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -467,7 +575,7 @@ def test_a_trace_is_written_without_a_text_per_record(tmp_path):
     assert peak < path.stat().st_size / 4
 
 
-@given(records=st.lists(RECORDS, min_size=1, max_size=4), data=st.data())
+@given(records=rollouts(min_size=1), data=st.data())
 def test_non_finite_record_is_refused_and_writes_no_file(records, data):
     bad = data.draw(st.integers(0, len(records) - 1))
     value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
@@ -477,16 +585,17 @@ def test_non_finite_record_is_refused_and_writes_no_file(records, data):
         frames = np.zeros((2, 3)) if record.frames is None else record.frames.copy()
         frames.flat[data.draw(st.integers(0, frames.size - 1))] = value
         record.frames = frames
+        message = "frames hold a number that is not finite"
     else:
-        setattr(record, field, data.draw(st.sampled_from([value, np.float64(value)])))
-    message = (f"trace record for step {record.step} holds inf or NaN, which JSON "
-               "cannot represent")
+        value = data.draw(st.sampled_from([value, np.float64(value)]))
+        setattr(record, field, value)
+        message = f"{field} {value!r} is not a finite number"
     existing = data.draw(st.sampled_from([None, b"an earlier trace\n"]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.jsonl"
         if existing is not None:
             path.write_bytes(existing)
-        with pytest.raises(cli.UsageError, match=re.escape(message) + "$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cli.write_trace(records, str(path))
         assert file_bytes(path) == existing
 
@@ -786,16 +895,17 @@ def test_schedule_command_rejects_bad_range(capsys):
 
 
 def test_schedule_command_streams_its_rows(tmp_path):
-    # 20000 steps are 120k rows, about 3 MB of CSV; the rows are formatted
+    # 4000 steps are 24k rows, about 520 KB of CSV; the rows are formatted
     # and written a chunk at a time, never held all at once
     tracemalloc.start()
     try:
-        assert cli.main(["schedule", "-K", "6", "-S", "5", "-i", "0:20000",
+        assert cli.main(["schedule", "-K", "6", "-S", "5", "-i", "0:4000",
                          "--out", str(tmp_path / "sched.csv")]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert (tmp_path / "sched.csv").stat().st_size > 500_000
+    assert peak < 400 * 2**10
 
 
 @pytest.mark.parametrize("out", [False, True])
