@@ -18,6 +18,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 from itertools import chain, islice, product
 from math import isfinite
 
@@ -212,7 +213,7 @@ def record_from_obj(obj: dict) -> TraceRecord:
 
 def _check_record(record: TraceRecord, previous: TraceRecord | None) -> None:
     """What a trace record may hold, read or written: an integer step >= 0 and
-    seed, a finite int or float mean and var, and frames, if any, a finite real
+    seed, a finite int or float mean and var, and frames, if any, a finite float64
     2-D array with a row and a column. After previous, a trace is one rollout:
     the next step, the same seed and frame shape. ValueError at the first break."""
     for name, value in (("step", record.step), ("seed", record.seed)):
@@ -232,7 +233,8 @@ def _check_record(record: TraceRecord, previous: TraceRecord | None) -> None:
             raise ValueError(f"{name} {value!r} is not a finite number")
     frames = record.frames
     if frames is not None:
-        if frames.dtype.kind not in "iuf" or frames.ndim != 2 or 0 in frames.shape:
+        if (type(frames) is not np.ndarray or frames.dtype != np.float64  # as read back
+                or frames.ndim != 2 or 0 in frames.shape):
             raise ValueError("frames must be a list of rows of numbers, none empty")
         if not np.isfinite(frames).all():  # a literal such as 1e400 decodes to inf
             raise ValueError("frames hold a number that is not finite")
@@ -359,15 +361,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             )
     if "repetition_score" in names:  # refused before the trace is read
         check_window(args.window)
+    metrics = {**METRICS, "repetition_score": partial(METRICS["repetition_score"],
+                                                      window=args.window)}
     records = read_trace(args.trace)
-    columns = [
-        (
-            repetition_score(records, window=args.window)
-            if name == "repetition_score"
-            else METRICS[name](records)
-        ).tolist()  # floats, which str() writes as repr() does
-        for name in names
-    ]
+    columns = [metrics[name](records).tolist() for name in names]  # floats: str() writes repr()
     rows = ([record.step, *values] for record, *values in zip(records, *columns))
     _write_rows(rows, ["step"] + names, args.out)
     return 0

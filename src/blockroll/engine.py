@@ -104,8 +104,8 @@ class HistoryStore:
 
 @dataclass(eq=False)
 class TraceRecord:
-    """One step's block stats, its frames if recorded, and the rollout's policy,
-    from which the step's schedule derives; a record read back has none."""
+    """One step's block stats, its frames as float64 if recorded, and the rollout's
+    policy, from which the step's schedule derives; a record read back has none."""
 
     step: int
     policy: PolicyConfig | None
@@ -210,10 +210,10 @@ class Rollout:
         # float64 (n, frame_dim) rows and ascending positions by construction
         return Context.unchecked(np.concatenate((strip[w:w + s * bs], recent)), base + i * shift)
 
-    def step(self) -> np.ndarray:
-        """Generate the next block and append its trace record. A block whose
-        mean or var is inf or NaN raises NonFiniteBlockError and is neither
-        stored nor recorded, so the rollout stays at that step."""
+    def step(self) -> TraceRecord:
+        """Generate the next block, and append and return its trace record. A
+        block whose mean or var is inf or NaN raises NonFiniteBlockError and is
+        neither stored nor recorded, so the rollout stays at that step."""
         cfg = self.cfg
         i = self.store.count
         context = self._expand(i)
@@ -231,18 +231,17 @@ class Rollout:
             raise NonFiniteBlockError(f"trace record for step {i} holds inf or NaN, "
                                       "so the rollout stops at that step")
         self.store.put(block)
-        self.records.append(TraceRecord(
-            step=i, policy=cfg.policy, mean=mean, var=var,
-            frames=block.copy() if cfg.record_frames else None, seed=cfg.seed))
-        return block
+        record = TraceRecord(  # its frames a float64 copy, as the store holds the block
+            step=i, policy=cfg.policy, mean=mean, var=var, seed=cfg.seed,
+            frames=block.astype(np.float64) if cfg.record_frames else None)
+        self.records.append(record)
+        return record
 
     def trace(self) -> tuple[TraceRecord, ...]:
         return tuple(self.records)
 
 
 def run(cfg: RolloutConfig) -> tuple[TraceRecord, ...]:
-    """Execute cfg.horizon steps and return the trace, one record per step."""
+    """Execute cfg.horizon steps and return the trace: the record each returns."""
     rollout = Rollout(cfg)
-    for _ in range(cfg.horizon):
-        rollout.step()
-    return rollout.trace()
+    return tuple(rollout.step() for _ in range(cfg.horizon))

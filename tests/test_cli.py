@@ -345,6 +345,30 @@ def test_a_record_no_line_can_be_formed_for_is_refused_before_writing(
         assert file_bytes(path) == existing
 
 
+@pytest.mark.parametrize("value", [np.array([[2**53 + 1, 2]]), [[0.0]],
+                                   np.zeros((1, 2), np.float32)],
+                         ids=["int64-past-2**53", "list", "float32"])
+def test_frames_the_reader_would_not_give_back_are_refused_before_writing(
+        tmp_path, monkeypatch, value):
+    # frames are float64 arrays, as step() and read_trace make them: int64 frames
+    # past 2**53 would read back rounded, float32 ones as float64, and a list
+    # has no dtype to check
+    records = [TraceRecord(i, PolicyConfig(K=4, S=2), 0.0, 1.0, np.zeros((1, 2)), 0)
+               for i in range(71)]
+    records[70].frames = value
+    config = write_config(tmp_path)
+    monkeypatch.setattr(cli, "run", lambda cfg: records)
+    path = tmp_path / "trace.jsonl"
+    for existing in (None, b"an earlier trace\n"):
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises(ValueError, match=f"^{ROWS}$"):
+            cli.write_trace(records, str(path))
+        assert file_bytes(path) == existing
+        assert run_main(["rollout", config, "--out", str(path)]) == (1, f"error: {ROWS}\n")
+        assert file_bytes(path) == existing
+
+
 def test_numpy_integer_steps_and_seeds_are_written_as_ints():
     records = slot_records(PolicyConfig(K=4, S=2), range(12))
     numpy_records = [replace(r, step=np.int64(r.step), seed=np.uint64(2**64 - 1))

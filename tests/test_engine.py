@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
-from blockroll.denoisers import AnalyticGaussianDenoiser, ContextMeanDenoiser
+from blockroll.denoisers import (AnalyticGaussianDenoiser, ContextMeanDenoiser,
+                                 TinyAttentionDenoiser)
 from blockroll import engine
 from blockroll.cli import trace_to_lines
 from blockroll.engine import (
@@ -31,6 +33,7 @@ from blockroll.schedule import (
 )
 
 from plan_oracle import oracle_gather
+from trace_oracle import record_to_obj
 
 
 def make_config(policy=Policy.ROLLING_SINK, K=6, S=5, horizon=10, seed=0,
@@ -569,6 +572,65 @@ def test_a_fork_refuses_a_store_of_another_layout(ours, theirs):
     prefix.step()
     with pytest.raises(ValueError, match="is not laid out as the store of"):
         prefix.fork(theirs)
+
+
+class BlocksOfType:
+    """A context-mean denoiser whose estimates are cast to `dtype`, keeping
+    each step's block, the last estimate after its condition()."""
+
+    def __init__(self, dtype, innovation_scale=0.1):
+        self.inner = ContextMeanDenoiser(anchor_weight=0.5, innovation_scale=innovation_scale)
+        self.draws_per_level = self.inner.draws_per_level
+        self.dtype, self.blocks = dtype, []
+
+    def condition(self, context, block_size):
+        self.blocks.append(None)
+        return self.inner.condition(context, block_size)
+
+    def estimate(self, noisy, t, state, eps=None):
+        self.blocks[-1] = self.inner.estimate(noisy, t, state, eps).astype(self.dtype)
+        return self.blocks[-1]
+
+
+STEP_DENOISERS = {
+    "analytic": lambda: AnalyticGaussianDenoiser(rho=0.9),
+    "context-mean": lambda: ContextMeanDenoiser(anchor_weight=0.5, innovation_scale=0.1),
+    "tiny-attention": lambda: TinyAttentionDenoiser(frame_dim=4),
+    "float32": lambda: BlocksOfType(np.float32),
+    "int64": lambda: BlocksOfType(np.int64, innovation_scale=5.0),  # not all zeros
+}
+
+
+@pytest.mark.parametrize("denoiser", STEP_DENOISERS.values(), ids=STEP_DENOISERS)
+def test_a_step_returns_the_record_it_appends(denoiser):
+    cfg = make_config(K=4, S=2, horizon=4 * 4 + 3, seed=5, denoiser=denoiser())
+    rollout = Rollout(cfg)
+    for i in range(cfg.horizon):
+        record = rollout.step()
+        assert record is rollout.records[-1] and record.step == i
+        # the block as the store holds it, float64, in a copy of its own
+        assert record.frames.dtype == np.float64
+        assert np.array_equal(record.frames, rollout.store.get(i))
+        assert not np.shares_memory(record.frames, rollout.store.frames)
+    trace = run(replace(cfg, denoiser=denoiser()))
+    assert traces_equal(trace, rollout.records)
+    assert list(trace_to_lines(trace)) == list(trace_to_lines(rollout.records))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_a_records_frames_are_its_block_as_float64(dtype):
+    # a denoiser's block of another type is recorded as float64, whose values
+    # are the block's own; a float32 block's line is the line of its float32
+    # frames, as json.dumps writes them
+    denoiser = BlocksOfType(dtype, 0.1 if dtype is np.float32 else 5.0)
+    trace = run(make_config(K=4, S=2, horizon=15, denoiser=denoiser))
+    assert [block.dtype for block in denoiser.blocks] == [np.dtype(dtype)] * len(trace)
+    for record, block in zip(trace, denoiser.blocks):
+        assert record.frames.dtype == np.float64 and np.array_equal(record.frames, block)
+    if dtype is np.float32:
+        assert list(trace_to_lines(trace)) == [
+            json.dumps(record_to_obj(replace(record, frames=block)), separators=(",", ":"))
+            for record, block in zip(trace, denoiser.blocks)]
 
 
 def test_analytic_rollout_tracks_its_context():
