@@ -289,13 +289,14 @@ def write_trace(records: Iterable[TraceRecord], path: str) -> None:
 
 
 def read_trace(path: str) -> tuple[TraceRecord, ...]:
-    """Every record of a trace, each line checked as it is read."""
+    """Every record of a trace, each LF- or CRLF-ended line decoded and checked as read."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
+                line = line.decode("utf-8")
+                if not line.strip():
+                    continue
                 record = record_from_obj(_DECODER.decode(line))
                 _check_record(record, records[-1] if records else None)
             # RecursionError: the decoder's answer to deeply nested brackets
@@ -344,8 +345,7 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    trace = run(cfg)
-    write_trace(trace, args.out)
+    write_trace(run(cfg), args.out)
     return 0
 
 
@@ -361,13 +361,25 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             )
     if "repetition_score" in names:  # refused before the trace is read
         check_window(args.window)
-    metrics = {**METRICS, "repetition_score": partial(METRICS["repetition_score"],
-                                                      window=args.window)}
+    metrics = _metric_table(args.window)
     records = read_trace(args.trace)
     columns = [metrics[name](records).tolist() for name in names]  # floats: str() writes repr()
     rows = ([record.step, *values] for record, *values in zip(records, *columns))
     _write_rows(rows, ["step"] + names, args.out)
     return 0
+
+
+def _metric_table(window: int) -> dict:
+    """METRICS, window bound, from the repetition_score the benchmark's tracer wraps."""
+    return {**METRICS, "repetition_score": partial(repetition_score, window=window)}
+
+
+def _step_to(rollout: Rollout, step: int, window: int) -> list[TraceRecord]:
+    """Step to `step`, holding block 0 and the last `window` + 1 records, a terminal's input."""
+    while rollout.step_index < step:
+        rollout.step()
+        del rollout.records[1:-(window + 1)]
+    return rollout.records
 
 
 def sink_sizes_for_ratio(ratio: int, capacity: int) -> list[int]:
@@ -396,8 +408,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Each rollout a cell names is computed once, across S and variants: the fill
     # policy's unless the cell's last step reads sinks (PolicyConfig.sink_slots).
     # A seed's one fill run is the run of every rollout of horizon <= K; a longer
-    # one's run is forked from it at step K. Each run is stepped once through the
-    # ascending horizons and trimmed after each cell it serves.
+    # one's is forked from it at step K. Each run steps once through the horizons.
+    metrics = _metric_table(args.window)
     fill = replace(base.policy, S=0, policy=Policy.ATTENTION_SINK)
     prefixes: dict[int, Rollout] = {}
     runs: dict[tuple, Rollout] = {}
@@ -417,24 +429,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         base, policy=fill, horizon=horizon, seed=seed, record_frames=True))
                 rollout = prefix if horizon <= K else runs.get((read, seed))
                 if rollout is None:
-                    while prefix.step_index < K:
-                        prefix.step()
+                    _step_to(prefix, K, args.window)
                     rollout = runs[read, seed] = prefix.fork(read)
-                while rollout.step_index < horizon:
-                    rollout.step()
-                records = rollout.records
-                # a terminal reads block 0, the last jump, and the last block against
-                # the `window` before it: all that a run keeps for its next horizon
-                terminals[read, horizon, seed] = [series[-1].item() for series in (
-                    METRICS["mean_drift"](records),
-                    METRICS["flicker_proxy"](records[-2:]),
-                    repetition_score(records[-(args.window + 1):], window=args.window))]
-                del records[1:-(args.window + 1)]
+                records = _step_to(rollout, horizon, args.window)
+                terminals[read, horizon, seed] = [m(records)[-1].item() for m in metrics.values()]
             rows.append([round(100 * sink / K), sink, K, variant.value, horizon, seed,
                          *terminals[read, horizon, seed]])
-    header = ["ratio", "S", "K", "policy", "horizon", "seed",
-              "mean_drift", "flicker_proxy", "repetition_score"]
-    _write_rows(rows, header, args.out)
+    _write_rows(rows, ["ratio", "S", "K", "policy", "horizon", "seed", *METRICS], args.out)
     return 0
 
 
@@ -471,8 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_met = sub.add_parser("metrics", help="compute metric series from a trace")
     p_met.add_argument("trace", help="trace file path")
-    p_met.add_argument("--metrics",
-                       default="mean_drift,flicker_proxy,repetition_score")
+    p_met.add_argument("--metrics", default=",".join(METRICS))
     p_met.add_argument("--window", type=int, default=8,
                        help="lookback window for repetition_score")
     p_met.add_argument("--out", default=None, help="CSV output path (default stdout)")

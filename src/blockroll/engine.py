@@ -222,6 +222,7 @@ class Rollout:
             noise = self.noise = NoiseSource(cfg.seed)
         noise.seek(i)
         block = sample_block(cfg.denoiser, cfg.timesteps, context, noise, cfg.policy.block_size)
+        block = block.astype(np.float64, copy=cfg.record_frames)  # as stored; a copy if recorded
         # np.mean and np.var of the block, by the reductions they run inside
         n = block.size
         mean = float(np.add.reduce(block, axis=None)) / n
@@ -231,9 +232,8 @@ class Rollout:
             raise NonFiniteBlockError(f"trace record for step {i} holds inf or NaN, "
                                       "so the rollout stops at that step")
         self.store.put(block)
-        record = TraceRecord(  # its frames a float64 copy, as the store holds the block
-            step=i, policy=cfg.policy, mean=mean, var=var, seed=cfg.seed,
-            frames=block.astype(np.float64) if cfg.record_frames else None)
+        record = TraceRecord(step=i, policy=cfg.policy, mean=mean, var=var, seed=cfg.seed,
+                             frames=block if cfg.record_frames else None)
         self.records.append(record)
         return record
 

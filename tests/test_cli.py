@@ -730,6 +730,38 @@ def test_the_first_bad_line_is_named_whatever_its_defect(tmp_path):
         cli.read_trace(str(path))
 
 
+def test_a_line_that_is_not_utf8_is_named(tmp_path):
+    # each line is decoded as it is read, so the first bad line is named
+    # whether it is not UTF-8 itself or only a later line is not
+    undecodable = NEXT_RECORD.encode().replace(b'"frames"', b'"fr\xffames"')
+    third = NEXT_RECORD.replace('"step":1', '"step":2').encode()
+    position = undecodable.index(b"\xff")
+    path = tmp_path / "bad.jsonl"
+    for lines, message in [
+        ([VALID_RECORD.encode(), undecodable, third],
+         f"'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte"),
+        ([VALID_RECORD.encode(), VALID_RECORD.encode(), undecodable],
+         "step 0 does not follow step 0"),
+    ]:
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(cli.UsageError, match="^" + re.escape(
+                f"trace line 2: malformed record ({message})") + "$"):
+            cli.read_trace(str(path))
+        assert run_main(["metrics", str(path)]) == (
+            1, f"error: trace line 2: malformed record ({message})\n")
+
+
+def test_a_trace_of_crlf_lines_reads_as_its_lf_lines(tmp_path):
+    # a lone CR ends no line: it is whitespace inside one, as JSON reads it
+    lf, crlf, cr = (tmp_path / name for name in ("lf.jsonl", "crlf.jsonl", "cr.jsonl"))
+    lf.write_bytes((VALID_RECORD + "\n" + NEXT_RECORD + "\n").encode())
+    crlf.write_bytes((VALID_RECORD + "\r\n" + NEXT_RECORD + "\r\n").encode())
+    assert run_main(["metrics", str(crlf)]) == run_main(["metrics", str(lf)])
+    cr.write_bytes((VALID_RECORD + "\r" + NEXT_RECORD + "\r").encode())
+    with pytest.raises(cli.UsageError, match=r"^trace line 1: malformed record \(Extra data"):
+        cli.read_trace(str(cr))
+
+
 def test_metrics_refuses_a_negative_step_and_writes_no_file(tmp_path):
     path = tmp_path / "negative.jsonl"
     path.write_text("\n".join(VALID_RECORD.replace('"step":0', f'"step":{step}')
@@ -1270,7 +1302,7 @@ def test_sweep_terminal_metrics_are_those_of_the_full_series(tmp_path):
     base = cli.load_config(config)
     for window in (1, 3, 40):
         out = tmp_path / f"w{window}.csv"
-        assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "1,2,9",
+        assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "1,2,9,60",
                          "--seeds", "2", "--window", str(window), "--out", str(out)]) == 0
         for line in out.read_text().splitlines()[1:]:
             _, S, _, policy, horizon, seed, *terminal = line.split(",")
@@ -1434,8 +1466,18 @@ def test_a_sweep_forks_one_run_per_s_policy_and_seed(tmp_path, monkeypatch):
 @pytest.mark.parametrize("window", [1, 40])
 def test_a_sweep_keeps_block_0_and_the_last_window_plus_one_records_of_a_run(
         tmp_path, monkeypatch, window):
-    # horizons below K = 4, at K+1 and past it, the longest past window + 2
+    # horizons below K = 4, at K+1 and past it, the longest past window + 2;
+    # at the start of every step a run holds block 0 and its last window + 1
+    # records, the fill run before its forks included
     forks = counting_forks(monkeypatch)
+    holding = []
+    step = engine.Rollout.step
+
+    def holding_step(self):
+        holding.append((self.step_index, [r.step for r in self.records]))
+        return step(self)
+
+    monkeypatch.setattr(engine.Rollout, "step", holding_step)
     config = write_config(tmp_path, SHARED_RUN_CONFIG)
     assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "2,5,9,60",
                      "--seeds", "2", "--window", str(window),
@@ -1446,6 +1488,9 @@ def test_a_sweep_keeps_block_0_and_the_last_window_plus_one_records_of_a_run(
         assert len(rollout.records) == held <= window + 2
         assert [r.step for r in rollout.records] == [0, *range(
             rollout.step_index - held + 1, rollout.step_index)]
+    assert max(i for i, _ in holding) == 59
+    for i, steps in holding:
+        assert steps == [s for s in range(i) if s == 0 or s >= i - (window + 1)]
 
 
 def test_a_sweep_trims_the_fill_run_that_its_short_cells_read(tmp_path, monkeypatch):

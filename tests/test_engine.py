@@ -627,10 +627,30 @@ def test_a_records_frames_are_its_block_as_float64(dtype):
     assert [block.dtype for block in denoiser.blocks] == [np.dtype(dtype)] * len(trace)
     for record, block in zip(trace, denoiser.blocks):
         assert record.frames.dtype == np.float64 and np.array_equal(record.frames, block)
+        # its stats are those of its frames, bit for bit
+        assert [repr(record.mean), repr(record.var)] == [
+            repr(float(np.mean(record.frames))), repr(float(np.var(record.frames)))]
     if dtype is np.float32:
         assert list(trace_to_lines(trace)) == [
             json.dumps(record_to_obj(replace(record, frames=block)), separators=(",", ":"))
             for record, block in zip(trace, denoiser.blocks)]
+
+
+class WideBlocks:
+    """Blocks every value of which is the int64 2^62, so a block's int64 sum wraps."""
+
+    draws_per_level = 0
+
+    def condition(self, context, block_size):
+        return None
+
+    def estimate(self, noisy, t, state, eps=None):
+        return np.full(noisy.shape, 2**62, dtype=np.int64)
+
+
+def test_a_records_stats_do_not_wrap_in_its_blocks_type():
+    trace = run(make_config(K=4, S=2, horizon=6, denoiser=WideBlocks()))
+    assert [(record.mean, record.var) for record in trace] == [(2.0**62, 0.0)] * 6
 
 
 def test_analytic_rollout_tracks_its_context():
