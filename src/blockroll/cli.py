@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
 from itertools import chain, islice, product
-from math import isfinite
+from operator import itemgetter
 
 import numpy as np
 
@@ -169,6 +169,9 @@ _ENCODE = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 # JSON numbers decode to exactly these types; bools and strings are not numbers
 _NUMBER_TYPES = frozenset({int, float})
+_SLOT_FIELDS = itemgetter("content", "orient", "index")
+# records are checked, and trace lines written and read, this many at a time
+_CHUNK = 64
 
 
 def _json_number(value: float) -> str:
@@ -186,84 +189,82 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _check_slot(obj: dict) -> None:
-    content, orient, index = obj["content"], obj["orient"], obj["index"]
-    if type(content) is not int or content < 0:
-        raise TypeError(f"content must be a non-negative integer, got {content!r}")
-    if type(index) is not int or index < 0:
-        raise TypeError(f"index must be a non-negative integer, got {index!r}")
-    if orient not in _ORIENTATIONS:
-        raise ValueError(f"{orient!r} is not a valid Orientation")
-
-
-def record_from_obj(obj: dict) -> TraceRecord:
-    """A record read back: its slots are checked but not kept, so no policy,
-    and its frames must be rows of JSON numbers; _check_record checks the rest."""
-    for slot in obj["schedule"]:
-        _check_slot(slot)
-    frames = obj.get("frames")
-    if frames is not None:
-        if (type(frames) is not list or set(map(type, frames)) != {list}
-                or not set(map(type, chain(*frames))) <= _NUMBER_TYPES):
-            raise TypeError("frames must be a list of rows of numbers, none empty")
-        frames = np.asarray(frames, dtype=np.float64)  # ValueError if ragged
-    stats = obj["frame_stats"]
-    return TraceRecord(obj["step"], None, stats["mean"], stats["var"], frames, obj["seed"])
-
-
-def _check_record(record: TraceRecord, previous: TraceRecord | None) -> None:
-    """What a trace record may hold, read or written: an integer step >= 0 and
-    seed, a finite int or float mean and var, and frames, if any, a finite float64
-    2-D array with a row and a column. After previous, a trace is one rollout:
-    the next step, the same seed and frame shape. ValueError at the first break."""
-    for name, value in (("step", record.step), ("seed", record.seed)):
-        if type(value) is not int and not isinstance(value, np.integer):  # nor a bool
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if record.step < 0:
-        raise ValueError(f"step index must be >= 0 (got {record.step})")
-    for name, value in (("mean", record.mean), ("var", record.var)):
-        # what _json_number writes: np.float64 is a float; np.float32, bools are not
-        if type(value) is not int and not isinstance(value, float):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+def _checked(check, items: Iterable) -> Iterator[TraceRecord]:
+    """The records that check(chunk, previous record) returns for items, _CHUNK
+    at a time. A chunk it refuses is checked again an item at a time, so the
+    first bad item raises its ValueError, as if each were checked alone."""
+    previous, items = None, iter(items)
+    while chunk := list(islice(items, _CHUNK)):
         try:
-            finite = isfinite(value)
+            records = check(chunk, previous)
+        except ValueError:
+            records = []
+            for item in chunk:
+                records += check([item], records[-1] if records else previous)
+        previous = records[-1] if records else previous
+        yield from records
+
+
+def _check_records(records: Sequence[TraceRecord], previous: TraceRecord | None) -> None:
+    """What trace records may hold, read or written: an integer step >= 0 and
+    seed, a finite int or float mean and var, and frames, if any, a finite
+    float64 2-D array with a row and a column. After previous, they are one
+    rollout: the next steps, the same seed and frame shape. Each check covers
+    every record at once; for one record, ValueError names the first it breaks."""
+    steps, seeds = [r.step for r in records], [r.seed for r in records]
+    for name, values in (("step", steps), ("seed", seeds)):
+        if not all(t is int or issubclass(t, np.integer) for t in {*map(type, values)}):
+            raise ValueError(f"{name} must be an integer, got {values[0]!r}")  # nor a bool
+    if min(steps) < 0:
+        raise ValueError(f"step index must be >= 0 (got {steps[0]})")
+    for name, values in (("mean", [r.mean for r in records]), ("var", [r.var for r in records])):
+        # what _json_number writes: np.float64 is a float; np.float32, bools are not
+        if not all(t is int or issubclass(t, float) for t in {*map(type, values)}):
+            raise ValueError(f"{name} must be a number, got {values[0]!r}")
+        try:
+            finite = np.isfinite(np.array(values, np.float64)).all()
         except OverflowError as exc:  # an int past the float range
             raise ValueError(str(exc)) from None
         if not finite:
-            raise ValueError(f"{name} {value!r} is not a finite number")
-    frames = record.frames
-    if frames is not None:
-        if (type(frames) is not np.ndarray or frames.dtype != np.float64  # as read back
-                or frames.ndim != 2 or 0 in frames.shape):
+            raise ValueError(f"{name} {values[0]!r} is not a finite number")
+    frames = [r.frames for r in records]
+    present = [f for f in frames if f is not None]
+    shapes = {f.shape for f in present} if {*map(type, present)} <= {np.ndarray} else None
+    if present:
+        if (shapes is None or {f.dtype for f in present} != {np.dtype(np.float64)}  # as read back
+                or not all(len(shape) == 2 and 0 not in shape for shape in shapes)):
             raise ValueError("frames must be a list of rows of numbers, none empty")
-        if not np.isfinite(frames).all():  # a literal such as 1e400 decodes to inf
-            raise ValueError("frames hold a number that is not finite")
-    if previous is None:
-        return
-    if record.step != previous.step + 1:
-        raise ValueError(f"step {record.step} does not follow step {previous.step}")
-    if record.seed != previous.seed:
-        raise ValueError(f"seed {record.seed!r} differs from the trace's seed "
-                         f"{previous.seed!r}")
-    shape = None if record.frames is None else record.frames.shape
-    expected = None if previous.frames is None else previous.frames.shape
-    if shape != expected:
-        raise ValueError(f"frames shape {shape} differs from the previous "
-                         f"record's {expected}")
+        # several frame shapes break a check below, which a record at a time names
+        if len(shapes) > 1 or not np.isfinite(np.concatenate(present)).all():
+            raise ValueError("frames hold a number that is not finite")  # 1e400 reads as inf
+    first = records[0] if previous is None else previous
+    head = steps[0] if previous is None else previous.step + 1
+    if steps != list(range(head, head + len(steps))):
+        raise ValueError(f"step {steps[0]} does not follow step {first.step}")
+    if seeds.count(first.seed) != len(seeds):
+        raise ValueError(f"seed {seeds[0]!r} differs from the trace's seed {first.seed!r}")
+    expected = None if first.frames is None else first.frames.shape
+    if shapes | ({None} if len(present) < len(frames) else set()) != {expected}:
+        shape = None if frames[0] is None else frames[0].shape
+        raise ValueError(f"frames shape {shape} differs from the previous record's {expected}")
+
+
+def _check_written(records: Sequence[TraceRecord], previous: TraceRecord | None) -> list:
+    """records, checked, and refused if one was read back: it holds no schedule."""
+    _check_records(records, previous)
+    for record in records:
+        if record.policy is None:
+            record.schedule  # raises: read back
+    return records
 
 
 def trace_to_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
     """One JSON line per record, byte for byte what json.dumps with compact
     separators writes. The records must be one rollout that read_trace would
-    read back: each is checked first by _check_record, and a record read back,
-    which holds no schedule, is refused too (ValueError at the first). Lines
-    are formed as they are consumed, each record's slot text slid from the
-    last one's (SlotWalk)."""
-    records = tuple(records)  # a tuple, such as run's trace, is not copied
-    for previous, r in zip(chain([None], records), records):
-        _check_record(r, previous)
-        if r.policy is None:
-            r.schedule  # raises: read back
+    read back, and none read back: all are checked first (ValueError at the
+    first that is not). Lines are formed as they are consumed, each record's
+    slot text slid from the last one's (SlotWalk)."""
+    records = tuple(_checked(_check_written, records))
     walk = SlotWalk(_SLOT.__mod__)
     return (_LINE % (r.step, ",".join(walk.slots(r.policy, r.step)), _json_number(r.mean),
                      _json_number(r.var),
@@ -272,16 +273,16 @@ def trace_to_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
 
 
 def _write_lines(lines: Iterable[str], path: str | None) -> None:
-    """Each line to path or stdout, joined and written 64 lines at a time, so
+    """Each line to path or stdout, joined and written _CHUNK lines at a time, so
     lines formed lazily are written in the memory of one chunk. The first is
     formed before path is opened, so a refusal raised in it writes nothing."""
     lines = iter(lines)  # an islice of a list would restart at its first line
-    chunk = list(islice(lines, 64))
+    chunk = list(islice(lines, _CHUNK))
     with (nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8", newline="\n")) as fh:
         while chunk:
             fh.write("\n".join(chunk) + "\n")
-            chunk = list(islice(lines, 64))
+            chunk = list(islice(lines, _CHUNK))
 
 
 def write_trace(records: Iterable[TraceRecord], path: str) -> None:
@@ -289,23 +290,66 @@ def write_trace(records: Iterable[TraceRecord], path: str) -> None:
 
 
 def read_trace(path: str) -> tuple[TraceRecord, ...]:
-    """Every record of a trace, each LF- or CRLF-ended line decoded and checked as read."""
-    records = []
+    """Every record of a trace, its LF- or CRLF-ended lines read and checked a
+    chunk at a time (_checked), so the first bad line is named."""
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line = line.decode("utf-8")
-                if not line.strip():
-                    continue
-                record = record_from_obj(_DECODER.decode(line))
-                _check_record(record, records[-1] if records else None)
-            # RecursionError: the decoder's answer to deeply nested brackets
-            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-                raise UsageError(f"trace line {lineno}: malformed record ({exc})")
-            records.append(record)
+        records = tuple(_checked(_read_lines, enumerate(fh, start=1)))
     if not records:
         raise UsageError("trace file contains no records")
-    return tuple(records)
+    return records
+
+
+def _read_lines(lines: list[tuple[int, bytes]], previous: TraceRecord | None) -> list:
+    """The records of numbered lines. Each line's values are taken as it is
+    decoded, then all lines' slots, frames rows and records are checked at once,
+    one line's in the order of its keys. A refusal is a UsageError naming the
+    line decoded last: for one line, that line."""
+    slots, rows, fields, missing = [], [], [], None
+    try:
+        for lineno, line in lines:
+            text = line.decode("utf-8")
+            if not text.strip():
+                continue
+            obj = _DECODER.decode(text)
+            try:  # raised after the checks of the values taken before it
+                slots.extend(map(_SLOT_FIELDS, obj["schedule"]))
+                frames = obj.get("frames")
+                if frames is not None:
+                    rows.append(frames)
+                stats = obj["frame_stats"]
+                fields.append((obj["step"], stats["mean"], stats["var"], frames is not None,
+                               obj["seed"]))
+            except (KeyError, TypeError) as exc:
+                missing = exc
+                break
+        contents, orients, indices = zip(*slots) if slots else ((),) * 3
+        if ({*map(type, contents), *map(type, indices)} - {int}
+                or min(contents + indices, default=0) < 0
+                or sum(map(orients.count, _ORIENTATIONS)) != len(orients)):
+            for content, orient, index in slots:  # the first bad slot raises
+                for name, value in (("content", content), ("index", index)):
+                    if type(value) is not int or value < 0:
+                        raise TypeError(f"{name} must be a non-negative integer, got {value!r}")
+                if orient not in _ORIENTATIONS:
+                    raise ValueError(f"{orient!r} is not a valid Orientation")
+        if rows:
+            if ({*map(type, rows)} != {list} or {*map(type, chain.from_iterable(rows))} != {list}
+                    or not {*map(type, chain.from_iterable(chain.from_iterable(rows)))}
+                    <= _NUMBER_TYPES):
+                raise TypeError("frames must be a list of rows of numbers, none empty")
+            # ValueError if ragged; one line's rows alone, so the message is theirs
+            stacked = iter(np.asarray(rows, np.float64) if len(rows) > 1
+                           else np.asarray(rows[0], np.float64)[None])
+        if missing is not None:
+            raise missing
+        records = [TraceRecord(step, None, mean, var, next(stacked) if framed else None, seed)
+                   for step, mean, var, framed, seed in fields]
+        if records:
+            _check_records(records, previous)
+    # RecursionError: the decoder's answer to deeply nested brackets
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise UsageError(f"trace line {lineno}: malformed record ({exc})")
+    return records
 
 
 # --------------------------------------------------------------------------

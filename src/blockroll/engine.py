@@ -29,7 +29,7 @@ from . import schedule as schedules
 from .denoisers import Context, DenoiserInterface
 from .sampler import NoiseSource, TimestepSchedule, sample_block
 # The step never calls frame_expand; the name stays here because the
-# benchmark's tracer wraps engine.frame_expand (ROADMAP item 3).
+# benchmark's tracer wraps engine.frame_expand (ROADMAP item 8).
 from .schedule import (  # noqa: F401
     Orientation, Policy, PolicyConfig, Schedule, frame_expand, roll_slot, schedule_for,
 )

@@ -67,22 +67,25 @@ def repetition_score(records: Sequence[TraceRecord], window: int = 8) -> np.ndar
         flat = np.ldexp(flat, -np.frexp(peak)[1][:, None])
     n = len(flat)
     width = max(1, min(window, n - 1))
-    # Row i - 1 compares block i with blocks i - width .. i - 1; the columns
-    # that would fall before block 0 are left out of the max.
-    earlier = np.arange(1, n)[:, None] - width + np.arange(width)
-    valid = earlier >= 0
-    dots = np.zeros(valid.shape)
-    for i in range(1, n):
-        # one matrix-vector product per block: einsum or a batched matmul
-        # would change the low bits of the scores
-        lo = max(0, i - width)
-        dots[i - 1, lo - i:] = flat[lo:i] @ flat[i]
     norms = np.linalg.norm(flat, axis=1)
-    denom = norms[np.where(valid, earlier, 0)] * norms[1:, None]
-    positive = denom > 0
-    sims = np.where(positive, dots / np.where(positive, denom, 1.0), 0.0)
     scores = np.zeros(n)
-    scores[1:] = np.where(valid, sims, -np.inf).max(axis=1)
+    per_pass = max(1, 2**17 // width)  # rows at a time, so memory is O(width) whatever n
+    for first in range(1, n, per_pass):
+        last = min(first + per_pass, n)
+        # Row i - first compares block i with blocks i - width .. i - 1; the
+        # columns that would fall before block 0 are left out of the max.
+        earlier = np.arange(first, last)[:, None] - width + np.arange(width)
+        valid = earlier >= 0
+        dots = np.zeros(valid.shape)
+        for i in range(first, last):
+            # one matrix-vector product per block: einsum or a batched matmul
+            # would change the low bits of the scores
+            lo = max(0, i - width)
+            dots[i - first, lo - i:] = flat[lo:i] @ flat[i]
+        denom = norms[np.where(valid, earlier, 0)] * norms[first:last, None]
+        positive = denom > 0
+        sims = np.where(positive, dots / np.where(positive, denom, 1.0), 0.0)
+        scores[first:last] = np.where(valid, sims, -np.inf).max(axis=1)
     return scores
 
 

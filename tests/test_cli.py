@@ -10,6 +10,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -26,6 +27,7 @@ from blockroll.engine import RolloutConfig, TraceRecord, run
 from blockroll.metrics import flicker_proxy, mean_drift, repetition_score
 from blockroll.sampler import _CHUNK
 from blockroll.schedule import Orientation, Policy, PolicyConfig, RollConvention, schedule_for
+import record_oracle
 from trace_oracle import record_to_obj
 
 BASE_CONFIG = """
@@ -517,6 +519,185 @@ def test_write_trace_refuses_what_read_trace_refuses(tmp_path, field, value, mes
     with pytest.raises(cli.UsageError, match="^" + re.escape(
             f"trace line 2: malformed record ({message})") + "$"):
         cli.read_trace(str(path))
+
+
+def refusal(call, *args) -> str | None:
+    """The message of the ValueError that call raises, or None if it returns."""
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def add_slot(obj: dict, slot) -> None:
+    """obj's schedule with slot added, or slot alone if it held no list."""
+    schedule = obj["schedule"]
+    obj["schedule"] = (schedule if type(schedule) is list else []) + [slot]
+
+
+def set_slot(obj: dict, **fields) -> None:
+    add_slot(obj, {"content": 0, "orient": "F", "index": 0, **fields})
+
+
+def set_frame(obj: dict, value) -> None:
+    obj["frames"] = [[0.0, value, 0.0], [0.0, 0.0, 0.0]]
+
+
+# Defects that a line can hold and no record can: in its slots, its frames
+# rows and its keys. Each edits the line's object, perhaps after another.
+LINE_DEFECTS = {
+    "schedule-int": lambda obj: obj.update(schedule=5),
+    "slot-int": lambda obj: add_slot(obj, 5),
+    "slot-no-orient": lambda obj: add_slot(obj, {"content": 0, "index": 0}),
+    "content-string": lambda obj: set_slot(obj, content="x"),
+    "content-negative": lambda obj: set_slot(obj, content=-1),
+    "index-null": lambda obj: set_slot(obj, index=None),
+    "index-bool": lambda obj: set_slot(obj, index=True),
+    "index-and-content": lambda obj: set_slot(obj, content=True, index=-1),
+    "orient-unknown": lambda obj: set_slot(obj, orient="X"),
+    "orient-list": lambda obj: set_slot(obj, orient=["F"]),
+    "frames-object": lambda obj: obj.update(frames={}),
+    "frames-ragged": lambda obj: obj.update(frames=[[0.0, 0.0, 0.0], [0.0, 0.0]]),
+    "frames-strings": lambda obj: set_frame(obj, "0"),
+    "frames-bool": lambda obj: set_frame(obj, True),
+    "frames-empty-row": lambda obj: obj.update(frames=[[]]),
+    "frames-huge-int": lambda obj: set_frame(obj, 10**400),
+    "no-frame-stats": lambda obj: obj.pop("frame_stats", None),
+    "no-seed": lambda obj: obj.pop("seed", None),
+}
+# DEFECTS, and more that a record can hold; their lines hold them too, but a
+# float32 frame reads back as float64 and a read-back record's line is whole.
+RECORD_DEFECTS = {**DEFECTS, "bool-var": ("var", True, None), "seed-float": ("seed", 2.5, None),
+                  "huge-int-var": ("var", 10**400, None),
+                  "frames-float32": ("frames", np.zeros((2, 3), np.float32), None),
+                  "read-back": ("policy", None, None)}
+KINDS = [*RECORD_DEFECTS, *LINE_DEFECTS]
+# Records, then lines, hold the defects placed first at these indices: the
+# first and last record of a chunk, and those either side of one.
+CHUNK_EDGES = [0, 63, 64, 65, 127, 128]
+
+
+def defective_rollout(size: int, defects) -> tuple[list[TraceRecord], str]:
+    """A rollout of size records with each (index, kind) defect placed in its
+    record, or in its line alone, and its trace's text, each line as json.dumps
+    writes it. A step-gap's step skips one where it is placed."""
+    policy = PolicyConfig(K=4, S=2)
+    records = [TraceRecord(i, policy, 0.5 + i, 1.0, np.full((2, 3), i / 3), 7)
+               for i in range(size)]
+    objs = [record_to_obj(record) for record in records]
+    for index, kind in defects:
+        obj = objs[index]
+        if kind in LINE_DEFECTS:
+            LINE_DEFECTS[kind](obj)
+            continue
+        field, value, _ = RECORD_DEFECTS[kind]
+        if kind == "step-gap":
+            value = index + 1
+        setattr(records[index], field, value)
+        if field in ("mean", "var"):
+            obj.setdefault("frame_stats", {})[field] = value
+        elif field in ("step", "seed"):
+            obj[field] = value
+        elif field == "policy":
+            continue
+        elif value is None:
+            obj.pop("frames", None)
+        else:
+            obj["frames"] = value.tolist()
+    # JSON has no inf or NaN: the literal 1e400, which decodes to inf, in their place
+    text = "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in objs)
+    return records, re.sub("-?Infinity|NaN", "1e400", text)
+
+
+def assert_refused_as_one_record_at_a_time(records, text, defects):
+    """The writer, given records, and the reader, given text, refuse them as
+    the per-record oracle does, or accept them as it does: a defect such as a
+    seed-change in a one-record rollout is none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        if all(kind in RECORD_DEFECTS for _, kind in defects):
+            expected = refusal(record_oracle.check_written, records)
+            assert refusal(cli.write_trace, records, str(path)) == expected
+            assert path.exists() == (expected is None)
+        path.write_text(text)
+        assert refusal(cli.read_trace, str(path)) == refusal(record_oracle.read_trace, str(path))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_defect_at_a_chunk_edge_is_named_as_one_record_at_a_time(kind):
+    # the writer and the reader check 64 records at a time, and each record of
+    # a chunk that breaks the check alone: so the first bad one is still named,
+    # with the message and line number of a check of one record at a time
+    for index in CHUNK_EDGES:
+        for size in (index + 1, 130):
+            records, text = defective_rollout(size, [(index, kind)])
+            assert_refused_as_one_record_at_a_time(records, text, [(index, kind)])
+
+
+@st.composite
+def defects(draw, size: int):
+    """One or two (index, kind) defects in a rollout of size records, chunk
+    edges first among the indices, two perhaps in one record or line."""
+    at = st.sampled_from([i for i in CHUNK_EDGES if i < size]) | st.integers(0, size - 1)
+    return draw(st.lists(st.tuples(at, st.sampled_from(KINDS)), min_size=1, max_size=2))
+
+
+@given(data=st.data(), size=st.integers(1, 200))
+def test_defects_anywhere_are_named_as_one_record_at_a_time(data, size):
+    placed = data.draw(defects(size))
+    records, text = defective_rollout(size, placed)
+    assert_refused_as_one_record_at_a_time(records, text, placed)
+
+
+def test_two_defects_are_named_as_one_record_at_a_time():
+    # a record's, or a line's, own checks run in the order of one record's: a
+    # slot's value before a later key, frames rows before the stats, a mean
+    # before a var; so of two defects in one, the first checked is named, and
+    # of two in one chunk, the first record's
+    for first, second in product(KINDS, KINDS):
+        for placed in ([(1, first), (1, second)], [(1, first), (2, second)]):
+            records, text = defective_rollout(3, placed)
+            assert_refused_as_one_record_at_a_time(records, text, placed)
+
+
+@pytest.mark.parametrize("size", [63, 64, 65, 129])
+def test_a_rollout_about_a_chunk_long_writes_and_reads_back_exactly(tmp_path, size):
+    records = run(RolloutConfig(PolicyConfig(6, 5), AnalyticGaussianDenoiser(), horizon=size,
+                                seed=size))
+    assert list(cli.trace_to_lines(records)) == [reference_line(r) for r in records]
+    path = tmp_path / "trace.jsonl"
+    cli.write_trace(records, str(path))
+    read = cli.read_trace(str(path))
+    assert len(read) == size
+    for written, reread in zip(records, read):
+        assert same_number(reread.step, written.step) and same_number(reread.seed, written.seed)
+        assert same_number(reread.mean, written.mean) and same_number(reread.var, written.var)
+        assert reread.frames.dtype == np.float64 and reread.frames.shape == (3, 4)
+        assert reread.frames.tobytes() == written.frames.tobytes()
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_blank_and_crlf_lines_across_a_chunk_edge_keep_their_line_numbers(tmp_path, ending):
+    # records 0-61 are lines 1-62, then blank lines 63-65 straddle the edge of
+    # the first 64-line chunk, and record 62 is line 66
+    records = slot_records(PolicyConfig(K=4, S=2), range(70))
+    lines = [reference_line(r) for r in records]
+    lines[62:62] = ["", " ", "\t"]
+    path = tmp_path / "trace.jsonl"
+    for bad in (None, 60, 61, 62, 63, 69):
+        text = list(lines)
+        if bad is not None:
+            position = bad + (0 if bad < 62 else 3)
+            text[position] = text[position].replace('"mean":0.0', '"mean":"x"')
+        path.write_bytes("".join(line + ending for line in text).encode())
+        expected = refusal(record_oracle.read_trace, str(path))
+        assert refusal(cli.read_trace, str(path)) == expected
+        if bad is None:
+            assert expected is None and len(cli.read_trace(str(path))) == 70
+        else:
+            assert expected == (f"trace line {position + 1}: malformed record "
+                                "(mean must be a number, got 'x')")
 
 
 def slot_records(policy: PolicyConfig, steps) -> list[TraceRecord]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -263,3 +265,24 @@ def test_repetition_scores_tiny_blocks_as_their_rescaled_copies():
     rescaled = np.ldexp(frames, -np.frexp(np.abs(frames).max(axis=(1, 2)))[1][:, None, None])
     assert reprs(scores.tolist()) == reprs(repetition_score(frames_trace(rescaled), 8).tolist())
     assert np.allclose(scores, [0.0, 1.0, 3 / np.sqrt(10), 2 / np.sqrt(5)], rtol=1e-15)
+
+
+@pytest.mark.parametrize("window", [1, 3, 8, 40, 699])
+def test_repetition_score_matches_its_oracle_across_its_passes(window):
+    # at width 699 the rows are scored 187 at a time, four passes over 700 blocks
+    frames = random_frames(6, 700, 3, 4)
+    frames[[0, 186, 187, 500]] = 0.0
+    assert_matches_oracles(frames_trace(frames), window)
+
+
+def test_repetition_score_memory_is_bounded_in_the_window():
+    # rows are scored 2**17 // width at a time: all at once, 6000 blocks at
+    # window 700 peaked at 169 MB, and a window of 2000 over 10**5 blocks at 7.7 GB
+    trace = frames_trace(random_frames(7, 6000, 3, 4))
+    tracemalloc.start()
+    try:
+        repetition_score(trace, 700)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
