@@ -451,10 +451,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
              else [s for r in ratios for s in sink_sizes_for_ratio(r, K)])
     # Each rollout a cell names is computed once, across S and variants: the fill
     # policy's unless the cell's last step reads sinks (PolicyConfig.sink_slots).
+    # Sliding-indices pins attention-sink's blocks at other positions only, so for
+    # a denoiser that reads none its cells read the attention-sink run of their S.
     # A seed's one fill run is the run of every rollout of horizon <= K; a longer
     # one's is forked from it at step K. Each run steps once through the horizons.
     metrics = _metric_table(args.window)
     fill = replace(base.policy, S=0, policy=Policy.ATTENTION_SINK)
+    run_of = ({} if base.denoiser.reads_positions
+              else {Policy.SLIDING_INDICES: Policy.ATTENTION_SINK})
     prefixes: dict[int, Rollout] = {}
     runs: dict[tuple, Rollout] = {}
     terminals: dict[tuple, list] = {}  # by (policy read, horizon, seed)
@@ -464,7 +468,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         terminals = {key: values for key, values in terminals.items() if key[0] is fill}
         for horizon, variant, seed in product(
                 horizons, _SWEEP_VARIANTS, range(base.seed, base.seed + args.seeds)):
-            policy = replace(base.policy, S=sink, policy=variant)
+            policy = replace(base.policy, S=sink, policy=run_of.get(variant, variant))
             read = policy if policy.sink_slots(horizon - 1) else fill
             if (read, horizon, seed) not in terminals:
                 prefix = prefixes.get(seed)

@@ -93,10 +93,14 @@ class DenoiserInterface(Protocol):
     draws_per_level = 1 and takes it from `eps`, a standard-normal array of
     noisy's shape that the sampler draws from the step's noise stream, so
     results are deterministic under a fixed seed; with draws_per_level = 0
-    the sampler passes eps=None.
+    the sampler passes eps=None. reads_positions is False when the output
+    depends on context.values alone, never on context.positions; then
+    policies that pin the same blocks at other positions give the same
+    rollout (`blockroll sweep` runs one rollout for both).
     """
 
     draws_per_level: int
+    reads_positions: bool
 
     def condition(self, context: Context, block_size: int) -> Conditioned: ...
 
@@ -139,6 +143,7 @@ class AnalyticGaussianDenoiser:
     """
 
     draws_per_level = 1
+    reads_positions = False
 
     def __init__(self, rho: float = 0.9):
         if not -1.0 < rho < 1.0:
@@ -217,6 +222,8 @@ class ContextMeanDenoiser:
     innovation_scale > 0 and none otherwise.
     """
 
+    reads_positions = False
+
     def __init__(self, anchor_weight: float = 1.0, innovation_scale: float = 0.0,
                  bias: float = 0.0):
         if not 0.0 <= anchor_weight <= 1.0:
@@ -288,6 +295,7 @@ class TinyAttentionDenoiser:
     """
 
     draws_per_level = 0
+    reads_positions = True
 
     def __init__(self, frame_dim: int, model_dim: int = 32, head_count: int = 4,
                  layer_count: int = 2, weight_seed: int = 0):

@@ -125,7 +125,7 @@ class TraceRecord:
         return schedules.schedule_for(self.policy, self.step)
 
 
-@lru_cache(maxsize=3)  # one plan for equal policies; a sweep runs three per S
+@lru_cache(maxsize=3)  # one plan for equal policies; a sweep runs at most three per S
 def gather_plan(policy: PolicyConfig) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """A sink policy's sink strip rows, their move per step, base and shift,
     read-only: step i past the fill reads S*block_size strip rows from

@@ -1476,10 +1476,21 @@ def test_a_repeated_ratio_or_horizon_names_its_cells_once(tmp_path):
     assert len(once.read_text().splitlines()) == 1 + 3
 
 
-def test_sweep_terminal_metrics_are_those_of_the_full_series(tmp_path):
+SHARING_DENOISERS = {
+    "context-mean": "denoiser = context-mean\nbias = 0.05\ninnovation_scale = 0.2\n",
+    "analytic-gaussian": "denoiser = analytic-gaussian\nrho = 0.9\n",
+    "tiny-attention": "denoiser = tiny-attention\n",
+}
+
+
+@pytest.mark.parametrize("denoiser", sorted(SHARING_DENOISERS))
+def test_sweep_terminal_metrics_are_those_of_the_full_series(tmp_path, denoiser):
     # the sweep reads them from the trailing records; windows below, at and
-    # past the horizon, and horizons of one and two blocks
-    config = write_config(tmp_path, SWEEP_CONFIG + "innovation_scale = 0.2\n")
+    # past the horizon, and horizons of one and two blocks. Each row, a
+    # sliding-indices row read from the attention-sink run included, is that
+    # of an independent run of its own cell
+    config = write_config(tmp_path, SWEEP_CONFIG.split("denoiser")[0]
+                          + SHARING_DENOISERS[denoiser])
     base = cli.load_config(config)
     for window in (1, 3, 40):
         out = tmp_path / f"w{window}.csv"
@@ -1493,13 +1504,6 @@ def test_sweep_terminal_metrics_are_those_of_the_full_series(tmp_path):
             assert terminal == [repr(series.tolist()[-1]) for series in (
                 mean_drift(trace), flicker_proxy(trace),
                 repetition_score(trace, window=window))]
-
-
-SHARING_DENOISERS = {
-    "context-mean": "denoiser = context-mean\nbias = 0.05\ninnovation_scale = 0.2\n",
-    "analytic-gaussian": "denoiser = analytic-gaussian\nrho = 0.9\n",
-    "tiny-attention": "denoiser = tiny-attention\n",
-}
 
 
 @pytest.mark.parametrize("convention", ["palindrome", "literal-mod"])
@@ -1579,8 +1583,15 @@ def test_a_sweep_runs_one_fill_per_seed(tmp_path, monkeypatch):
     assert built == [0, 1]
 
 
-SHARED_RUN_CONFIG = ("K = 4\nS = 1\nseed = 3\nframe_dim = 2\n"
-                     "denoiser = context-mean\nbias = 0.05\ninnovation_scale = 0.2\n")
+SHARED_RUN_CONFIGS = {denoiser: "K = 4\nS = 1\nseed = 3\nframe_dim = 2\n"
+                      + SHARING_DENOISERS[denoiser]
+                      for denoiser in ("context-mean", "tiny-attention")}
+SHARED_RUN_CONFIG = SHARED_RUN_CONFIGS["context-mean"]
+# the variants of one S that run their own rollout: context-mean reads no
+# positions, so its sliding-indices cells read the attention-sink run
+RUN_VARIANTS = {"context-mean": (Policy.ATTENTION_SINK, Policy.ROLLING_SINK),
+                "tiny-attention": (Policy.ATTENTION_SINK, Policy.SLIDING_INDICES,
+                                   Policy.ROLLING_SINK)}
 
 
 def counting_forks(monkeypatch):
@@ -1596,12 +1607,15 @@ def counting_forks(monkeypatch):
     return forks
 
 
-def test_a_sweep_forks_one_run_per_s_policy_and_seed(tmp_path, monkeypatch):
+@pytest.mark.parametrize("denoiser, fork_count, step_count, terminal_count", [
+    ("context-mean", 6, 38, 16), ("tiny-attention", 8, 48, 20)])
+def test_a_sweep_forks_one_run_per_s_policy_and_seed(tmp_path, monkeypatch, denoiser,
+                                                     fork_count, step_count, terminal_count):
     # K = 4: per seed, the fill run steps 0..3 once and holds the horizon-1
     # cells; S = 0 forks the fill policy for horizons 5 = K+1, 6 and 9, and
     # S = 2 reads that run for horizon 5, whose sinks cannot matter yet, so it
-    # forks only each variant, once, for horizons 6 and 9. Every fork is made
-    # at step K
+    # forks only each variant with a run of its own, once, for horizons 6 and 9.
+    # Every fork is made at step K
     forks = counting_forks(monkeypatch)
     steps, terminals = [], []
     step, score = engine.Rollout.step, cli.repetition_score
@@ -1616,23 +1630,24 @@ def test_a_sweep_forks_one_run_per_s_policy_and_seed(tmp_path, monkeypatch):
 
     monkeypatch.setattr(engine.Rollout, "step", counting_step)
     monkeypatch.setattr(cli, "repetition_score", counting_score)
-    config = write_config(tmp_path, SHARED_RUN_CONFIG)
+    config = write_config(tmp_path, SHARED_RUN_CONFIGS[denoiser])
     base = cli.load_config(config)
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "1,5,6,9",
                      "--seeds", "2", "--out", str(out)]) == 0
-    K = 4
+    K, variants = 4, RUN_VARIANTS[denoiser]
     assert sorted((rollout.cfg.policy.S, rollout.cfg.policy.policy.value, rollout.cfg.seed)
                   for rollout, _ in forks) == sorted(
         [(0, "attention-sink", seed) for seed in (3, 4)]
-        + [(2, variant.value, seed) for variant in cli._SWEEP_VARIANTS for seed in (3, 4)])
-    assert [at for _, at in forks] == [K] * 8
+        + [(2, variant.value, seed) for variant in variants for seed in (3, 4)])
+    assert [at for _, at in forks] == [K] * fork_count
+    assert fork_count == 2 * (1 + len(variants))
     # per seed: the fill steps, then the fill policy's run to 9, and each
-    # variant's run to 9
-    assert len(steps) == 2 * (K + (9 - K) + 3 * (9 - K)) == 48
+    # run variant's run to 9
+    assert len(steps) == 2 * (K + (9 - K) + len(variants) * (9 - K)) == step_count
     # one terminal per rollout a cell names, per seed: the fill policy's for
-    # every horizon, and each variant's of S = 2 for horizons 6 and 9
-    assert len(terminals) == 2 * (4 + 3 * 2) == 20
+    # every horizon, and each run variant's of S = 2 for horizons 6 and 9
+    assert len(terminals) == 2 * (4 + len(variants) * 2) == terminal_count
     lines = out.read_text().splitlines()[1:]
     assert len(lines) == 2 * 4 * 3 * 2
     for line in lines:
@@ -1644,9 +1659,10 @@ def test_a_sweep_forks_one_run_per_s_policy_and_seed(tmp_path, monkeypatch):
             mean_drift(trace), flicker_proxy(trace), repetition_score(trace, window=8))]
 
 
+@pytest.mark.parametrize("denoiser", sorted(SHARED_RUN_CONFIGS))
 @pytest.mark.parametrize("window", [1, 40])
 def test_a_sweep_keeps_block_0_and_the_last_window_plus_one_records_of_a_run(
-        tmp_path, monkeypatch, window):
+        tmp_path, monkeypatch, window, denoiser):
     # horizons below K = 4, at K+1 and past it, the longest past window + 2;
     # at the start of every step a run holds block 0 and its last window + 1
     # records, the fill run before its forks included
@@ -1659,11 +1675,11 @@ def test_a_sweep_keeps_block_0_and_the_last_window_plus_one_records_of_a_run(
         return step(self)
 
     monkeypatch.setattr(engine.Rollout, "step", holding_step)
-    config = write_config(tmp_path, SHARED_RUN_CONFIG)
+    config = write_config(tmp_path, SHARED_RUN_CONFIGS[denoiser])
     assert cli.main(["sweep", config, "--ratios", "0,50", "--horizons", "2,5,9,60",
                      "--seeds", "2", "--window", str(window),
                      "--out", str(tmp_path / "sweep.csv")]) == 0
-    assert len(forks) == 2 * (1 + 3)
+    assert len(forks) == 2 * (1 + len(RUN_VARIANTS[denoiser]))
     for rollout, _ in forks:
         held = min(rollout.step_index, window + 2)
         assert len(rollout.records) == held <= window + 2

@@ -3,8 +3,11 @@ analytic Gaussian conditioning."""
 
 from __future__ import annotations
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blockroll import denoisers, rope
 from blockroll.denoisers import (
@@ -273,10 +276,72 @@ def test_each_denoiser_states_its_draws_per_level():
 
 
 # --------------------------------------------------------------------------
-# tiny attention denoiser
+# reads_positions
 # --------------------------------------------------------------------------
 
 FRAME_DIM = 6
+# the position-blind denoisers, built to take eps or not
+POSITION_BLIND = {
+    "analytic-gaussian": lambda with_eps: AnalyticGaussianDenoiser(rho=0.7),
+    "context-mean": lambda with_eps: ContextMeanDenoiser(
+        anchor_weight=0.6, innovation_scale=0.3 if with_eps else 0.0, bias=0.05),
+}
+FINITE = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def ascending_positions(draw, n: int) -> np.ndarray:
+    start = draw(st.integers(-10**6, 10**6))
+    gaps = draw(st.lists(st.integers(1, 10**4), min_size=n, max_size=n))
+    return start + np.cumsum(np.array(gaps, dtype=np.int64))
+
+
+def test_each_denoiser_states_whether_it_reads_positions():
+    assert AnalyticGaussianDenoiser.reads_positions is False
+    assert ContextMeanDenoiser.reads_positions is False
+    assert TinyAttentionDenoiser.reads_positions is True
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(POSITION_BLIND)), n=st.integers(1, 8),
+       block_size=st.integers(1, 4), frame_dim=st.integers(1, 5),
+       t=st.floats(0.0, 1000.0), with_eps=st.booleans())
+def test_a_position_blind_denoiser_gives_the_same_bytes_at_any_positions(
+        data, name, n, block_size, frame_dim, t, with_eps):
+    values = data.draw(hnp.arrays(np.float64, (n, frame_dim), elements=FINITE))
+    noisy = data.draw(hnp.arrays(np.float64, (block_size, frame_dim), elements=FINITE))
+    eps = (data.draw(hnp.arrays(np.float64, noisy.shape, elements=FINITE))
+           if with_eps else None)
+    first = data.draw(ascending_positions(n))
+    second = data.draw(ascending_positions(n))
+    if np.array_equal(first, second):
+        second = second + 1
+    outputs = []
+    for positions in (first, second):
+        den = POSITION_BLIND[name](with_eps)
+        state = den.condition(Context(values, positions), block_size)
+        outputs.append(den.estimate(noisy, t, state, eps).tobytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("den", [
+    AnalyticGaussianDenoiser(rho=0.7), ContextMeanDenoiser(anchor_weight=0.6, bias=0.05),
+    TinyAttentionDenoiser(frame_dim=FRAME_DIM)], ids=lambda den: type(den).__name__)
+def test_sliding_indices_positions_move_only_a_denoiser_that_reads_them(den):
+    # K = 4, S = 1, block_size 3, step 7: attention-sink pins block 0 at
+    # positions 0..2, sliding-indices at 9..11; blocks 4..6 follow at 12..20
+    rng = np.random.default_rng(6)
+    values, noisy = rng.standard_normal((12, FRAME_DIM)), rng.standard_normal((3, FRAME_DIM))
+    eps = rng.standard_normal(noisy.shape) if den.draws_per_level else None
+    recent = np.arange(12, 21)
+    outputs = [den.estimate(noisy, 500.0, den.condition(Context(
+        values, np.concatenate((sinks, recent))), 3), eps).tobytes()
+        for sinks in (np.arange(0, 3), np.arange(9, 12))]
+    assert (outputs[0] == outputs[1]) is not den.reads_positions
+
+
+# --------------------------------------------------------------------------
+# tiny attention denoiser
+# --------------------------------------------------------------------------
 
 
 def build_attention(seed=3):

@@ -123,6 +123,28 @@ def test_policies_diverge_after_warmup():
                               rolling[K + 4].frames)
 
 
+def record_bytes(trace) -> list[tuple]:
+    return [(r.step, np.float64(r.mean).tobytes(), np.float64(r.var).tobytes(),
+             r.frames.tobytes()) for r in trace]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("K, S", [(1, 0), (2, 1), (4, 2), (6, 5)])
+@pytest.mark.parametrize("denoiser", [
+    lambda: AnalyticGaussianDenoiser(rho=0.8),
+    lambda: ContextMeanDenoiser(anchor_weight=0.5, innovation_scale=0.1, bias=0.05),
+], ids=["analytic-gaussian", "context-mean"])
+def test_sliding_indices_rolls_out_as_attention_sink_without_reading_positions(
+        denoiser, K, S, seed):
+    # the two pin the same blocks at other positions, which these denoisers
+    # do not read (reads_positions), so `blockroll sweep` runs one for both
+    assert not denoiser().reads_positions
+    sink, sliding = (record_bytes(run(make_config(
+        policy=policy, K=K, S=S, horizon=3 * K + 4, seed=seed, denoiser=denoiser())))
+        for policy in (Policy.ATTENTION_SINK, Policy.SLIDING_INDICES))
+    assert sink == sliding
+
+
 def test_rolling_sink_slots_always_reference_retainable_blocks():
     cfg = make_config(horizon=100, K=6, S=5)
     trace = run(cfg)
