@@ -480,7 +480,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     _step_to(prefix, K, args.window)
                     rollout = runs[read, seed] = prefix.fork(read)
                 records = _step_to(rollout, horizon, args.window)
-                terminals[read, horizon, seed] = [m(records)[-1].item() for m in metrics.values()]
+                terminals[read, horizon, seed] = [m(records, first=len(records) - 1)[-1].item()
+                                                  for m in metrics.values()]  # one row
             rows.append([round(100 * sink / K), sink, K, variant.value, horizon, seed,
                          *terminals[read, horizon, seed]])
     _write_rows(rows, ["ratio", "S", "K", "policy", "horizon", "seed", *METRICS], args.out)

@@ -38,7 +38,7 @@ from .sampler import sigma
 class Context:
     """One step's conditioning: row j of `values` (n, frame_dim) is the
     latent frame embedded at frame position `positions[j]`. Positions are
-    strictly ascending, so the last row is the most recent frame."""
+    integers, strictly ascending, so the last row is the most recent frame."""
 
     values: np.ndarray
     positions: np.ndarray
@@ -54,8 +54,10 @@ class Context:
         return context
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        positions = np.asarray(self.positions, dtype=np.int64)
+        values, positions = np.asarray(self.values, dtype=np.float64), np.asarray(self.positions)
+        if positions.size and (positions.dtype.kind not in "iu" or positions.max() >= 2**63):
+            raise ValueError(f"context positions must be int64 integers, got {positions.dtype}")
+        positions = positions.astype(np.int64, copy=False)
         if values.ndim != 2 or positions.shape != values.shape[:1]:
             raise ValueError(
                 f"context needs values (n, frame_dim) and positions (n,), got "
@@ -85,11 +87,12 @@ class Conditioned:
 class DenoiserInterface(Protocol):
     """Contract consumed by sampler.sample_block.
 
-    condition() runs once per step and does every piece of work that
-    depends only on the step's context, not on the noise level or the
-    noisy block. estimate() runs once per denoising level and returns the
-    intermediate clean prediction for `noisy` (block_size, frame_dim) at
-    timestep `t` from that state. A denoiser that needs randomness states
+    condition() runs once per step and does every piece of work that depends
+    only on the step's context, not on the noise level or the noisy block.
+    estimate() runs once per denoising level and returns the intermediate
+    clean prediction for `noisy` (block_size, frame_dim) at timestep `t` from
+    that state, which may hold per-block scratch that every estimate()
+    overwrites before it reads it. A denoiser that needs randomness states
     draws_per_level = 1 and takes it from `eps`, a standard-normal array of
     noisy's shape that the sampler draws from the step's noise stream, so
     results are deterministic under a fixed seed; with draws_per_level = 0
@@ -260,17 +263,12 @@ class ContextMeanDenoiser:
         return est
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 @dataclass(frozen=True, eq=False)
 class KVCache(Conditioned):
-    """Per layer, the rotated context keys (head_count, head_dim, n) and the
-    context values (head_count, n, head_dim); and the rotation of the
-    current block's positions (block_size, 1, 1, head_dim/2)."""
+    """Per layer, the rotated keys (head_count, head_dim, n + block_size) and the
+    values (head_count, n + block_size, head_dim): n context rows, then block_size
+    slots that every estimate() fills with its block's rows before it reads them;
+    and the rotation of the current block's positions (block_size, 1, 1, head_dim/2)."""
 
     keys: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
@@ -325,6 +323,8 @@ class TinyAttentionDenoiser:
                 for _ in range(4)
             )
             self.layers.append((np.concatenate([w_q, w_k, w_v], axis=1), w_o))
+        # every layer's (w_k | w_v), for the context's keys and values in one product
+        self.w_kv = np.concatenate([w_qkv[:, model_dim:] for w_qkv, _ in self.layers], axis=1)
         self.w_out = gen.standard_normal((model_dim, frame_dim)) / np.sqrt(model_dim)
 
     def condition(self, context: Context, block_size: int) -> KVCache:
@@ -334,15 +334,26 @@ class TinyAttentionDenoiser:
                 f"context frame width {width} does not match frame_dim {self.frame_dim}"
             )
         n = len(context)
-        h_ctx = context.values @ self.w_in
-        kv = np.stack([h_ctx @ w_qkv[:, self.model_dim:] for w_qkv, _ in self.layers])
-        kv = kv.reshape(self.layer_count, n, 2, self.head_count, self.head_dim)
-        keys = rotate(self.freqs, kv[:, :, 0], context.positions[:, None])
+        # One allocation, which the heap reuses step after step: each row's K/V
+        # product, whose values are read in place, then the rotated keys. Rows lie
+        # as np.concatenate lays them out in tests/attention_oracle.py, since BLAS
+        # picks its kernel by layout.
+        rows, cols = n + block_size, 2 * self.layer_count * self.model_dim
+        buf = np.empty(rows * cols * 3 // 2)
+        kv = buf[:rows * cols].reshape(rows, cols)
+        np.matmul(context.values @ self.w_in, self.w_kv, out=kv[:n])
+        kv = kv.reshape(rows, self.layer_count, 2, self.head_count, self.head_dim)
+        keys = buf[rows * cols:].reshape(self.layer_count, rows, self.head_count, self.head_dim)
+        keys = keys.transpose(0, 2, 3, 1)
+        if n == 0 or n == block_size == 1:  # keys (h, d, ctx+q), not (ctx+q, h, d)
+            keys = buf[rows * cols:].reshape(keys.shape)
+        keys[..., :n] = rotate(self.freqs, kv[:n, :, 0].swapaxes(0, 1),
+                               context.positions[:, None]).transpose(0, 2, 3, 1)
         start = context.positions[-1] + 1 if n else 0
         return KVCache(
             context,
-            keys=tuple(keys.transpose(0, 2, 3, 1)),
-            values=tuple(kv[:, :, 1].transpose(0, 2, 1, 3)),
+            keys=tuple(keys),
+            values=tuple(kv[:, :, 1].transpose(1, 2, 0, 3)),
             rot=rotation(self.freqs, start + np.arange(block_size)[:, None, None]),
         )
 
@@ -356,14 +367,20 @@ class TinyAttentionDenoiser:
                 f"got {noisy.shape}"
             )
         scale = math.sqrt(self.head_dim)
+        n = len(state)
         h_cur = noisy @ self.w_in + sigma(t) * self.t_embed
-        for (w_qkv, w_o), k_ctx, v_ctx in zip(self.layers, state.keys, state.values):
+        for (w_qkv, w_o), k, v in zip(self.layers, state.keys, state.values):
             qkv = (h_cur @ w_qkv).reshape(block_size, 3, self.head_count, self.head_dim)
             qk = apply_rotation(qkv[:, :2], state.rot)
-            # heads first: q (h, q, d), k (h, d, ctx+q), v (h, ctx+q, d)
-            k = np.concatenate([k_ctx, qk[:, 1].transpose(1, 2, 0)], axis=2)
-            v = np.concatenate([v_ctx, qkv[:, 2].transpose(1, 0, 2)], axis=1)
-            attn = _softmax(qk[:, 0].transpose(1, 0, 2) @ k / scale)
+            # heads first: q (h, q, d), k (h, d, ctx+q), v (h, ctx+q, d); the block's
+            # keys and values fill the slots after the context's
+            k[..., n:] = qk[:, 1].transpose(1, 2, 0)
+            v[:, n:] = qkv[:, 2].transpose(1, 0, 2)
+            attn = qk[:, 0].transpose(1, 0, 2) @ k
+            attn /= scale  # softmax in place
+            attn -= attn.max(axis=-1, keepdims=True)
+            np.exp(attn, out=attn)
+            attn /= attn.sum(axis=-1, keepdims=True)
             mixed = (attn @ v).transpose(1, 0, 2)
             h_cur = h_cur + mixed.reshape(block_size, self.model_dim) @ w_o
         return h_cur @ self.w_out

@@ -6,7 +6,8 @@ boundary discontinuity (flicker proxy), and windowed cosine similarity
 (repetition proxy). All are pure functions of a sequence of trace
 records, and each returns one float64 value per record; record 0, having
 no history to compare against, is 0 for every metric so that the arrays
-stay aligned with the records.
+stay aligned with the records. Each takes `first`, the first record it
+scores: the records before it are context only, and their values are 0.
 """
 
 from __future__ import annotations
@@ -31,20 +32,20 @@ def _stacked_frames(records: Sequence[TraceRecord], metric: str) -> np.ndarray:
     return np.stack(frames)
 
 
-def mean_drift(records: Sequence[TraceRecord]) -> np.ndarray:
+def mean_drift(records: Sequence[TraceRecord], first: int = 0) -> np.ndarray:
     """|mean(block i) - mean(block 0)| per record."""
     if not records:
         raise ValueError("trace is empty")
-    means = np.array([r.mean for r in records], dtype=np.float64)
-    return np.abs(means - means[0])
+    means = np.array([records[0].mean] + [r.mean for r in records[first:]], dtype=np.float64)
+    return np.concatenate([np.zeros(first), np.abs(means[1:] - means[0])])
 
 
-def flicker_proxy(records: Sequence[TraceRecord]) -> np.ndarray:
+def flicker_proxy(records: Sequence[TraceRecord], first: int = 0) -> np.ndarray:
     """Mean absolute jump between the last frame of block i-1 and the first
     frame of block i."""
-    frames = _stacked_frames(records, "flicker_proxy")
-    jumps = np.zeros(len(frames))
-    jumps[1:] = np.abs(frames[1:, 0] - frames[:-1, -1]).mean(axis=1)
+    frames = _stacked_frames(records[max(first - 1, 0):], "flicker_proxy")
+    jumps = np.zeros(len(records))
+    jumps[len(records) - len(frames) + 1:] = np.abs(frames[1:, 0] - frames[:-1, -1]).mean(axis=1)
     return jumps
 
 
@@ -54,10 +55,11 @@ def check_window(window: int) -> None:
         raise ValueError(f"window must be >= 1 (got {window})")
 
 
-def repetition_score(records: Sequence[TraceRecord], window: int = 8) -> np.ndarray:
+def repetition_score(records: Sequence[TraceRecord], window: int = 8,
+                     first: int = 0) -> np.ndarray:
     """Max cosine similarity between block i and the previous `window`
     blocks (1.0 = exact repetition); a block of norm 0 scores 0 against
-    every other."""
+    every other. Every record passed, context included, decides the rescale."""
     check_window(window)
     flat = _stacked_frames(records, "repetition_score").reshape(len(records), -1)
     peak = np.abs(flat).max(axis=1, initial=0.0)
@@ -70,22 +72,22 @@ def repetition_score(records: Sequence[TraceRecord], window: int = 8) -> np.ndar
     norms = np.linalg.norm(flat, axis=1)
     scores = np.zeros(n)
     per_pass = max(1, 2**17 // width)  # rows at a time, so memory is O(width) whatever n
-    for first in range(1, n, per_pass):
-        last = min(first + per_pass, n)
-        # Row i - first compares block i with blocks i - width .. i - 1; the
+    for start in range(max(first, 1), n, per_pass):
+        last = min(start + per_pass, n)
+        # Row i - start compares block i with blocks i - width .. i - 1; the
         # columns that would fall before block 0 are left out of the max.
-        earlier = np.arange(first, last)[:, None] - width + np.arange(width)
+        earlier = np.arange(start, last)[:, None] - width + np.arange(width)
         valid = earlier >= 0
         dots = np.zeros(valid.shape)
-        for i in range(first, last):
+        for i in range(start, last):
             # one matrix-vector product per block: einsum or a batched matmul
             # would change the low bits of the scores
             lo = max(0, i - width)
-            dots[i - first, lo - i:] = flat[lo:i] @ flat[i]
-        denom = norms[np.where(valid, earlier, 0)] * norms[first:last, None]
+            dots[i - start, lo - i:] = flat[lo:i] @ flat[i]
+        denom = norms[np.where(valid, earlier, 0)] * norms[start:last, None]
         positive = denom > 0
         sims = np.where(positive, dots / np.where(positive, denom, 1.0), 0.0)
-        scores[first:last] = np.where(valid, sims, -np.inf).max(axis=1)
+        scores[start:last] = np.where(valid, sims, -np.inf).max(axis=1)
     return scores
 
 

@@ -1624,9 +1624,9 @@ def test_a_sweep_forks_one_run_per_s_policy_and_seed(tmp_path, monkeypatch, deno
         steps.append(self.cfg.policy)
         return step(self)
 
-    def counting_score(records, window):
+    def counting_score(records, window, first=0):
         terminals.append(len(records))
-        return score(records, window=window)
+        return score(records, window=window, first=first)
 
     monkeypatch.setattr(engine.Rollout, "step", counting_step)
     monkeypatch.setattr(cli, "repetition_score", counting_score)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import attention_oracle
 from blockroll import denoisers, rope
 from blockroll.denoisers import (
     AnalyticGaussianDenoiser,
@@ -74,6 +75,25 @@ def test_context_rejects_mismatched_shapes_and_unordered_positions():
     with pytest.raises(ValueError):
         Context(np.zeros(2), [0, 1])
     assert len(Context(np.zeros((3, 2)), [5, 6, 9])) == 3
+
+
+@pytest.mark.parametrize("positions", [[0.5, 1.7], [0.0, 1.0], np.array([2.0, 3.0]),
+                                       [True, False], ["1", "2"], np.array([b"1", b"2"]),
+                                       np.array([5, 2**63], np.uint64), [5, 2**70]],
+                         ids=["fractional", "integral-floats", "float-array", "bool",
+                              "str", "bytes", "uint64-past-int64", "int-past-int64"])
+def test_context_refuses_positions_that_are_not_integers(positions):
+    with pytest.raises(ValueError, match="integers"):
+        Context(np.zeros((2, 4)), positions)
+
+
+@pytest.mark.parametrize("positions", [[], np.zeros(0), [3, 7], np.array([3, 7], np.int32),
+                                       np.array([3, 7], np.uint8)],
+                         ids=["empty-list", "empty-float-array", "ints", "int32", "uint8"])
+def test_context_takes_integer_positions_as_int64(positions):
+    context = Context(np.zeros((len(positions), 4)), positions)
+    assert context.positions.dtype == np.int64
+    assert context.positions.tolist() == list(positions)
 
 
 # --------------------------------------------------------------------------
@@ -437,3 +457,53 @@ def test_attention_configuration_validation():
         TinyAttentionDenoiser(frame_dim=4, model_dim=12, head_count=4)  # odd head dim
     with pytest.raises(ValueError):
         TinyAttentionDenoiser(frame_dim=0)
+
+
+ORACLE_GEOMETRIES = [(32, 4, 2), (16, 2, 1), (24, 3, 3)]  # (model_dim, head_count, layer_count)
+
+
+def attention_case(seed, geometry, block_size, frame_dim, n):
+    """A denoiser of `geometry`, a Context of n frames at random strictly
+    ascending positions, and one noisy block per level of a T=4 schedule."""
+    model_dim, head_count, layer_count = geometry
+    rng = np.random.default_rng(seed)
+    den = TinyAttentionDenoiser(frame_dim=frame_dim, model_dim=model_dim,
+                                head_count=head_count, layer_count=layer_count,
+                                weight_seed=int(rng.integers(2**32)))
+    positions = int(rng.integers(0, 10**6)) + np.cumsum(rng.integers(1, 6, size=n))
+    ctx = Context(rng.standard_normal((n, frame_dim)), positions)
+    levels = TimestepSchedule.uniform(4).steps[:-1]
+    return den, ctx, [(t, rng.standard_normal((block_size, frame_dim))) for t in levels]
+
+
+@given(seed=st.integers(0, 2**32 - 1), geometry=st.sampled_from(ORACLE_GEOMETRIES),
+       block_size=st.integers(1, 4), frame_dim=st.integers(2, 6),
+       n=st.one_of(st.integers(0, 24), st.integers(0, 450)))
+def test_attention_matches_the_concatenating_oracle_byte_for_byte(
+        seed, geometry, block_size, frame_dim, n):
+    den, ctx, levels = attention_case(seed, geometry, block_size, frame_dim, n)
+    state = den.condition(ctx, block_size)
+    expected = attention_oracle.condition(den, ctx, block_size)
+    for t, noisy in levels:
+        got = den.estimate(noisy, t, state)
+        assert got.tobytes() == attention_oracle.estimate(den, noisy, t, expected).tobytes()
+
+
+def kv_context_bytes(state):
+    """The context rows of every layer's key and value buffers, as bytes."""
+    n = len(state)
+    return ([k[..., :n].tobytes() for k in state.keys]
+            + [v[:, :n].tobytes() for v in state.values])
+
+
+@pytest.mark.parametrize("n", [0, 1, 18, 450])
+@pytest.mark.parametrize("geometry", ORACLE_GEOMETRIES)
+def test_the_reserved_kv_slots_are_scratch_only(geometry, n):
+    den, ctx, levels = attention_case(n, geometry, 3, 4, n)
+    state = den.condition(ctx, 3)
+    context_rows = kv_context_bytes(state)
+    (t_a, a), (t_b, b) = levels[:2]
+    first = den.estimate(a, t_a, state)
+    den.estimate(b, t_b, state)
+    assert den.estimate(a, t_a, state).tobytes() == first.tobytes()
+    assert kv_context_bytes(state) == context_rows

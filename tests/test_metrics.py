@@ -15,7 +15,7 @@ from blockroll.denoisers import (
     TinyAttentionDenoiser,
 )
 from blockroll.engine import RolloutConfig, TraceRecord, run
-from blockroll.metrics import flicker_proxy, mean_drift, repetition_score
+from blockroll.metrics import METRICS, flicker_proxy, mean_drift, repetition_score
 from blockroll.sampler import TimestepSchedule
 from blockroll.schedule import Policy, PolicyConfig
 from metric_oracle import oracle_flicker_proxy, oracle_repetition_score
@@ -286,3 +286,35 @@ def test_repetition_score_memory_is_bounded_in_the_window():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# --------------------------------------------------------------------------
+# scoring from a first row: the rows before it are context only
+# --------------------------------------------------------------------------
+
+def assert_first_rows_match(trace, window):
+    for name, metric in METRICS.items():
+        kwargs = {"window": window} if name == "repetition_score" else {}
+        whole = metric(trace, **kwargs)
+        for j in range(len(trace)):
+            assert metric(trace, first=j, **kwargs)[j:].tobytes() == whole[j:].tobytes(), (name, j)
+
+
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 20),
+       rows=st.integers(1, 4), width=st.sampled_from([1, 2, 4, 7, 8, 9, 16, 33]),
+       zero_blocks=st.sets(st.integers(0, 19), max_size=3), window=st.integers(1, 25))
+def test_every_metric_scores_the_same_rows_from_any_first_row(seed, steps, rows, width,
+                                                             zero_blocks, window):
+    frames = random_frames(seed, steps, rows, width)
+    frames[[b for b in zero_blocks if b < steps]] = 0.0
+    assert_first_rows_match(frames_trace(frames), window)
+
+
+@pytest.mark.parametrize("block0", [1e200, 1e-200], ids=["huge", "tiny"])
+def test_a_first_row_keeps_the_rescale_that_block_0_triggers(block0):
+    # block 0's dot products overflow or underflow, so every block is rescaled
+    frames = random_frames(8, 12, 3, 4)
+    frames[0] = block0
+    with np.errstate(over="ignore"):  # the huge block's var overflows
+        trace = frames_trace(frames)
+    assert_first_rows_match(trace, 8)
