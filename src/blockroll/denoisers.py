@@ -134,15 +134,15 @@ class AnalyticGaussianDenoiser:
 
     The frame at in-block offset k is modeled as lying k+1 steps after the
     most recent context frame; with no context the prior is the stationary
-    N(0, 1). `posterior` returns the exact posterior mean, variance and
-    standard deviation of the clean frame given the noisy observation at
-    level sigma(t).
+    N(0, 1). `posterior` wraps `estimate`: the exact posterior mean, variance
+    and standard deviation of the clean frame given the noisy observation
+    at level sigma(t).
 
     Only the prior mean depends on the context values. rho**gaps and tau2
     are built once per (block_size, context empty or not), and each
     level's gain, variance and standard deviation once per such key and
-    timestep; later blocks reuse these read-only arrays. The table grows
-    by one entry per distinct timestep the caller uses.
+    timestep, in a read-only table that later blocks reuse and `estimate`
+    reads. It grows by one entry per distinct timestep the caller uses.
     """
 
     draws_per_level = 1
@@ -171,24 +171,6 @@ class AnalyticGaussianDenoiser:
             mu = powers * context.values[-1]
         return GaussianPrior(context, mu, tau2, levels)
 
-    def posterior(self, noisy: np.ndarray, t: float, state: GaussianPrior):
-        """Posterior mean, and the (block_size, 1) posterior variance and
-        standard deviation, of the clean block at level t."""
-        level = state.levels.get(t)
-        if level is None:
-            s = sigma(t)
-            denom = (1.0 - s) ** 2 * state.tau2 + s**2
-            gain = (1.0 - s) * state.tau2 / denom
-            var = state.tau2 * s**2 / denom
-            level = (s, _frozen(gain), _frozen(var), _frozen(np.sqrt(var)))
-            state.levels[t] = level
-        s, gain, var, std = level
-        noisy = np.asarray(noisy, dtype=np.float64)
-        if s == 0.0:
-            return noisy.copy(), var, std
-        mu = state.mu
-        return mu + gain * (noisy - (1.0 - s) * mu), var, std
-
     def estimate(self, noisy: np.ndarray, t: float, state: GaussianPrior,
                  eps: np.ndarray | None = None) -> np.ndarray:
         """Posterior draw mean + std*eps when eps is supplied, posterior
@@ -200,10 +182,28 @@ class AnalyticGaussianDenoiser:
         long rollouts reproduce the stationary statistics. The bare
         posterior mean would systematically under-disperse.
         """
-        mean, _, std = self.posterior(noisy, t, state)
-        if eps is None:
-            return mean
-        return mean + std * eps
+        level = state.levels.get(t)
+        if level is None:
+            s = sigma(t)
+            denom = (1.0 - s) ** 2 * state.tau2 + s**2
+            var = state.tau2 * s**2 / denom
+            level = state.levels[t] = (s, _frozen((1.0 - s) * state.tau2 / denom),
+                                       _frozen(var), _frozen(np.sqrt(var)))
+        s, gain, _, std = level
+        if s == 0.0:
+            mean = np.array(noisy, dtype=np.float64)
+        else:  # mu + gain * (noisy - (1 - s) * mu), the sums in place
+            mean = noisy - (1.0 - s) * state.mu
+            mean *= gain
+            mean += state.mu
+        if eps is not None:
+            mean += std * eps
+        return mean
+
+    def posterior(self, noisy: np.ndarray, t: float, state: GaussianPrior):
+        """Posterior mean, and the (block_size, 1) posterior variance and
+        standard deviation, of the clean block at level t."""
+        return (self.estimate(noisy, t, state), *state.levels[t][2:])
 
 
 @dataclass(frozen=True, eq=False)

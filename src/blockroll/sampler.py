@@ -3,11 +3,10 @@
 One autoregressive step conditions the denoiser once on the step's
 Context (the (n, frame_dim) frames and ascending (n,) positions the
 schedule expands to): condition(context, block_size) returns a state that
-lives for this step only. The step then starts from a pure-noise block and
-alternates estimate(noisy, t, state, eps) with forward re-noising at the
-next-lower level until the noise level reaches zero. The noise level is
-linear in the timestep, sigma(t) = t/1000, so t=1000 is pure noise and
-t=0 is clean.
+lives for this step only. From a pure-noise block, the step alternates
+estimate(noisy, t, state, eps) with re-noising to the next-lower level until
+sigma(t) = t/1000 reaches zero (t=1000 is pure noise, t=0 clean). A schedule
+tables its weights once, and a step forms its re-noising in one product.
 """
 
 from __future__ import annotations
@@ -23,11 +22,14 @@ T_MAX = 1000.0
 @dataclass(frozen=True)
 class TimestepSchedule:
     """Strictly decreasing timesteps t_T > ... > t_1 > t_0, with the
-    endpoints pinned at t_T = 1000 and t_0 = 0."""
+    endpoints pinned at t_T = 1000 and t_0 = 0. A read-only table holds per
+    level (t, 1 - sigma of the level below) in `levels`, and in `renoise`
+    those sigmas but t_0's as an (L - 1, 1, 1) array."""
 
     steps: tuple[float, ...] = (1000.0, 750.0, 500.0, 250.0, 0.0)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "steps", tuple(self.steps))
         if len(self.steps) < 2:
             raise ValueError("need at least two timesteps (t_T and t_0)")
         # `not a > b` rather than `a <= b`, so that a NaN level is refused
@@ -37,6 +39,10 @@ class TimestepSchedule:
             raise ValueError(
                 f"timesteps must start at {T_MAX} and end at 0 (got {self.steps})"
             )
+        below = [sigma(t) for t in self.steps[1:]]
+        object.__setattr__(self, "levels", tuple(zip(self.steps, [1.0 - s for s in below])))
+        object.__setattr__(self, "renoise", np.array(below[:-1]).reshape(-1, 1, 1))
+        self.renoise.flags.writeable = False
 
     @classmethod
     def uniform(cls, count: int) -> "TimestepSchedule":
@@ -158,12 +164,6 @@ def sigma(t: float) -> float:
     return t / T_MAX
 
 
-def forward_noise(x_hat: np.ndarray, eps: np.ndarray, t: float) -> np.ndarray:
-    """Re-noise a clean estimate to level sigma(t): (1-s)*x_hat + s*eps."""
-    s = sigma(t)
-    return (1.0 - s) * x_hat + s * eps
-
-
 def sample_block(denoiser, timesteps: TimestepSchedule, context, noise: NoiseSource,
                  block_size: int) -> np.ndarray:
     """Run the full denoising loop for one (block_size, frame_dim) block.
@@ -178,16 +178,16 @@ def sample_block(denoiser, timesteps: TimestepSchedule, context, noise: NoiseSou
     levels and d the denoiser's draws_per_level (0 or 1). It is handed out
     in the order separate draws would take it: the pure-noise block first,
     then per level the estimate's eps (None when d is 0) and, for every
-    level but the last, the re-noising eps. The block is the last level's
+    level but the last, the re-noising eps: x becomes (1 - sigma) * x +
+    sigma * eps, all sigma * eps from one product with the schedule's
+    table, byte for byte the per-level ones. The block is the last level's
     estimate itself: re-noising it to t=0 would weigh its eps by zero.
     """
     state = denoiser.condition(context, block_size)
-    ts = timesteps.steps
-    levels, d = len(ts) - 1, denoiser.draws_per_level
-    draws = noise.standard_normal((levels * (1 + d), block_size, context.values.shape[1]))
+    levels, d = timesteps.levels, denoiser.draws_per_level
+    draws = noise.standard_normal((len(levels) * (1 + d), block_size, context.values.shape[1]))
+    renoise = timesteps.renoise * draws[1 + d::1 + d]
     y = draws[0]
-    for j in range(levels - 1):
-        k = 1 + j * (1 + d)
-        x_hat = denoiser.estimate(y, ts[j], state, draws[k] if d else None)
-        y = forward_noise(x_hat, draws[k + d], ts[j + 1])
-    return denoiser.estimate(y, ts[-2], state, draws[-1] if d else None)
+    for j, (t, keep) in enumerate(levels[:-1]):
+        y = keep * denoiser.estimate(y, t, state, draws[1 + 2 * j] if d else None) + renoise[j]
+    return denoiser.estimate(y, levels[-1][0], state, draws[-1] if d else None)

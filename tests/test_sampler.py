@@ -7,16 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blockroll.denoisers import Context
+import sampler_oracle
+from blockroll.denoisers import (
+    AnalyticGaussianDenoiser,
+    Context,
+    ContextMeanDenoiser,
+    TinyAttentionDenoiser,
+)
 from blockroll.sampler import (
     _CHUNK,
     NoiseSource,
     _SeedWords,
     TimestepSchedule,
-    forward_noise,
     sample_block,
     sigma,
 )
+from sampler_oracle import forward_noise
 
 SHAPE = (3, 4)
 MASK64 = (1 << 64) - 1
@@ -80,6 +86,27 @@ def test_schedule_needs_two_timesteps(steps):
 def test_schedule_must_strictly_decrease():
     with pytest.raises(ValueError):
         TimestepSchedule((1000.0, 500.0, 500.0, 0.0))
+
+
+def test_schedule_tables_each_levels_weights():
+    ts = TimestepSchedule()
+    assert ts.levels == ((1000.0, 0.25), (750.0, 0.5), (500.0, 0.75), (250.0, 1.0))
+    assert ts.renoise.shape == (3, 1, 1)
+    assert ts.renoise.ravel().tolist() == [0.75, 0.5, 0.25]
+    with pytest.raises(ValueError):
+        ts.renoise[0, 0, 0] = 1.0
+
+
+def test_a_list_of_steps_gives_an_equal_hashable_schedule_with_the_same_table():
+    steps = [1000, 600.0, 250, 0.0]
+    from_list, from_tuple = TimestepSchedule(steps), TimestepSchedule(tuple(steps))
+    assert type(from_list.steps) is tuple and from_list.steps == tuple(steps)
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    steps[1] = 900.0  # the caller's list, changed afterwards, is not the schedule's
+    assert from_list.steps == from_tuple.steps
+    assert from_list.levels == from_tuple.levels
+    assert from_list.renoise.tobytes() == from_tuple.renoise.tobytes()
 
 
 def test_noise_source_replays_identically():
@@ -308,3 +335,84 @@ def test_denoiser_conditions_once_per_block():
     assert den.conditioned == [(EMPTY, SHAPE[0])]
     assert len(den.states) == 4
     assert all(state is den.states[0] for state in den.states)
+
+
+class NonlinearDouble:
+    """d = 0: a nonlinear estimate of noisy and t."""
+
+    draws_per_level = 0
+
+    def condition(self, context, block_size):
+        return context
+
+    def estimate(self, noisy, t, state, eps=None):
+        assert eps is None
+        return 1.5 * np.tanh(noisy) - t / 997.0
+
+
+class EpsDouble:
+    """d = 1: mixes noisy, eps and the context's last frame."""
+
+    draws_per_level = 1
+
+    def condition(self, context, block_size):
+        return context
+
+    def estimate(self, noisy, t, state, eps=None):
+        last = state.values[-1] if len(state) else 0.0
+        return 0.7 * noisy + 0.3 * eps + sigma(t) * last
+
+
+class Float32Double:
+    """d = 0: a float32 estimate, which the re-noising promotes to float64."""
+
+    draws_per_level = 0
+
+    def condition(self, context, block_size):
+        return context
+
+    def estimate(self, noisy, t, state, eps=None):
+        return (0.9 * noisy).astype(np.float32)
+
+
+DENOISERS = {
+    "analytic": lambda frame_dim: AnalyticGaussianDenoiser(rho=0.8),
+    "context-mean": lambda frame_dim: ContextMeanDenoiser(0.6, bias=0.05),
+    "context-mean-innovation": lambda frame_dim: ContextMeanDenoiser(0.6, 0.3, 0.05),
+    "tiny-attention": TinyAttentionDenoiser,
+    "double-d0": lambda frame_dim: NonlinearDouble(),
+    "double-d1": lambda frame_dim: EpsDouble(),
+    "double-float32": lambda frame_dim: Float32Double(),
+}
+
+
+@st.composite
+def custom_schedules(draw):
+    """Strictly decreasing steps from 1000 to a zero, with int and float
+    entries, and -0.0 as a possible last step."""
+    inner = draw(st.lists(st.one_of(st.integers(1, 999),
+                                    st.floats(0.0, 1000.0, exclude_min=True,
+                                              exclude_max=True)),
+                          unique=True, max_size=7))
+    first = draw(st.sampled_from([1000, 1000.0]))
+    last = draw(st.sampled_from([0, 0.0, -0.0]))
+    return TimestepSchedule((first, *sorted(inner, reverse=True), last))
+
+
+@given(kind=st.sampled_from(sorted(DENOISERS)),
+       timesteps=st.one_of(st.integers(1, 8).map(TimestepSchedule.uniform),
+                           custom_schedules()),
+       block_size=st.integers(1, 4), frame_dim=st.integers(1, 6),
+       positions=st.lists(st.integers(0, 10**4), unique=True, max_size=6),
+       seed=st.integers(0, 2**32))
+def test_sample_block_is_the_per_level_loop_byte_for_byte(kind, timesteps, block_size,
+                                                          frame_dim, positions, seed):
+    values = np.random.default_rng(seed).standard_normal((len(positions), frame_dim))
+    context = Context(values, np.array(sorted(positions), dtype=np.int64))
+    got = sample_block(DENOISERS[kind](frame_dim), timesteps, context, NoiseSource(seed),
+                       block_size)
+    want = sampler_oracle.sample_block(DENOISERS[kind](frame_dim), timesteps, context,
+                                       NoiseSource(seed), block_size)
+    assert got.shape == want.shape == (block_size, frame_dim)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
